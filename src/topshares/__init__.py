@@ -19,7 +19,7 @@ from .maxent import (
     ThresholdSolution,
     build_density,
     estimate_share_me,
-    quantile_top,
+    estimate_shares,
     recover_thresholds,
     solve_rate,
 )
@@ -85,12 +85,12 @@ __all__ = [
     "cumulate",
     "estimate_share_me",
     "estimate_share_pi",
+    "estimate_shares",
     "generate",
     "oracle_share",
     "parse_denominators",
     "parse_tabulation",
     "parse_tabulations",
-    "quantile_top",
     "recover_thresholds",
     "run_protocol",
     "select_bracket",

@@ -58,17 +58,23 @@ def _load_inputs(args):
         return parse_tabulations(fh, denominators)
 
 
-def _emit(args, payload_rows, fieldnames, meta):
+def _emit(args, meta, **tables) -> None:
+    """Write each (fieldnames, rows) table: CSV tables one after another,
+    separated by a blank line, or one JSON object holding ``meta`` and the
+    rows under each table's name."""
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in payload_rows:
-            writer.writerow(row)
+        for n, (fieldnames, rows) in enumerate(tables.values()):
+            if n:
+                buf.write("\n")
+            writer = csv.DictWriter(buf, fieldnames=fieldnames,
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps({"meta": meta, "rows": payload_rows},
-                          sort_keys=True, indent=2) + "\n"
+        doc = {"meta": meta, **{name: rows for name, (_, rows) in tables.items()}}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -76,55 +82,33 @@ def _emit(args, payload_rows, fieldnames, meta):
         sys.stdout.write(text)
 
 
+def _status(err: Exception) -> str:
+    """Per-row status of an estimation failure."""
+    if isinstance(err, FractileNotCoveredError):
+        return "uncovered"
+    return f"error:{type(err).__name__}"
+
+
+ESTIMATE_FIELDS = ["year", "fractile", "method", "share_pct", "share_pct_full",
+                   "threshold", "top_income", "bracket", "extrapolated",
+                   "status"]
+DIAGNOSTIC_FIELDS = ["year", "classes", "fractile", "selected_fraction",
+                     "distance_pp", "bracket", "threshold", "status"]
+
+
 def _estimate_rows(tabs, fractiles, methods, allow_extrapolation):
     rows = []
-    any_error = False
     for tab in tabs:
-        stats = cumulate(tab)
-        density = None
-        density_error = None
-        if "ME" in methods:
-            try:
-                density = maxent.build_density(stats)
-            except TopsharesError as err:
-                density_error = type(err).__name__
-        for p in fractiles:
-            for method in methods:
-                row = {
-                    "year": tab.year,
-                    "fractile": repr(p),
-                    "method": method,
-                    "share_pct": MARKER,
-                    "share_pct_full": "",
-                    "threshold": "",
-                    "top_income": "",
-                    "bracket": "",
-                    "extrapolated": "",
-                    "status": "ok",
-                }
-                if method == "ME" and density is None:
-                    row["status"] = f"error:{density_error}"
-                    any_error = True
-                    rows.append(row)
-                    continue
-                try:
-                    if method == "PI":
-                        est = pareto.pi_share_from_stats(stats, p)
-                    else:
-                        est = maxent.me_share_from_density(density, p)
-                except FractileNotCoveredError:
-                    row["status"] = "uncovered"
-                    rows.append(row)
-                    continue
-                except (TopsharesError, ValueError) as err:
-                    row["status"] = f"error:{type(err).__name__}"
-                    any_error = True
-                    rows.append(row)
-                    continue
-                if est.extrapolated and not allow_extrapolation:
-                    row["status"] = "extrapolation_disabled"
-                    rows.append(row)
-                    continue
+        for p, method, est in maxent.estimate_shares(cumulate(tab), fractiles,
+                                                     methods):
+            row = dict.fromkeys(ESTIMATE_FIELDS, "")
+            row.update(year=tab.year, fractile=repr(p), method=method,
+                       share_pct=MARKER)
+            if isinstance(est, Exception):
+                row["status"] = _status(est)
+            elif est.extrapolated and not allow_extrapolation:
+                row["status"] = "extrapolation_disabled"
+            else:
                 row.update({
                     "share_pct": f"{100.0 * est.share:.2f}",
                     "share_pct_full": repr(100.0 * est.share),
@@ -134,8 +118,8 @@ def _estimate_rows(tabs, fractiles, methods, allow_extrapolation):
                     "extrapolated": "true" if est.extrapolated else "false",
                     "status": "extrapolated" if est.extrapolated else "ok",
                 })
-                rows.append(row)
-    return rows, any_error
+            rows.append(row)
+    return rows, any(r["status"].startswith("error:") for r in rows)
 
 
 def cmd_estimate(args) -> int:
@@ -148,22 +132,18 @@ def cmd_estimate(args) -> int:
             "methods": list(methods)}
     if args.layout == "appendix":
         headers = [_fractile_header(p) for p in fractiles]
+        share = {(r["year"], r["method"], r["fractile"]): r["share_pct"]
+                 for r in rows}
         wide = []
-        for tab_year in sorted({r["year"] for r in rows}):
+        for year in sorted({r["year"] for r in rows}):
             for method in methods:
-                wrow = {"Year": tab_year, "method": method}
+                wrow = {"Year": year, "method": method}
                 for p, header in zip(fractiles, headers):
-                    match = [r for r in rows
-                             if r["year"] == tab_year and r["method"] == method
-                             and r["fractile"] == repr(p)]
-                    wrow[header] = match[0]["share_pct"] if match else MARKER
+                    wrow[header] = share.get((year, method, repr(p)), MARKER)
                 wide.append(wrow)
-        _emit(args, wide, ["Year", "method", *headers], meta)
+        _emit(args, meta, rows=(["Year", "method", *headers], wide))
     else:
-        fieldnames = ["year", "fractile", "method", "share_pct",
-                      "share_pct_full", "threshold", "top_income", "bracket",
-                      "extrapolated", "status"]
-        _emit(args, rows, fieldnames, meta)
+        _emit(args, meta, rows=(ESTIMATE_FIELDS, rows))
     return 2 if any_error else 0
 
 
@@ -171,83 +151,45 @@ def cmd_diagnostics(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     tabs = _load_inputs(args)
     rows = []
-    any_error = False
     for tab in tabs:
         stats = cumulate(tab)
         for p in fractiles:
-            row = {"year": tab.year, "classes": tab.num_brackets,
-                   "fractile": repr(p), "selected_fraction": "",
-                   "distance_pp": "", "bracket": "", "threshold": "",
-                   "status": "ok"}
+            row = dict.fromkeys(DIAGNOSTIC_FIELDS, "")
+            row.update(year=tab.year, classes=tab.num_brackets,
+                       fractile=repr(p), status="ok")
             try:
                 fit = pareto.select_bracket(stats, p)
-            except FractileNotCoveredError:
-                row["status"] = "uncovered"
-                rows.append(row)
-                continue
             except (TopsharesError, ValueError) as err:
-                row["status"] = f"error:{type(err).__name__}"
-                any_error = True
-                rows.append(row)
-                continue
-            row.update({
-                "selected_fraction": repr(fit.top_fraction),
-                "distance_pp": repr(100.0 * (fit.top_fraction - p)),
-                "bracket": fit.bracket,
-                "threshold": repr(fit.threshold),
-            })
+                row["status"] = _status(err)
+            else:
+                row.update({
+                    "selected_fraction": repr(fit.top_fraction),
+                    "distance_pp": repr(100.0 * (fit.top_fraction - p)),
+                    "bracket": fit.bracket,
+                    "threshold": repr(fit.threshold),
+                })
             rows.append(row)
-    fieldnames = ["year", "classes", "fractile", "selected_fraction",
-                  "distance_pp", "bracket", "threshold", "status"]
-    _emit(args, rows, fieldnames, {"command": "diagnostics"})
-    return 2 if any_error else 0
+    _emit(args, {"command": "diagnostics"}, rows=(DIAGNOSTIC_FIELDS, rows))
+    return 2 if any(r["status"].startswith("error:") for r in rows) else 0
 
 
-def _report_rows(report):
-    cells = [{
-        "trial": c.trial, "classes": c.classes, "fractile": repr(c.fractile),
-        "method": c.method,
-        "estimate": "" if c.estimate is None else repr(c.estimate),
-        "oracle": repr(c.oracle),
-        "rel_error": "" if c.rel_error is None else repr(c.rel_error),
-        "status": c.status,
-    } for c in report.cells]
-    summaries = [{
-        "method": s.method, "classes": s.classes, "fractile": repr(s.fractile),
-        "trials_ok": s.trials_ok, "trials_failed": s.trials_failed,
-        "mean_rel_error": repr(s.mean_rel_error),
-        "mse_rel_error": repr(s.mse_rel_error),
-        "mse_share_level": repr(s.mse_share_level),
-        "mse_share_pp": repr(s.mse_share_pp),
-    } for s in report.summaries]
-    return cells, summaries
+def _field(value):
+    """A report field as written: floats as repr, None as empty."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else value
+
+
+def _table(items, cls):
+    """(fieldnames, rows) of dataclass instances, fields in declared order."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return names, [{n: _field(getattr(item, n)) for n in names} for item in items]
 
 
 def _emit_report(args, report, meta) -> int:
-    cells, summaries = _report_rows(report)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(cells[0]), lineterminator="\n")
-        writer.writeheader()
-        for row in cells:
-            writer.writerow(row)
-        buf.write("\n")
-        swriter = csv.DictWriter(buf, fieldnames=list(summaries[0]),
-                                 lineterminator="\n")
-        swriter.writeheader()
-        for row in summaries:
-            swriter.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"meta": meta, "cells": cells,
-                           "summaries": summaries},
-                          sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 2 if any(c["status"] != "ok" for c in cells) else 0
+    _emit(args, meta, cells=_table(report.cells, microbench.ErrorCell),
+          summaries=_table(report.summaries, microbench.ErrorSummary))
+    return 2 if any(c.status != "ok" for c in report.cells) else 0
 
 
 def cmd_synth(args) -> int:
@@ -280,10 +222,8 @@ def cmd_compare(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     classes = tuple(int(k) for k in args.classes.split(",")) if args.classes \
         else (8, 14, 20, 30)
-    cells = microbench.evaluate_sample(sample, classes, fractiles)
-    cells.sort(key=lambda c: (c.trial, c.classes, -c.fractile, c.method))
-    report = microbench.ErrorReport(
-        cells=tuple(cells), summaries=microbench._summarize(cells))
+    report = microbench.ErrorReport.from_cells(
+        microbench.evaluate_sample(sample, classes, fractiles))
     return _emit_report(args, report, {"command": "compare",
                                        "classes": list(classes),
                                        "fractiles": fractiles})

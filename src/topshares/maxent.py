@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +29,9 @@ from .errors import (
     FractileNotCoveredError,
     InfeasibleOrderingError,
     MeanOnBoundaryError,
+    TopsharesError,
 )
-from .pareto import ShareEstimate
+from .pareto import ShareEstimate, pi_share_from_stats
 from .tabulation import CumulativeStats, Tabulation, cumulate
 
 __all__ = [
@@ -39,10 +41,9 @@ __all__ = [
     "solve_rate",
     "rate_objective",
     "build_density",
-    "cdf",
-    "quantile_top",
     "estimate_share_me",
     "me_share_from_density",
+    "estimate_shares",
     "recover_thresholds",
 ]
 
@@ -430,16 +431,6 @@ def build_density(stats: CumulativeStats,
     )
 
 
-def cdf(density: MaxEntDensity, y: float) -> float:
-    """Probability mass between the support bottom and y."""
-    return density.cdf(y)
-
-
-def quantile_top(density: MaxEntDensity, p: float) -> float:
-    """Income level with upper-tail mass exactly p above it."""
-    return density.quantile_top(p)
-
-
 def me_share_from_density(density: MaxEntDensity, p: float) -> ShareEstimate:
     """Top-p share read off an already-built maximum-entropy density."""
     t_p = density.quantile_top(p)
@@ -460,6 +451,43 @@ def estimate_share_me(tab: Tabulation, p: float) -> ShareEstimate:
     return me_share_from_density(build_density(cumulate(tab)), p)
 
 
+def estimate_shares(stats: CumulativeStats, fractiles: Sequence[float],
+                    methods: Sequence[str] = ("PI", "ME"),
+                    ) -> list[tuple[float, str, ShareEstimate | Exception]]:
+    """Every fractile x method estimate of one tabulation, fractile-major.
+
+    This is the one estimation loop behind both the historical series and
+    the accuracy protocol, so PI and ME always see identical inputs. The ME
+    density is built once. Each entry is (p, method, outcome), where the
+    outcome is the ShareEstimate or the TopsharesError/ValueError that
+    stopped it; a failed density build stops every ME entry. Methods other
+    than "PI" and "ME" raise ValueError before any work is done.
+    """
+    for method in methods:
+        if method not in ("PI", "ME"):
+            raise ValueError(f"unknown method {method!r}: expected PI or ME")
+    density: MaxEntDensity | TopsharesError | None = None
+    if "ME" in methods:
+        try:
+            density = build_density(stats)
+        except TopsharesError as err:
+            density = err
+    out = []
+    for p in fractiles:
+        for method in methods:
+            try:
+                if method == "PI":
+                    outcome = pi_share_from_stats(stats, p)
+                elif isinstance(density, TopsharesError):
+                    outcome = density
+                else:
+                    outcome = me_share_from_density(density, p)
+            except (TopsharesError, ValueError) as err:
+                outcome = err
+            out.append((p, method, outcome))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # threshold recovery
 # ---------------------------------------------------------------------------
@@ -471,7 +499,8 @@ class ThresholdSolution:
     ``thresholds`` is the full descending vector including the fixed bottom
     one. ``objective`` is the attained divergence value; ``grad_norm`` the
     final scaled gradient norm. ``converged`` is False when the iteration
-    cap was hit, in which case the best iterate found is returned.
+    cap was hit or when no step lowered the objective or the gradient; the
+    last accepted iterate is returned either way.
     """
 
     thresholds: np.ndarray
@@ -526,7 +555,12 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     the ordering feasible by construction. Second-order steps use the
     analytic gradient (density jumps) with a finite-difference Hessian and a
     backtracking line search; the objective blows up at the box edges, so
-    iterates stay interior.
+    iterates stay interior. Near the optimum a Newton step can cut the
+    gradient by orders of magnitude while moving the objective by an ulp
+    either way, so a step that leaves the objective flat at float
+    resolution is accepted when it lowers the gradient. The iteration stops
+    when the gradient meets ``grad_tol * (1 + |objective|)``, when no step
+    lowers the objective or the gradient, or at ``max_iterations``.
     """
     k_total = stats.num_brackets
     if k_total < 2:
@@ -566,13 +600,13 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
 
     z = np.zeros(k_total - 1)  # box midpoints
     value, grad = eval_at(z)
-    best = (value, z.copy(), grad)
 
     iterations = 0
     fd_step = 1e-5
+    flat = 4.0 * np.finfo(float).eps
     for iterations in range(1, max_iterations + 1):
-        scale = grad_tol * (1.0 + abs(value))
-        if np.max(np.abs(grad)) <= scale:
+        grad_max = np.max(np.abs(grad))
+        if grad_max <= grad_tol * (1.0 + abs(value)):
             break
 
         # Hessian by central differences of the analytic gradient
@@ -596,27 +630,22 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         if direction is None:
             direction = -grad
 
-        # backtracking line search (Armijo)
+        # backtracking line search: Armijo decrease, or a lower gradient
+        # where the objective is flat at float resolution
         slope = float(np.dot(grad, direction))
         step = 1.0
-        moved = False
-        previous = value
         for _ in range(60):
             z_new = z + step * direction
             v_new, g_new = eval_at(z_new)
-            if v_new <= value + 1e-4 * step * slope:
+            if (v_new <= value + 1e-4 * step * slope
+                    or (abs(v_new - value) <= flat * (1.0 + abs(value))
+                        and np.max(np.abs(g_new)) < grad_max)):
                 z, value, grad = z_new, v_new, g_new
-                moved = True
                 break
             step *= 0.5
-        if not moved:
-            break  # no further progress at float resolution
-        if value < best[0]:
-            best = (value, z.copy(), grad)
-        if previous - value <= 4.0 * np.finfo(float).eps * (1.0 + abs(value)):
-            break  # descent has hit the numerical floor
+        else:
+            break  # no step lowers the objective or the gradient
 
-    value, z, grad = best if best[0] < value else (value, z, grad)
     thresholds, _ = thresholds_of(z)
     grad_norm = float(np.max(np.abs(grad)))
     return ThresholdSolution(

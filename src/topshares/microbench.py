@@ -12,8 +12,6 @@ reproduce identical samples on any platform.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import warnings
@@ -23,9 +21,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from . import maxent, pareto
-from .errors import ParseError, TopsharesError
-from .tabulation import IncomeBracket, Tabulation, cumulate
+from . import maxent
+from .errors import ParseError
+from .tabulation import IncomeBracket, Tabulation, _parse_float, _records, cumulate
 
 __all__ = [
     "MicroSample",
@@ -68,7 +66,11 @@ class MicroSample:
         if self.weights is None:
             weights = np.ones(len(incomes), dtype=np.int64)
         else:
-            weights = np.asarray(self.weights, dtype=np.int64)
+            weights = np.asarray(self.weights)
+            if weights.dtype.kind not in "iu" and not np.all(
+                    np.isfinite(weights) & (weights == np.trunc(weights))):
+                raise ValueError("weights must be positive integers")
+            weights = weights.astype(np.int64)
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(incomes):
             raise ValueError("incomes and weights must have equal length")
@@ -360,6 +362,10 @@ class BenchmarkSpec:
     scheme: str = "geometric"
     methods: tuple[str, ...] = ("PI", "ME")
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
         raw = json.loads(text)
@@ -431,6 +437,14 @@ class ErrorReport:
     cells: tuple[ErrorCell, ...]
     summaries: tuple[ErrorSummary, ...]
 
+    @classmethod
+    def from_cells(cls, cells: Iterable[ErrorCell]) -> "ErrorReport":
+        """Sort cells by trial, K, descending fractile and method, and
+        aggregate each (method, K, fractile) group over its trials."""
+        cells = sorted(cells, key=lambda c: (c.trial, c.classes, -c.fractile,
+                                             c.method))
+        return cls(cells=tuple(cells), summaries=_summarize(cells))
+
     def summary_for(self, method: str, classes: int, fractile: float,
                     ) -> ErrorSummary:
         for s in self.summaries:
@@ -447,42 +461,23 @@ def evaluate_sample(sample: MicroSample, classes: Iterable[int],
                     trial: int = 0) -> list[ErrorCell]:
     """Score both estimators against the sample oracle at each class count.
 
-    Estimator failures are recorded per cell and never abort the run.
+    Estimator failures are recorded per cell and never abort the run; a
+    method other than PI or ME raises ValueError.
     """
     cells = []
     oracles = {p: oracle_share(sample, p) for p in fractiles}
     for k in classes:
         thresholds = quantile_thresholds(sample, k, top_fraction, scheme)
-        tab = tabulate(sample, thresholds)
-        stats = cumulate(tab)
-        density = None
-        density_error = None
-        if "ME" in methods:
-            try:
-                density = maxent.build_density(stats)
-            except TopsharesError as err:
-                density_error = type(err).__name__
-        for p in fractiles:
-            for method in methods:
-                theta = oracles[p]
-                if method == "ME" and density is None:
-                    cells.append(ErrorCell(trial, int(k), float(p), method,
-                                           None, theta, None,
-                                           f"error:{density_error}"))
-                    continue
-                estimate, status = None, "ok"
-                try:
-                    if method == "PI":
-                        estimate = pareto.pi_share_from_stats(stats, p).share
-                    elif method == "ME":
-                        estimate = maxent.me_share_from_density(density, p).share
-                    else:
-                        raise ValueError(f"unknown method {method!r}")
-                except (TopsharesError, ValueError) as err:
-                    status = f"error:{type(err).__name__}"
-                rel = None if estimate is None else estimate / theta - 1.0
+        stats = cumulate(tabulate(sample, thresholds))
+        for p, method, est in maxent.estimate_shares(stats, fractiles, methods):
+            theta = oracles[p]
+            if isinstance(est, Exception):
+                cells.append(ErrorCell(trial, int(k), float(p), method, None,
+                                       theta, None, f"error:{type(est).__name__}"))
+            else:
                 cells.append(ErrorCell(trial, int(k), float(p), method,
-                                       estimate, theta, rel, status))
+                                       est.share, theta, est.share / theta - 1.0,
+                                       "ok"))
     return cells
 
 
@@ -520,50 +515,28 @@ def run_protocol(spec: BenchmarkSpec) -> ErrorReport:
         cells.extend(evaluate_sample(
             sample, spec.classes, spec.fractiles, spec.methods,
             spec.top_fraction, spec.scheme, trial=trial))
-    cells.sort(key=lambda c: (c.trial, c.classes, -c.fractile, c.method))
-    return ErrorReport(cells=tuple(cells), summaries=_summarize(cells))
+    return ErrorReport.from_cells(cells)
 
 
 def load_micro_csv(raw) -> MicroSample:
     """Parse a micro-sample CSV with header ``income,weight``.
 
-    Weights are positive integer replication factors.
+    Weights are positive integer replication factors. Read by the same
+    CSV reader as the tabulation files: blank lines skipped, fields
+    stripped, errors carry the line number.
     """
-    if isinstance(raw, (str, bytes)):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        raw = io.StringIO(raw)
-    rows = csv.reader(raw)
-    header = None
+    idx, rows = _records(raw, ("income", "weight"), None, "micro CSV")
     incomes, weights = [], []
-    for lineno, row in enumerate(rows, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        fields = [cell.strip() for cell in row]
-        if header is None:
-            header = fields
-            try:
-                i_inc = header.index("income")
-                i_w = header.index("weight")
-            except ValueError:
-                raise ParseError(f"header must name 'income' and 'weight' "
-                                 f"columns, got {header!r}", line=lineno) from None
-            continue
-        try:
-            income = float(fields[i_inc])
-        except (ValueError, IndexError):
-            raise ParseError(f"bad income field in {fields!r}", line=lineno) from None
-        if not np.isfinite(income) or income < 0:
-            raise ParseError(f"income {income} must be finite and >= 0", line=lineno)
-        try:
-            weight = float(fields[i_w])
-        except (ValueError, IndexError):
-            raise ParseError(f"bad weight field in {fields!r}", line=lineno) from None
+    for lineno, fields in rows:
+        income = _parse_float(fields[idx["income"]], "income", lineno)
+        if income < 0:
+            raise ParseError(f"income {income} must be >= 0", line=lineno)
+        weight = _parse_float(fields[idx["weight"]], "weight", lineno)
         if weight <= 0 or weight != int(weight):
-            raise ParseError(f"weight {fields[i_w]!r} must be a positive "
-                             f"integer replication factor", line=lineno)
+            raise ParseError(f"weight {fields[idx['weight']]!r} must be a "
+                             f"positive integer replication factor", line=lineno)
         incomes.append(income)
         weights.append(int(weight))
-    if header is None or not incomes:
+    if not incomes:
         raise ParseError("micro CSV holds no data rows")
     return MicroSample(np.array(incomes), np.array(weights, dtype=np.int64))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -292,6 +293,27 @@ def _reader(raw) -> Iterable[tuple[int, list[str]]]:
         yield lineno, [cell.strip() for cell in row]
 
 
+def _records(raw, required: tuple[str, ...], columns: Mapping[str, str] | None,
+             what: str) -> tuple[dict[str, int], Iterable[tuple[int, list[str]]]]:
+    """Column positions named by the header line, and the data rows after it
+    as (line number, fields), each with at least as many fields as the
+    header."""
+    rows = _reader(raw)
+    try:
+        lineno, header = next(iter(rows))
+    except StopIteration:
+        raise ParseError(f"empty {what} file") from None
+    idx = _header_map(header, required, columns, lineno)
+
+    def checked():
+        for lineno, fields in rows:
+            if len(fields) < len(header):
+                raise ParseError(f"expected {len(header)} fields, got "
+                                 f"{len(fields)}", line=lineno)
+            yield lineno, fields
+    return idx, checked()
+
+
 def _header_map(fields: list[str], required: tuple[str, ...],
                 columns: Mapping[str, str] | None, lineno: int) -> dict[str, int]:
     names = {}
@@ -318,25 +340,16 @@ def _parse_float(text: str, what: str, lineno: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"{what} {text!r} is not a number", line=lineno) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"{what} {text!r} is not finite", line=lineno)
     return value
 
 
 def parse_denominators(raw) -> dict[int, Denominator]:
     """Parse the sidecar denominator CSV. Duplicate years are an error."""
-    rows = _reader(raw)
-    try:
-        lineno, header = next(iter(rows))
-    except StopIteration:
-        raise ParseError("empty denominator file") from None
-    idx = _header_map(header, _DENOM_COLUMNS, None, lineno)
-
+    idx, rows = _records(raw, _DENOM_COLUMNS, None, "denominator")
     out: dict[int, Denominator] = {}
     for lineno, fields in rows:
-        if len(fields) < len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}",
-                             line=lineno)
         year = _parse_int(fields[idx["year"]], "year", lineno)
         if year in out:
             raise ParseError(f"duplicate year {year} in denominator file",
@@ -364,19 +377,10 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator],
     is sorted by year. Raises ParseError with a line number on bad rows and
     on validation failures.
     """
-    rows = _reader(raw)
-    try:
-        lineno, header = next(iter(rows))
-    except StopIteration:
-        raise ParseError("empty tabulation file") from None
-    idx = _header_map(header, _TAB_COLUMNS, columns, lineno)
-
+    idx, rows = _records(raw, _TAB_COLUMNS, columns, "tabulation")
     per_year: dict[int, list[IncomeBracket]] = {}
     seen: dict[tuple[int, float], int] = {}
     for lineno, fields in rows:
-        if len(fields) < len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}",
-                             line=lineno)
         year = _parse_int(fields[idx["year"]], "year", lineno)
         threshold = _parse_float(fields[idx["lower_threshold"]], "lower_threshold", lineno)
         count = _parse_int(fields[idx["returns"]], "returns", lineno)

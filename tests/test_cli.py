@@ -1,6 +1,7 @@
 """Command line interface: artifacts, markers, layouts, determinism, exits."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -165,6 +166,39 @@ class TestEstimate:
                      str(den), "--fractiles", "1.5"]) == 1
 
 
+# SHA-256 of the artifacts on the ``inputs`` fixture. They pin every digit,
+# column and status, so a refactor of the estimate loop or the emitter that
+# changes one byte of output fails here.
+PINNED_ARTIFACTS = {
+    ("estimate", "long", "csv"):
+        "f32f7222f1bf0a5094a854faa5bf2a9633130281dc4439542b1abaaa63e619b8",
+    ("estimate", "long", "json"):
+        "07f3e1a5bf27a30fd370c7d5d136d3a6d2c954a91c2ca831cb189c6a26ade2c4",
+    ("estimate", "appendix", "csv"):
+        "c2a20bab0af920fdbc4bb3b824cda338852e561a560ad7672602deac12f8682c",
+    ("estimate", "appendix", "json"):
+        "66250eded6720df553bea9ec9c148de330d59d79d2c6a16d7e639acf1ec91cfc",
+    ("diagnostics", None, "csv"):
+        "ea9425b71ce9282625de9b43314966a0c75ec8329e9db04234927a8330793114",
+    ("diagnostics", None, "json"):
+        "ff04814bfccaaa74c629898a5ebc7866347dbb5117b3264de8b4297d88a1b608",
+}
+
+
+@pytest.mark.parametrize("command,layout,fmt", sorted(
+    PINNED_ARTIFACTS, key=lambda k: (k[0], k[1] or "", k[2])))
+def test_artifact_bytes_pinned(inputs, tmp_path, command, layout, fmt):
+    tab, den = inputs
+    out = tmp_path / f"out.{fmt}"
+    argv = [command, "--input", str(tab), "--denominators", str(den),
+            "--format", fmt, "--out", str(out)]
+    if layout:
+        argv += ["--layout", layout]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_ARTIFACTS[(command, layout, fmt)], out.read_text()
+
+
 class TestHistoricalFixture:
     def test_estimate_matches_library_on_1920_table(self, table_1920, tmp_path):
         import topshares as ts
@@ -253,6 +287,28 @@ class TestSynthAndCompare:
         out = tmp_path / "synth.csv"
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("trial,classes,fractile,method")
+
+    def test_synth_zero_trials_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--trials", "0", "--size", "500",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth_unknown_method_exits_one(self, tmp_path, capsys):
+        spec = {"distribution": {"kind": "pareto", "exponent": 2.0},
+                "size": 4000, "classes": [8], "fractiles": [0.1],
+                "trials": 1, "seed": 5, "methods": ["PI", "XX"]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'XX'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_compare_micro_csv(self, tmp_path):
         rng_rows = ["income,weight"]

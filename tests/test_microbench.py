@@ -53,6 +53,9 @@ class TestOracleShare:
             mb.oracle_share(sample, 0.1)  # covers fewer than one unit
         with pytest.raises(ValueError):
             mb.MicroSample.from_incomes([])
+        with pytest.raises(ValueError, match="integers"):
+            mb.MicroSample([1.0, 2.0], [1.5, 2.7])  # no silent truncation
+        assert mb.MicroSample([1.0, 2.0], [1.0, 2.0]).weights.tolist() == [1, 2]
 
 
 class TestTabulate:
