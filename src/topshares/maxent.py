@@ -451,6 +451,12 @@ def estimate_share_me(tab: Tabulation, p: float) -> ShareEstimate:
     return me_share_from_density(build_density(cumulate(tab)), p)
 
 
+def _check_methods(methods: Sequence[str]) -> None:
+    for method in methods:
+        if method not in ("PI", "ME"):
+            raise ValueError(f"unknown method {method!r}: expected PI or ME")
+
+
 def estimate_shares(stats: CumulativeStats, fractiles: Sequence[float],
                     methods: Sequence[str] = ("PI", "ME"),
                     ) -> list[tuple[float, str, ShareEstimate | Exception]]:
@@ -463,9 +469,7 @@ def estimate_shares(stats: CumulativeStats, fractiles: Sequence[float],
     stopped it; a failed density build stops every ME entry. Methods other
     than "PI" and "ME" raise ValueError before any work is done.
     """
-    for method in methods:
-        if method not in ("PI", "ME"):
-            raise ValueError(f"unknown method {method!r}: expected PI or ME")
+    _check_methods(methods)
     density: MaxEntDensity | TopsharesError | None = None
     if "ME" in methods:
         try:
@@ -497,10 +501,12 @@ class ThresholdSolution:
     """Result of recovering unknown thresholds from cumulative data.
 
     ``thresholds`` is the full descending vector including the fixed bottom
-    one. ``objective`` is the attained divergence value; ``grad_norm`` the
-    final scaled gradient norm. ``converged`` is False when the iteration
-    cap was hit or when no step lowered the objective or the gradient; the
-    last accepted iterate is returned either way.
+    one. ``objective`` is the attained divergence value; ``iterations`` the
+    number of Newton steps taken (0 when the start already meets the
+    tolerance); ``grad_norm`` the final scaled gradient norm. ``converged``
+    is False when the iteration cap was hit or when no step lowered the
+    objective or the gradient; the last accepted iterate is returned either
+    way.
     """
 
     thresholds: np.ndarray
@@ -560,7 +566,8 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     either way, so a step that leaves the objective flat at float
     resolution is accepted when it lowers the gradient. The iteration stops
     when the gradient meets ``grad_tol * (1 + |objective|)``, when no step
-    lowers the objective or the gradient, or at ``max_iterations``.
+    lowers the objective or the gradient, or after ``max_iterations`` Newton
+    steps.
     """
     k_total = stats.num_brackets
     if k_total < 2:
@@ -604,7 +611,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     iterations = 0
     fd_step = 1e-5
     flat = 4.0 * np.finfo(float).eps
-    for iterations in range(1, max_iterations + 1):
+    while iterations < max_iterations:
         grad_max = np.max(np.abs(grad))
         if grad_max <= grad_tol * (1.0 + abs(value)):
             break
@@ -645,6 +652,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
             step *= 0.5
         else:
             break  # no step lowers the objective or the gradient
+        iterations += 1
 
     thresholds, _ = thresholds_of(z)
     grad_norm = float(np.max(np.abs(grad)))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import maxent
 from .errors import ParseError
@@ -245,6 +244,78 @@ class ParetoDist:
         return {"kind": "pareto", "exponent": self.exponent, "scale": self.scale}
 
 
+# Wichura's Algorithm AS241 (PPND16), Applied Statistics 37 (1988) 477-484:
+# (numerator, denominator) coefficients, highest degree first, of the
+# rational approximations on the central region |u - 0.5| <= 0.425 and on
+# the tails r = sqrt(-log(min(u, 1 - u))) <= 5 and r > 5.
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
+     6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
+     1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
+     3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
+     5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0))
+_AS241_NEAR = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
+     2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
+     3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
+     1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
+     6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0))
+_AS241_FAR = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
+     1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
+     2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
+     1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
+     1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0))
+
+
+def _rational(coeffs, x: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * num(x) / den(x), the polynomials by Horner's rule."""
+    num, den = (np.full_like(x, c[0]) for c in coeffs)
+    for a, b in zip(coeffs[0][1:], coeffs[1][1:]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    num *= scale
+    num /= den
+    return num
+
+
+def _ndtri(u) -> np.ndarray:
+    """Inverse of the standard normal CDF, elementwise (AS241, relative
+    error about 1e-16). 0 and 1 map to -inf and +inf; NaN and values
+    outside [0, 1] map to NaN."""
+    u = np.asarray(u, dtype=float)
+    q = u - 0.5
+    central = np.abs(q) <= 0.425
+    qc = np.where(central, q, 0.0)  # keeps the fit finite off the centre
+    out = _rational(_AS241_CENTRAL, 0.180625 - qc * qc, qc)
+
+    # the tails, the edge values and invalid input
+    tail = np.flatnonzero(~central)
+    ut = u.reshape(-1)[tail]
+    xt = np.where(ut == 0.0, -np.inf, np.where(ut == 1.0, np.inf, np.nan))
+    inner = np.flatnonzero((ut > 0.0) & (ut < 1.0))
+    ui = ut[inner]
+    lower = ui < 0.5
+    r = np.sqrt(-np.log(np.where(lower, ui, 1.0 - ui)))
+    x = _rational(_AS241_NEAR, r - 1.6)
+    far = r > 5.0
+    x[far] = _rational(_AS241_FAR, r[far] - 5.0)
+    xt[inner] = np.where(lower, -x, x)
+    out.reshape(-1)[tail] = xt
+    return out
+
+
 @dataclass(frozen=True)
 class LognormalDist:
     """Lognormal law: log X is normal(location, shape^2)."""
@@ -257,7 +328,7 @@ class LognormalDist:
             raise ValueError("shape must be positive")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(self.location + self.shape * ndtri(u))
+        return np.exp(self.location + self.shape * _ndtri(u))
 
     @property
     def mean(self) -> float:
@@ -365,6 +436,7 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        maxent._check_methods(self.methods)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
@@ -521,9 +593,9 @@ def run_protocol(spec: BenchmarkSpec) -> ErrorReport:
 def load_micro_csv(raw) -> MicroSample:
     """Parse a micro-sample CSV with header ``income,weight``.
 
-    Weights are positive integer replication factors. Read by the same
-    CSV reader as the tabulation files: blank lines skipped, fields
-    stripped, errors carry the line number.
+    Weights are positive integer replication factors up to 2**53. Read by
+    the same CSV reader as the tabulation files: blank lines skipped,
+    fields stripped, errors carry the line number.
     """
     idx, rows = _records(raw, ("income", "weight"), None, "micro CSV")
     incomes, weights = [], []
@@ -535,6 +607,9 @@ def load_micro_csv(raw) -> MicroSample:
         if weight <= 0 or weight != int(weight):
             raise ParseError(f"weight {fields[idx['weight']]!r} must be a "
                              f"positive integer replication factor", line=lineno)
+        if weight > 2**53:  # beyond it, floats no longer tell integers apart
+            raise ParseError(f"weight {fields[idx['weight']]!r} exceeds 2**53",
+                             line=lineno)
         incomes.append(income)
         weights.append(int(weight))
     if not incomes:

@@ -4,9 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import topshares
 from topshares.cli import main
 
 TAB_CSV = """year,lower_threshold,returns,income_sum
@@ -310,6 +315,17 @@ class TestSynthAndCompare:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_compare_huge_weight_exits_one(self, tmp_path, capsys):
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n1,1e30\n2,1\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--micro", str(micro), "--classes", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "2**53" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_compare_micro_csv(self, tmp_path):
         rng_rows = ["income,weight"]
         value = 1.0
@@ -329,3 +345,15 @@ class TestSynthAndCompare:
         for cell in doc["cells"]:
             if cell["status"] == "ok":
                 assert abs(float(cell["rel_error"])) < 0.5
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules the test suite imported do not count
+    src = str(Path(topshares.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    code = ("import sys, topshares, topshares.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

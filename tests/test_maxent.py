@@ -583,6 +583,31 @@ class TestRecoverThresholds:
         for k in range(len(thresholds) - 1):
             assert means[k + 1] < sol.thresholds[k] < means[k]
 
+    def test_iterations_count_newton_steps(self):
+        # the tabulation of test_flat_objective_at_float_floor_still_converges:
+        # a cap of the reported count converges, one step fewer does not
+        thresholds = [345179.3972763353, 280306.71860647737, 222953.3931892919,
+                      172431.2757542555, 128028.56029812014, 88918.20847552374,
+                      53756.58835666201, 14852.475119053279]
+        counts = [7675, 13490, 37202, 102590, 282911, 780178, 2151480, 5933090]
+        sums = [3237149812.3779297, 4137481838.6651344, 9161958344.912594,
+                19796052805.28444, 41324757235.16641, 81787349544.63606,
+                146704163129.95096, 194931749227.85547]
+        tab = ts.Tabulation(
+            year=0, brackets=tuple(ts.IncomeBracket(t, n, s) for t, n, s
+                                   in zip(thresholds, counts, sums)),
+            population=10_000_000, total_income=651404860520.5037)
+        stats = ts.cumulate(tab)
+        sol = ts.recover_thresholds(stats, thresholds[-1])
+        assert sol.converged and sol.iterations >= 1
+        capped = ts.recover_thresholds(stats, thresholds[-1],
+                                       max_iterations=sol.iterations)
+        assert capped.converged and capped.iterations == sol.iterations
+        np.testing.assert_array_equal(capped.thresholds, sol.thresholds)
+        short = ts.recover_thresholds(stats, thresholds[-1],
+                                      max_iterations=sol.iterations - 1)
+        assert not short.converged and short.iterations == sol.iterations - 1
+
     def test_infeasible_inputs_rejected(self):
         stats = stats_from_masses([0.5, 0.5], [2.0, 3.0], thresholds=[2.5, 1.0])
         with pytest.raises(InfeasibleOrderingError):

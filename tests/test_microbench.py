@@ -2,7 +2,10 @@
 
 import json
 import math
+import statistics
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,6 +108,64 @@ class TestTabulate:
         sample = mb.MicroSample.from_incomes([5.0, 15.0])
         with pytest.raises(ValueError):
             mb.tabulate(sample, [10.0, 10.0])
+
+
+class TestNdtri:
+    """The AS241 inverse normal CDF behind lognormal sampling, against
+    mpmath at 40 digits beyond the tail's magnitude."""
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(2024)
+        return np.concatenate([rng.random(80),
+                               10.0 ** rng.uniform(-300, -2, 60),
+                               1.0 - 10.0 ** -rng.uniform(1, 15.9, 60)])
+
+    @staticmethod
+    def oracle(u):
+        # at a fixed precision 2u - 1 rounds to -1 for tiny u
+        with mpmath.workdps(40 + math.ceil(-math.log10(min(u, 1.0 - u)))):
+            return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1))
+
+    def test_matches_mpmath(self):
+        u = self.points()
+        got = mb._ndtri(u)
+        want = np.array([self.oracle(x) for x in u])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_within_four_ulp_of_stdlib(self):
+        u = self.points()
+        want = np.array([statistics.NormalDist().inv_cdf(x) for x in u])
+        assert np.all(np.abs(mb._ndtri(u) - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_symmetric_where_complement_is_exact(self):
+        # multiples of 2**-53 have exact complements, down to the far tail
+        rng = np.random.default_rng(7)
+        k = np.concatenate([np.arange(1, 200), rng.integers(1, 2**53, 2000)])
+        u = k / 2.0**53
+        np.testing.assert_array_equal(mb._ndtri(1.0 - u), -mb._ndtri(u))
+
+    def test_monotone(self):
+        u = np.unique(np.concatenate([self.points(),
+                                      np.linspace(0.0, 1.0, 10001)]))
+        assert np.all(np.diff(mb._ndtri(u)) >= 0)
+
+    def test_branch_seams_within_one_ulp(self):
+        # through each switch between approximations, runs of adjacent
+        # floats; the central and lower-tail fits meet one ulp apart at
+        # u = 0.075 (as in the stdlib's copy of AS241), so a step back of
+        # one ulp is the most there is
+        for s in (0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)):
+            x = mb._ndtri(s + np.arange(-100, 101) * np.spacing(s))
+            assert np.all(np.diff(x) >= -np.spacing(np.abs(x[1:])))
+
+    def test_edge_values_without_warnings(self):
+        u = np.array([0.0, 1.0, 0.5, np.nan, -0.1, 1.1, np.inf, -np.inf, 1e300])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = mb._ndtri(u)
+        assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
+        assert np.all(np.isnan(got[3:]))
 
 
 class TestGenerate:
@@ -222,6 +283,11 @@ class TestProtocol:
         assert s.mse_share_pp == pytest.approx(1e4 * s.mse_share_level, rel=1e-12)
         assert s.mse_rel_error >= 0.0
 
+    def test_benchmark_spec_rejects_unknown_method(self):
+        # before any sample is drawn, with the estimation loop's message
+        with pytest.raises(ValueError, match="unknown method 'XX': expected PI or ME"):
+            mb.BenchmarkSpec(dist=mb.ParetoDist(2.0), methods=("PI", "XX"))
+
     def test_benchmark_spec_json_round_trip(self):
         spec = mb.BenchmarkSpec(dist=mb.ParetoDist(2.0, 1.0), size=1000,
                                 classes=(8,), fractiles=(0.1, 0.01),
@@ -247,3 +313,9 @@ class TestMicroCSV:
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
             mb.load_micro_csv("revenue,count\n100,1\n")
+
+    def test_weight_above_2_53_names_line(self):
+        # above 2**53 a float weight no longer tells integers apart
+        with pytest.raises(ParseError, match=r"line 2: .*2\*\*53"):
+            mb.load_micro_csv("income,weight\n1,1e30\n2,1\n")
+        assert mb.load_micro_csv(f"income,weight\n1,{2**53}\n").filer_count == 2**53
