@@ -99,8 +99,13 @@ DIAGNOSTIC_FIELDS = ["year", "classes", "fractile", "selected_fraction",
 def _estimate_rows(tabs, fractiles, methods, allow_extrapolation):
     rows = []
     for tab in tabs:
-        for p, method, est in maxent.estimate_shares(cumulate(tab), fractiles,
-                                                     methods):
+        try:
+            stats = cumulate(tab)
+        except ValueError as err:  # e.g. an empty top bracket
+            outcomes = [(p, method, err) for p in fractiles for method in methods]
+        else:
+            outcomes = maxent.estimate_shares(stats, fractiles, methods)
+        for p, method, est in outcomes:
             row = dict.fromkeys(ESTIMATE_FIELDS, "")
             row.update(year=tab.year, fractile=repr(p), method=method,
                        share_pct=MARKER)
@@ -152,12 +157,17 @@ def cmd_diagnostics(args) -> int:
     tabs = _load_inputs(args)
     rows = []
     for tab in tabs:
-        stats = cumulate(tab)
+        try:
+            stats = cumulate(tab)
+        except ValueError as err:  # e.g. an empty top bracket
+            stats = err
         for p in fractiles:
             row = dict.fromkeys(DIAGNOSTIC_FIELDS, "")
             row.update(year=tab.year, classes=tab.num_brackets,
                        fractile=repr(p), status="ok")
             try:
+                if isinstance(stats, ValueError):
+                    raise stats
                 fit = pareto.select_bracket(stats, p)
             except (TopsharesError, ValueError) as err:
                 row["status"] = _status(err)

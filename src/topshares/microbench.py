@@ -22,7 +22,8 @@ import numpy as np
 
 from . import maxent
 from .errors import ParseError
-from .tabulation import IncomeBracket, Tabulation, _parse_float, _records, cumulate
+from .tabulation import (IncomeBracket, Tabulation, _columns, _parse_float,
+                         _records, _text, cumulate)
 
 __all__ = [
     "MicroSample",
@@ -66,9 +67,13 @@ class MicroSample:
             weights = np.ones(len(incomes), dtype=np.int64)
         else:
             weights = np.asarray(self.weights)
-            if weights.dtype.kind not in "iu" and not np.all(
-                    np.isfinite(weights) & (weights == np.trunc(weights))):
-                raise ValueError("weights must be positive integers")
+            if weights.dtype.kind not in "iu":
+                # checked before the cast, which warns on values it wraps
+                if not np.all((weights > 0) & (weights == np.trunc(weights))):
+                    raise ValueError("weights must be positive integers")
+                # beyond it, floats no longer tell integers apart
+                if np.any(weights > 2**53):
+                    raise ValueError("float weights must not exceed 2**53")
             weights = weights.astype(np.int64)
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(incomes):
@@ -79,6 +84,10 @@ class MicroSample:
             raise ValueError("incomes must be finite and nonnegative")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive integers")
+        if weights.sum(dtype=float) > 2.0**62:  # a float sum cannot wrap
+            total = sum(weights.tolist())
+            if total > 2**63 - 1:
+                raise ValueError(f"weights sum to {total}, more than 2**63 - 1")
         if self.nonfiler_count < 0:
             raise ValueError("nonfiler_count must be nonnegative")
         incomes.flags.writeable = False
@@ -590,14 +599,33 @@ def run_protocol(spec: BenchmarkSpec) -> ErrorReport:
     return ErrorReport.from_cells(cells)
 
 
+_MICRO_COLUMNS = ("income", "weight")
+
+
 def load_micro_csv(raw) -> MicroSample:
     """Parse a micro-sample CSV with header ``income,weight``.
 
-    Weights are positive integer replication factors up to 2**53. Read by
-    the same CSV reader as the tabulation files: blank lines skipped,
-    fields stripped, errors carry the line number.
+    ``raw`` is the text, its UTF-8 bytes or a file handle. Weights are
+    positive integer replication factors up to 2**53 whose total fits in an
+    int64. Read by the same CSV reader as the tabulation files: blank lines
+    skipped, fields stripped, errors carry the line number. A plain numeric
+    file is read in bulk and checked by ``MicroSample``; any other file, and
+    any file that check rejects, is read row by row, which gives the error
+    and its line.
     """
-    idx, rows = _records(raw, ("income", "weight"), None, "micro CSV")
+    text = _text(raw)
+    columns = _columns(text, _MICRO_COLUMNS, "micro CSV")
+    if columns is not None:
+        try:
+            return MicroSample(columns["income"], columns["weight"])
+        except ValueError:
+            pass  # the row path names the offending line
+    return _micro_rows(text)
+
+
+def _micro_rows(text: str) -> MicroSample:
+    """``load_micro_csv`` row by row: a ParseError at the first bad line."""
+    idx, rows = _records(text, _MICRO_COLUMNS, None, "micro CSV")
     incomes, weights = [], []
     for lineno, fields in rows:
         income = _parse_float(fields[idx["income"]], "income", lineno)

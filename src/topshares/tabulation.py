@@ -20,8 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -281,41 +282,33 @@ _TAB_COLUMNS = ("year", "lower_threshold", "returns", "income_sum")
 _DENOM_COLUMNS = ("year", "population", "total_income", "income_unit")
 
 
+def _text(raw) -> str:
+    """The whole input as one string: a file handle is read to its end,
+    bytes are decoded as UTF-8."""
+    if hasattr(raw, "read"):
+        raw = raw.read()
+    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+
 def _reader(raw) -> Iterable[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for non-blank CSV lines."""
     if isinstance(raw, (str, bytes)):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        raw = io.StringIO(raw)
+        raw = io.StringIO(_text(raw))
     for lineno, row in enumerate(csv.reader(raw), start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         yield lineno, [cell.strip() for cell in row]
 
 
-def _records(raw, required: tuple[str, ...], columns: Mapping[str, str] | None,
-             what: str) -> tuple[dict[str, int], Iterable[tuple[int, list[str]]]]:
-    """Column positions named by the header line, and the data rows after it
-    as (line number, fields), each with at least as many fields as the
-    header."""
-    rows = _reader(raw)
+def _header(rows: Iterator[tuple[int, list[str]]], required: tuple[str, ...],
+            columns: Mapping[str, str] | None, what: str,
+            ) -> tuple[int, int, dict[str, int]]:
+    """The header, the first non-blank line: its line number, its field
+    count and the position of each required column."""
     try:
-        lineno, header = next(iter(rows))
+        lineno, fields = next(rows)
     except StopIteration:
         raise ParseError(f"empty {what} file") from None
-    idx = _header_map(header, required, columns, lineno)
-
-    def checked():
-        for lineno, fields in rows:
-            if len(fields) < len(header):
-                raise ParseError(f"expected {len(header)} fields, got "
-                                 f"{len(fields)}", line=lineno)
-            yield lineno, fields
-    return idx, checked()
-
-
-def _header_map(fields: list[str], required: tuple[str, ...],
-                columns: Mapping[str, str] | None, lineno: int) -> dict[str, int]:
     names = {}
     for canonical in required:
         actual = (columns or {}).get(canonical, canonical)
@@ -324,7 +317,50 @@ def _header_map(fields: list[str], required: tuple[str, ...],
         except ValueError:
             raise ParseError(f"missing required column {actual!r} in header "
                              f"{fields!r}", line=lineno) from None
-    return names
+    return lineno, len(fields), names
+
+
+def _records(raw, required: tuple[str, ...], columns: Mapping[str, str] | None,
+             what: str) -> tuple[dict[str, int], Iterable[tuple[int, list[str]]]]:
+    """Column positions named by the header line, and the data rows after it
+    as (line number, fields), each with at least as many fields as the
+    header."""
+    rows = _reader(raw)
+    _, width, idx = _header(rows, required, columns, what)
+
+    def checked():
+        for lineno, fields in rows:
+            if len(fields) < width:
+                raise ParseError(f"expected {width} fields, got "
+                                 f"{len(fields)}", line=lineno)
+            yield lineno, fields
+    return idx, checked()
+
+
+def _columns(text: str, required: tuple[str, ...], what: str,
+             ) -> dict[str, np.ndarray] | None:
+    """The required columns of a CSV text as contiguous float64 arrays, read
+    in one call to numpy's C parser; values are not range-checked.
+
+    None when the data rows are not a grid of plain numbers exactly as wide
+    as the header (quoted fields, blank-looking cells, ragged or longer
+    rows, no rows at all); the caller then reads the text with ``_records``,
+    which names the first bad line. The header is read by ``_header``, as
+    there.
+    """
+    # lineno counts CSV records: if a quoted field spans lines, loadtxt
+    # reads a quote or the header itself, and fails
+    lineno, width, idx = _header(_reader(text), required, None, what)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            grid = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=lineno,
+                              comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if grid.shape[1] != width:
+        return None
+    return {name: grid[:, i].copy() for name, i in idx.items()}
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:

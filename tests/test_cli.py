@@ -161,6 +161,24 @@ class TestEstimate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "diagnostics"])
+    def test_empty_top_bracket_fails_only_its_year(self, tmp_path, command):
+        # 1900's top bracket has no returns; 1901 is the valid 1951 table
+        tab = tmp_path / "tab.csv"
+        tab.write_text(TAB_CSV.replace("1950,10000,50,750000", "1900,10000,0,0")
+                       .replace("1950,", "1900,").replace("1951,", "1901,"))
+        den = tmp_path / "den.csv"
+        den.write_text(DENOM_CSV.replace("1950,", "1900,").replace("1951,", "1901,"))
+        out = tmp_path / "out.csv"
+        assert main([command, "--input", str(tab), "--denominators", str(den),
+                     "--fractiles", "0.10,0.01", "--out", str(out)]) == 2
+        status = {}
+        for r in read_rows(out):
+            status.setdefault(r["year"], set()).add(r["status"])
+        assert status["1900"] == {"error:ValueError"}
+        assert "ok" in status["1901"]
+        assert not any(s.startswith("error:") for s in status["1901"])
+
     def test_empty_or_invalid_fractiles_exit_one(self, inputs, capsys):
         tab, den = inputs
         assert main(["estimate", "--input", str(tab), "--denominators",
@@ -323,6 +341,18 @@ class TestSynthAndCompare:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and "2**53" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_compare_weight_total_overflow_exits_one(self, tmp_path, capsys):
+        # each weight passes, but the population would wrap an int64
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n" + f"1,{2**53}\n" * 1100)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--micro", str(micro), "--classes", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights sum to 9907919180215091200")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 """Micro-sample oracle, tabulation of samples, generation, and the protocol."""
 
+import io
 import json
 import math
 import statistics
@@ -8,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import topshares as ts
 from topshares import microbench as mb
@@ -59,6 +61,19 @@ class TestOracleShare:
         with pytest.raises(ValueError, match="integers"):
             mb.MicroSample([1.0, 2.0], [1.5, 2.7])  # no silent truncation
         assert mb.MicroSample([1.0, 2.0], [1.0, 2.0]).weights.tolist() == [1, 2]
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            mb.MicroSample([1.0, 2.0], [1e30, 1.0])  # integral, but wraps in int64
+        assert mb.MicroSample([1.0], [float(2**53)]).filer_count == 2**53
+
+    def test_weight_total_must_fit_int64(self):
+        # 1,100 weights of 2**53 used to wrap filer_count negative
+        with pytest.raises(ValueError, match="weights sum to 9907919180215091200"):
+            mb.MicroSample(np.ones(1100), np.full(1100, 2**53, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"more than 2\*\*63 - 1"):
+            mb.MicroSample([1.0, 2.0], np.array([2**62, 2**62], dtype=np.int64))
+        top = mb.MicroSample([1.0, 2.0], np.array([2**62, 2**62 - 1],
+                                                  dtype=np.int64))
+        assert top.filer_count == 2**63 - 1
 
 
 class TestTabulate:
@@ -319,3 +334,135 @@ class TestMicroCSV:
         with pytest.raises(ParseError, match=r"line 2: .*2\*\*53"):
             mb.load_micro_csv("income,weight\n1,1e30\n2,1\n")
         assert mb.load_micro_csv(f"income,weight\n1,{2**53}\n").filer_count == 2**53
+
+    def test_clean_file_takes_the_columnar_path(self, monkeypatch):
+        # the row path is never entered, so a silent fallback cannot hide
+        rng = np.random.default_rng(7)
+        incomes = np.round(rng.lognormal(10.0, 1.0, 1000), 2)
+        incomes[::7] = np.floor(incomes[::7])
+        weights = rng.integers(1, 51, 1000)
+        text = "\nincome,weight\n" + "".join(
+            f"{i!r},{w}\n" for i, w in zip(incomes.tolist(), weights.tolist()))
+
+        def refuse(text):
+            raise AssertionError("the clean file fell back to the row path")
+        monkeypatch.setattr(mb, "_micro_rows", refuse)
+        sample = mb.load_micro_csv(io.StringIO(text))
+        assert sample.incomes.tobytes() == incomes.tobytes()
+        assert sample.weights.tolist() == weights.tolist()
+        # laid out as the row path's arrays, so sums over them round alike
+        assert sample.incomes.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# the columnar fast path of load_micro_csv against the row path
+# ---------------------------------------------------------------------------
+
+def _outcome(load, raw):
+    """What a loader makes of an input: the arrays' bytes, or the exception
+    type, message and line."""
+    try:
+        sample = load(raw)
+    except Exception as err:  # compared, not hidden
+        return ("raised", type(err), str(err), getattr(err, "line", None))
+    return ("loaded", sample.incomes.dtype, sample.incomes.tobytes(),
+            sample.weights.dtype, sample.weights.tobytes())
+
+
+_FORMS = ("str", "bytes", "handle")
+
+
+def _as_form(text, form):
+    return {"str": text, "bytes": text.encode("utf-8"),
+            "handle": io.StringIO(text)}[form]
+
+
+def _assert_paths_agree(text, form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        assert _outcome(mb.load_micro_csv, _as_form(text, form)) == \
+            _outcome(mb._micro_rows, text), text
+
+
+TRAP_FILES = [
+    "income,weight\n1,2\n\n   \n3,4\n",       # blank, whitespace-only
+    "\n  \nincome,weight\n1,2\n",             # blank lines before the header
+    "income,weight\r\n1,2\r\n\r\n3,4\r\n",    # CRLF
+    "income,weight\n5#x,1\n",                 # '#' is not a comment
+    "income,weight\n# note\n1,1\n",
+    'income,weight\n"3",1\n',                 # quoted fields
+    'income,"weight"\n3,1\n',
+    'income,weight\n"1\n2",1\n',
+    "income,weight\nnan,1\n",
+    "income,weight\n1,inf\n",
+    "income,weight\n-inf,1\n",
+    "income,weight\n1_0,1\n",                 # float() reads 10
+    "income,weight\n1,1e30\n2,1\n",
+    "income,weight\n1,-1e30\n",
+    "income,weight\n1,2.0\n",
+    "income,weight\n-0,1\n",
+    "income,weight\n1,-0\n",
+    f"income,weight\n1,{2**53}\n",
+    f"income,weight\n1,{2**53 + 2}\n",
+    f"income,weight\n1,{2**53 + 1}\n",        # rounds to 2**53
+    "income,weight,extra\n1,2,3\n4,5,6\n",    # header with an extra column
+    "id,income,weight\nx,1,2\n",
+    "income,weight\n1,2,3\n",                 # rows longer than the header
+    "income,weight\n1,2,3\n4,5\n",
+    "income,weight,extra\n1,2\n",             # rows shorter than the header
+    "income,weight\n1\n",
+    "income,weight\n5,1",                     # a single data row
+    "income,weight\n",                        # header only
+    "income,weight",
+    "",
+    "revenue,count\n1,1\n",
+    "income,weight\n1,2\r3,4\n",              # a lone carriage return
+]
+
+
+@pytest.mark.parametrize("text", TRAP_FILES)
+def test_trap_files_load_as_the_row_path_does(text):
+    for form in _FORMS:
+        _assert_paths_agree(text, form)
+
+
+_INCOME_CELLS = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.floats(0, 1e15).map(repr),
+    st.sampled_from(["0", "-0", "1e-400", "2.5e3", "+4", ".5", "7.", " 8 "]))
+_WEIGHT_CELLS = st.one_of(
+    st.integers(1, 60).map(str),
+    st.sampled_from(["2.0", "1e3", "3.", str(2**53), "9007199254740993"]))
+_ANY_CELLS = st.one_of(
+    _INCOME_CELLS, _WEIGHT_CELLS, st.floats().map(repr),
+    st.integers(-2**64, 2**64).map(str),
+    st.sampled_from(["", " ", "nan", "inf", "-1", "1e30", "-1e30", "1_0", '"3"', "5#x",
+                     "#", "x", str(2**53 + 2), "\t"]))
+_TRAP_LINES = st.one_of(
+    st.sampled_from(["", "   ", "\t", "#", "# note", ",", " , "]),
+    st.lists(_ANY_CELLS, min_size=1, max_size=4).map(",".join))
+
+
+@st.composite
+def micro_texts(draw):
+    """Micro CSV texts: mostly well formed, with traps mixed in."""
+    header = draw(st.sampled_from([
+        "income,weight", "weight,income", "income,weight,extra",
+        "id,income,weight", 'income,"weight"', "income", "revenue,count"]))
+    names = [name.strip('"') for name in header.split(",")]
+    cells = {"income": _INCOME_CELLS, "weight": _WEIGHT_CELLS}
+    lines = [",".join(draw(cells.get(name, _INCOME_CELLS)) for name in names)
+             for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_TRAP_LINES))
+    lead = draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lead + [header] + lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(micro_texts(), st.sampled_from(_FORMS))
+def test_columnar_path_matches_row_path(text, form):
+    # equal arrays bit for bit, or the same error at the same line; the
+    # examples are fixed so that every run checks the same 400 texts
+    _assert_paths_agree(text, form)
