@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -114,6 +115,19 @@ class MicroSample:
             return float(self.total_income_override)
         return float(np.dot(self.incomes, self.weights))
 
+    @cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one sort of the sample, highest income first: incomes,
+        weights, and the exact weight total of the rows above each rank
+        (0 before the first row, the filer count after the last). Read-only."""
+        order = np.argsort(self.incomes)[::-1]
+        weights = self.weights[order]
+        ranked = (self.incomes[order], weights,
+                  np.concatenate(([0], np.cumsum(weights))))
+        for array in ranked:
+            array.flags.writeable = False
+        return ranked
+
 
 def oracle_share(sample: MicroSample, p: float) -> float:
     """Top-p income share computed directly from the sample.
@@ -130,18 +144,14 @@ def oracle_share(sample: MicroSample, p: float) -> float:
         raise ValueError(
             f"top fractile {p} covers fewer than one of {sample.population} units")
 
-    order = np.argsort(sample.incomes)[::-1]
-    incomes = sample.incomes[order]
-    weights = sample.weights[order]
-    cum = np.cumsum(weights)
-
-    boundary = int(np.searchsorted(cum, target, side="left"))
+    incomes, weights, above = sample._ranked
+    # the row straddling the cut, the first whose running total reaches it
+    boundary = int(np.searchsorted(above, target, side="left")) - 1
     if boundary >= len(incomes):
         top_sum = float(np.dot(incomes, weights))  # cut falls among non-filers
     else:
-        before = float(cum[boundary - 1]) if boundary > 0 else 0.0
         top_sum = float(np.dot(incomes[:boundary], weights[:boundary]))
-        top_sum += (target - before) * float(incomes[boundary])
+        top_sum += (target - float(above[boundary])) * float(incomes[boundary])
     return top_sum / sample.total_income
 
 
@@ -156,25 +166,17 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
 
-    order = np.argsort(sample.incomes)
-    incomes = sample.incomes[order]
-    weights = sample.weights[order].astype(float)
-    cum_w = np.concatenate([[0.0], np.cumsum(weights)])
-    cum_s = np.concatenate([[0.0], np.cumsum(weights * incomes)])
-
-    edges = np.searchsorted(incomes, thresholds, side="left")  # descending
-    brackets = []
-    upper_idx = len(incomes)
-    for k, t in enumerate(thresholds):
-        lo_idx = int(edges[k])
-        count = cum_w[upper_idx] - cum_w[lo_idx]
-        total = cum_s[upper_idx] - cum_s[lo_idx]
-        brackets.append(IncomeBracket(float(t), int(round(count)), float(total)))
-        upper_idx = lo_idx
-
+    incomes, weights, above = sample._ranked
+    n = len(incomes)
+    # rows ranked at or above each threshold; per bracket, the count from the
+    # exact weight totals, the income from the bottom-up prefix sum
+    ranks = np.concatenate(([0], n - np.searchsorted(incomes[::-1], thresholds)))
+    below = np.concatenate(([0.0], np.cumsum(incomes[::-1] * weights[::-1])))
+    sums = below[n - ranks[:-1]] - below[n - ranks[1:]]
     return Tabulation(
         year=0,
-        brackets=tuple(brackets),
+        brackets=tuple(IncomeBracket(float(t), int(c), float(s)) for t, c, s
+                       in zip(thresholds, np.diff(above[ranks]), sums)),
         population=sample.population,
         total_income=sample.total_income,
         income_unit=1.0,
@@ -202,18 +204,10 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     else:
         raise ValueError(f"unknown threshold scheme {scheme!r}")
 
-    order = np.argsort(sample.incomes)[::-1]
-    incomes = sample.incomes[order]
-    cum = np.cumsum(sample.weights[order])
-    total_w = float(cum[-1])
-
-    thresholds = []
-    for frac in fractions:
-        rank = min(max(2.0, round(frac * sample.population)), total_w)
-        idx = int(np.searchsorted(cum, rank, side="left"))
-        thresholds.append(float(incomes[idx]))
-    out = np.unique(thresholds)[::-1]
-    return out
+    incomes, _, above = sample._ranked
+    ranks = np.clip(np.round(fractions * sample.population), 2.0, above[-1])
+    rows = np.searchsorted(above, ranks, side="left") - 1
+    return np.unique(incomes[rows])[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +586,10 @@ def run_protocol(spec: BenchmarkSpec) -> ErrorReport:
     cells: list[ErrorCell] = []
     for trial in range(spec.trials):
         seed = int(np.random.SeedSequence([spec.seed, trial]).generate_state(1)[0])
-        sample = generate(spec.dist, spec.size, seed)
+        # unnamed, so the sample and its ranking go before the next draw
         cells.extend(evaluate_sample(
-            sample, spec.classes, spec.fractiles, spec.methods,
-            spec.top_fraction, spec.scheme, trial=trial))
+            generate(spec.dist, spec.size, seed), spec.classes, spec.fractiles,
+            spec.methods, spec.top_fraction, spec.scheme, trial=trial))
     return ErrorReport.from_cells(cells)
 
 

@@ -283,21 +283,24 @@ _DENOM_COLUMNS = ("year", "population", "total_income", "income_unit")
 
 
 def _text(raw) -> str:
-    """The whole input as one string: a file handle is read to its end,
-    bytes are decoded as UTF-8."""
+    """The whole input as one string, a leading UTF-8 byte-order mark
+    dropped: a file handle is read to its end, bytes are decoded as UTF-8."""
     if hasattr(raw, "read"):
         raw = raw.read()
-    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    return text.removeprefix("\ufeff")
 
 
 def _reader(raw) -> Iterable[tuple[int, list[str]]]:
     """Yield (1-based line number, fields) for non-blank CSV lines."""
-    if isinstance(raw, (str, bytes)):
-        raw = io.StringIO(_text(raw))
-    for lineno, row in enumerate(csv.reader(raw), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        yield lineno, [cell.strip() for cell in row]
+    reader = csv.reader(io.StringIO(_text(raw)))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            yield lineno, [cell.strip() for cell in row]
+    except csv.Error as err:  # e.g. an overlong field or a lone carriage return
+        raise ParseError(f"malformed CSV: {err}", line=reader.line_num) from None
 
 
 def _header(rows: Iterator[tuple[int, list[str]]], required: tuple[str, ...],

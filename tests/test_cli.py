@@ -222,6 +222,102 @@ def test_artifact_bytes_pinned(inputs, tmp_path, command, layout, fmt):
     assert digest == PINNED_ARTIFACTS[(command, layout, fmt)], out.read_text()
 
 
+# The protocol commands on a lognormal-Pareto mixture and on a weighted micro
+# CSV with tied incomes. Their SHA-256 pins cover the oracle, the threshold
+# ladder and the tabulation behind every cell.
+PINNED_SPEC = {
+    "distribution": {
+        "kind": "mixture", "weights": [0.92, 0.08],
+        "components": [{"kind": "lognormal", "location": 10.2, "shape": 0.75},
+                       {"kind": "pareto", "exponent": 2.2, "scale": 6e4}]},
+    "size": 20_000, "classes": [8, 14, 20, 30],
+    "fractiles": [0.5, 0.1, 0.01, 0.001], "trials": 1, "seed": 11,
+}
+
+
+def _tied_micro_csv() -> str:
+    """4,000 rows: whole-currency Pareto incomes at 2,000 quantiles, each
+    drawn twice, with weights 1-23. Some brackets hold one tied income, so
+    their ME cells fail and the command exits 2."""
+    rows = ["income,weight"]
+    for i in range(4000):
+        u = (i * 1231) % 2000 / 2000.0
+        rows.append(f"{int(2e4 * (1.0 - u) ** -0.5)},{1 + i * 7 % 23}")
+    return "\n".join(rows) + "\n"
+
+
+# (exit status, SHA-256) per command and format
+PINNED_REPORTS = {
+    ("synth", "csv"):
+        (0, "5d26c3267e2f55554b3819b42c3ecfd2eb15fb1fadf3996a0b5ccaedec6563cd"),
+    ("synth", "json"):
+        (0, "6dd0d92089d2ae39b498d35c9eb076054b0a4ac328af1e3c9dbd77962e64d3ab"),
+    ("compare", "csv"):
+        (2, "a3c2fc38621d71e0bc62d0dc7abe8eb9f947a08a19f47153aff55d9ad7343def"),
+    ("compare", "json"):
+        (2, "cd3a9bd7d6f18949f17add6d3202824e7ab6e472ce44159277e53711b10cfb01"),
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(tmp_path, command, fmt):
+    source = tmp_path / "input"
+    if command == "synth":
+        source.write_text(json.dumps(PINNED_SPEC))
+        argv = ["synth", "--spec", str(source)]
+    else:
+        source.write_text(_tied_micro_csv())
+        argv = ["compare", "--micro", str(source)]
+    code, digest = PINNED_REPORTS[(command, fmt)]
+    out = tmp_path / f"out.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.read_text()
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_malformed_csv_exits_one_with_line(inputs, tmp_path, capsys, command):
+    # a field beyond the CSV module's 131,072-character limit
+    tab, den = inputs
+    if command == "estimate":
+        tab.write_text(TAB_CSV + "1952," + "1" * 200_000 + ",5,10\n")
+        argv = ["estimate", "--input", str(tab), "--denominators", str(den)]
+        line = 10
+    else:
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n1,2\n" + "9" * 200_000 + ",1\n")
+        argv = ["compare", "--micro", str(micro)]
+        line = 3
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: malformed CSV")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnostics", "compare"])
+def test_byte_order_mark_is_ignored(tmp_path, command):
+    # spreadsheet exports often start with a UTF-8 byte-order mark
+    micro = "income,weight\n" + "".join(
+        f"{1.0 + (i % 97) * 0.37 + (i % 13) * 2.1},1\n" for i in range(2000))
+    outs = []
+    for bom in ("", "\ufeff"):
+        paths = {}
+        for name, text in (("tab", TAB_CSV), ("den", DENOM_CSV), ("micro", micro)):
+            paths[name] = tmp_path / f"{name}{len(bom)}.csv"
+            paths[name].write_text(bom + text, encoding="utf-8")
+        if command == "compare":
+            argv = ["compare", "--micro", str(paths["micro"]), "--classes", "8",
+                    "--fractiles", "0.10,0.01"]
+        else:
+            argv = [command, "--input", str(paths["tab"]),
+                    "--denominators", str(paths["den"])]
+        out = tmp_path / f"out{len(bom)}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 class TestHistoricalFixture:
     def test_estimate_matches_library_on_1920_table(self, table_1920, tmp_path):
         import topshares as ts

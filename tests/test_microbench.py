@@ -124,6 +124,14 @@ class TestTabulate:
         with pytest.raises(ValueError):
             mb.tabulate(sample, [10.0, 10.0])
 
+    def test_counts_exact_beyond_2_53(self):
+        # a float64 running total drops the unit beside 3 * 2**53, which
+        # left the top bracket empty
+        sample = mb.MicroSample([10.0, 20.0, 30.0, 40.0],
+                                np.array([2**53, 2**53, 2**53, 1]))
+        tab = mb.tabulate(sample, [35.0, 25.0, 15.0, 5.0])
+        assert [b.count for b in tab.brackets] == [1, 2**53, 2**53, 2**53]
+
 
 class TestNdtri:
     """The AS241 inverse normal CDF behind lognormal sampling, against
@@ -280,6 +288,24 @@ class TestProtocol:
         assert fine.mse_rel_error <= coarse.mse_rel_error
         assert coarse.trials_ok == 5
 
+    def test_each_sample_sorted_once(self, monkeypatch):
+        # the oracle, the threshold ladder and the tabulation share one sort
+        sorts = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+        monkeypatch.setattr(np, "argsort", counted)
+        weighted = mb.MicroSample(np.floor(np.arange(1.0, 4001.0) ** 1.3 % 997),
+                                  np.arange(4000) % 9 + 1, nonfiler_count=500)
+        for sample, scheme in ((mb.generate(mb.ParetoDist(2.0), 5000, seed=4),
+                                "geometric"), (weighted, "equal_mass")):
+            sorts.clear()
+            mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001),
+                               scheme=scheme)
+            assert len(sorts) == 1
+
     def test_failures_recorded_not_raised(self):
         # fractile below one unit of the population cannot be scored, but
         # the run must not abort
@@ -334,6 +360,15 @@ class TestMicroCSV:
         with pytest.raises(ParseError, match=r"line 2: .*2\*\*53"):
             mb.load_micro_csv("income,weight\n1,1e30\n2,1\n")
         assert mb.load_micro_csv(f"income,weight\n1,{2**53}\n").filer_count == 2**53
+
+    @pytest.mark.parametrize("text,line", [
+        ("income,weight\n1,2\r3,4\n", 2),                       # a lone CR
+        ("income,weight\n1,2\n" + "9" * 200_000 + ",1\n", 3),   # field limit
+    ])
+    def test_malformed_csv_raises_parse_error(self, text, line):
+        for raw in (text, text.encode("utf-8")):
+            with pytest.raises(ParseError, match=f"line {line}: malformed CSV"):
+                mb.load_micro_csv(raw)
 
     def test_clean_file_takes_the_columnar_path(self, monkeypatch):
         # the row path is never entered, so a silent fallback cannot hide
