@@ -5,11 +5,16 @@ evaluation for the kernels, scipy quadrature for integrals, and a raw
 golden-section/Brent maximization of the auxiliary objective for the rates.
 """
 
+import hashlib
 import math
+import struct
+import sys
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 import topshares as ts
@@ -615,3 +620,131 @@ class TestRecoverThresholds:
         stats2 = stats_from_masses([0.5, 0.5], [3.0, 2.0], thresholds=[2.5, 1.0])
         with pytest.raises(InfeasibleOrderingError):
             ts.recover_thresholds(stats2, 2.5)  # bottom above bottom mean
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 60), rate=st.floats(0.2, 2.0),
+           span=st.floats(1.0, 12.0), data=st.data())
+    def test_recovery_returns_exponential_truth(self, k, rate, span, data):
+        # single-rate exponential truth over K brackets: the density is
+        # continuous, so the generating thresholds are the optimum; ``span``
+        # is rate times the covered income range, so the top bracket holds
+        # e^-span of the mass
+        weights = np.array(data.draw(st.lists(
+            st.floats(0.1, 1.0), min_size=k - 1, max_size=k - 1)))
+        gaps = weights * (span / rate) / weights.sum()
+        t_true = 1.0 + np.concatenate([np.cumsum(gaps[::-1])[::-1], [0.0]])
+        stats = self.exponential_stats(rate, t_true, 1.0)
+        sol = ts.recover_thresholds(stats, 1.0)
+        assert sol.converged
+        np.testing.assert_allclose(sol.thresholds, t_true, rtol=1e-6)
+        y = stats.bracket_mean
+        inner = sol.thresholds[:-1]
+        assert np.all((y[1:] < inner) & (inner < y[:-1]))
+
+
+def lognormal_ladder_stats(k: int, mu: float = math.log(3e4), sigma: float = 0.8,
+                           population: int = 10_000_000):
+    """Tabulation of a lognormal at K top fractions on a geometric ladder
+    from 0.1% to 90%: integer cumulative counts, thresholds at the survival
+    quantiles, bracket incomes from the closed-form partial expectation."""
+    counts_above = [round(f * population) for f in np.geomspace(1e-3, 0.9, k)]
+    thresholds = [math.exp(mu - sigma * NormalDist().inv_cdf(c / population))
+                  for c in counts_above]
+
+    def partial_above(t):
+        z = (math.log(t) - mu - sigma * sigma) / (sigma * math.sqrt(2.0))
+        return population * math.exp(mu + 0.5 * sigma * sigma) * 0.5 * math.erfc(z)
+
+    partial = [partial_above(t) for t in thresholds]
+    sums = [partial[0]] + [b - a for a, b in zip(partial, partial[1:])]
+    counts = [counts_above[0]] + [b - a for a, b in zip(counts_above, counts_above[1:])]
+    tab = ts.Tabulation(
+        year=0, brackets=tuple(ts.IncomeBracket(t, n, s) for t, n, s
+                               in zip(thresholds, counts, sums)),
+        population=population, total_income=1.3 * math.fsum(sums))
+    return ts.cumulate(tab)
+
+
+def flat_objective_stats():
+    """The K = 8 tabulation of test_flat_objective_at_float_floor_still_converges."""
+    thresholds = [345179.3972763353, 280306.71860647737, 222953.3931892919,
+                  172431.2757542555, 128028.56029812014, 88918.20847552374,
+                  53756.58835666201, 14852.475119053279]
+    counts = [7675, 13490, 37202, 102590, 282911, 780178, 2151480, 5933090]
+    sums = [3237149812.3779297, 4137481838.6651344, 9161958344.912594,
+            19796052805.28444, 41324757235.16641, 81787349544.63606,
+            146704163129.95096, 194931749227.85547]
+    tab = ts.Tabulation(
+        year=0, brackets=tuple(ts.IncomeBracket(t, n, s) for t, n, s
+                               in zip(thresholds, counts, sums)),
+        population=10_000_000, total_income=651404860520.5037)
+    return ts.cumulate(tab)
+
+
+def solution_digest(sol) -> str:
+    """SHA-256 over every field of a ThresholdSolution, bit for bit."""
+    h = hashlib.sha256(np.ascontiguousarray(sol.thresholds, dtype="<f8").tobytes())
+    h.update(struct.pack("<ddq?", sol.objective, sol.grad_norm,
+                         sol.iterations, sol.converged))
+    return h.hexdigest()
+
+
+RECOVERY_DIGESTS = {
+    "ladder-8": "b2b799389939963eac9be79d2caeb5d397dea28ad9ece3600815149476d349fe",
+    "ladder-20": "65b19a63b9385fe06091dc7c74c81e3546bc6031714bc882345cd3bc845a4291",
+    "ladder-40": "6ae074f5f5a6875b526a3794c76108fd7f10b52620afe0b25fdf2a02374d359c",
+    "ladder-60": "aa7e2947734f3ccf2271c5f356239f0bfc3de29476c31dcdbb35c581661bf259",
+    "flat-8": "7b93c1166279315aa0a55a8df1e39f0d9374450c90c67ae0ea695079a0713601",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOVERY_DIGESTS))
+def test_recovery_bits_pinned(case):
+    # a faster Hessian must not move a single bit of any recovery
+    kind, k = case.rsplit("-", 1)
+    stats = flat_objective_stats() if kind == "flat" else lognormal_ladder_stats(int(k))
+    sol = ts.recover_thresholds(stats, float(stats.thresholds[-1]))
+    assert sol.converged
+    assert solution_digest(sol) == RECOVERY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("k", [8, 60])
+def test_gradient_entry_reads_only_neighbouring_thresholds(k):
+    # the premise of the 3-colour Hessian: moving threshold j changes the
+    # density jumps at j-1, j and j+1 and leaves every other one bit-identical
+    stats = lognormal_ladder_stats(k)
+    t = stats.thresholds.astype(float)
+    y = stats.bracket_mean
+    _, base = maxent._divergence(stats, t)
+    for j in sorted({0, 1, k // 2, k - 3, k - 2}):
+        moved = t.copy()
+        moved[j] += 0.25 * (y[j] - t[j])  # stays between the means it separates
+        _, grad = maxent._divergence(stats, moved)
+        band = np.zeros(k - 1, dtype=bool)
+        band[max(j - 1, 0):j + 2] = True
+        np.testing.assert_array_equal(grad[~band], base[~band])
+        assert grad[j] != base[j]
+
+
+def test_hessian_costs_at_most_six_density_builds_per_step(monkeypatch):
+    # every density build is the initial point, a line-search trial (an
+    # evaluation at the loop's z_new) or part of the Hessian estimate
+    counts = {"builds": 0, "trials": 0}
+    real_build = maxent.build_density
+
+    def counting_build(stats, thresholds=None):
+        counts["builds"] += 1
+        caller = sys._getframe(2)  # build_density <- _divergence <- eval_at
+        recover = caller.f_back
+        if caller.f_locals["z"] is recover.f_locals.get("z_new"):
+            counts["trials"] += 1
+        return real_build(stats, thresholds)
+
+    monkeypatch.setattr(maxent, "build_density", counting_build)
+    stats = lognormal_ladder_stats(60)
+    sol = ts.recover_thresholds(stats, float(stats.thresholds[-1]))
+    assert sol.converged and sol.iterations >= 1
+    assert counts["trials"] >= sol.iterations
+    hessian_builds = counts["builds"] - 1 - counts["trials"]
+    assert hessian_builds <= 6 * sol.iterations
+
