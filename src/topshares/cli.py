@@ -21,8 +21,8 @@ import io
 import json
 import sys
 
-from . import maxent, microbench, pareto
-from .errors import FractileNotCoveredError, ParseError, TopsharesError
+from . import maxent, microbench
+from .errors import FractileNotCoveredError, ParseError
 from .tabulation import cumulate, parse_denominators, parse_tabulations
 
 DEFAULT_FRACTILES = (0.10, 0.05, 0.01, 0.005, 0.001, 0.0001)
@@ -96,43 +96,51 @@ DIAGNOSTIC_FIELDS = ["year", "classes", "fractile", "selected_fraction",
                      "distance_pp", "bracket", "threshold", "status"]
 
 
-def _estimate_rows(tabs, fractiles, methods, allow_extrapolation):
-    rows = []
+def _year_outcomes(tabs, fractiles, methods):
+    """(tab, stats, p, method, outcome) per year, as ``estimate_shares`` gives
+    them; a year that cumulate rejects (an empty top bracket, say) has stats
+    None and that error as every outcome."""
     for tab in tabs:
         try:
             stats = cumulate(tab)
-        except ValueError as err:  # e.g. an empty top bracket
+        except ValueError as err:
+            stats = None
             outcomes = [(p, method, err) for p in fractiles for method in methods]
         else:
             outcomes = maxent.estimate_shares(stats, fractiles, methods)
         for p, method, est in outcomes:
-            row = dict.fromkeys(ESTIMATE_FIELDS, "")
-            row.update(year=tab.year, fractile=repr(p), method=method,
-                       share_pct=MARKER)
-            if isinstance(est, Exception):
-                row["status"] = _status(est)
-            elif est.extrapolated and not allow_extrapolation:
-                row["status"] = "extrapolation_disabled"
-            else:
-                row.update({
-                    "share_pct": f"{100.0 * est.share:.2f}",
-                    "share_pct_full": repr(100.0 * est.share),
-                    "threshold": repr(est.threshold),
-                    "top_income": repr(est.top_income),
-                    "bracket": "" if est.bracket is None else est.bracket,
-                    "extrapolated": "true" if est.extrapolated else "false",
-                    "status": "extrapolated" if est.extrapolated else "ok",
-                })
-            rows.append(row)
-    return rows, any(r["status"].startswith("error:") for r in rows)
+            yield tab, stats, p, method, est
+
+
+def _exit_status(rows) -> int:
+    """2 when some row failed with an error, else 0."""
+    return 2 if any(r["status"].startswith("error:") for r in rows) else 0
 
 
 def cmd_estimate(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     methods = {"pi": ("PI",), "me": ("ME",), "both": ("PI", "ME")}[args.method]
-    tabs = _load_inputs(args)
-    rows, any_error = _estimate_rows(tabs, fractiles, methods,
-                                     args.allow_extrapolation)
+    rows = []
+    for tab, _, p, method, est in _year_outcomes(_load_inputs(args), fractiles,
+                                                 methods):
+        row = dict.fromkeys(ESTIMATE_FIELDS, "")
+        row.update(year=tab.year, fractile=repr(p), method=method,
+                   share_pct=MARKER)
+        if isinstance(est, Exception):
+            row["status"] = _status(est)
+        elif est.extrapolated and not args.allow_extrapolation:
+            row["status"] = "extrapolation_disabled"
+        else:
+            row.update({
+                "share_pct": f"{100.0 * est.share:.2f}",
+                "share_pct_full": repr(100.0 * est.share),
+                "threshold": repr(est.threshold),
+                "top_income": repr(est.top_income),
+                "bracket": "" if est.bracket is None else est.bracket,
+                "extrapolated": "true" if est.extrapolated else "false",
+                "status": "extrapolated" if est.extrapolated else "ok",
+            })
+        rows.append(row)
     meta = {"command": "estimate", "fractiles": fractiles,
             "methods": list(methods)}
     if args.layout == "appendix":
@@ -149,38 +157,31 @@ def cmd_estimate(args) -> int:
         _emit(args, meta, rows=(["Year", "method", *headers], wide))
     else:
         _emit(args, meta, rows=(ESTIMATE_FIELDS, rows))
-    return 2 if any_error else 0
+    return _exit_status(rows)
 
 
 def cmd_diagnostics(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
-    tabs = _load_inputs(args)
     rows = []
-    for tab in tabs:
-        try:
-            stats = cumulate(tab)
-        except ValueError as err:  # e.g. an empty top bracket
-            stats = err
-        for p in fractiles:
-            row = dict.fromkeys(DIAGNOSTIC_FIELDS, "")
-            row.update(year=tab.year, classes=tab.num_brackets,
-                       fractile=repr(p), status="ok")
-            try:
-                if isinstance(stats, ValueError):
-                    raise stats
-                fit = pareto.select_bracket(stats, p)
-            except (TopsharesError, ValueError) as err:
-                row["status"] = _status(err)
-            else:
-                row.update({
-                    "selected_fraction": repr(fit.top_fraction),
-                    "distance_pp": repr(100.0 * (fit.top_fraction - p)),
-                    "bracket": fit.bracket,
-                    "threshold": repr(fit.threshold),
-                })
-            rows.append(row)
+    # PI's reference bracket is the class whose top fraction is nearest p
+    for tab, stats, p, _, est in _year_outcomes(_load_inputs(args), fractiles,
+                                                ("PI",)):
+        row = dict.fromkeys(DIAGNOSTIC_FIELDS, "")
+        row.update(year=tab.year, classes=tab.num_brackets, fractile=repr(p),
+                   status="ok")
+        if isinstance(est, Exception):
+            row["status"] = _status(est)
+        else:
+            selected = float(stats.top_fraction[est.bracket])
+            row.update({
+                "selected_fraction": repr(selected),
+                "distance_pp": repr(100.0 * (selected - p)),
+                "bracket": est.bracket,
+                "threshold": repr(float(stats.thresholds[est.bracket])),
+            })
+        rows.append(row)
     _emit(args, {"command": "diagnostics"}, rows=(DIAGNOSTIC_FIELDS, rows))
-    return 2 if any(r["status"].startswith("error:") for r in rows) else 0
+    return _exit_status(rows)
 
 
 def _field(value):
@@ -231,7 +232,7 @@ def cmd_compare(args) -> int:
         sample = microbench.load_micro_csv(fh)
     fractiles = _parse_fractiles(args.fractiles)
     classes = tuple(int(k) for k in args.classes.split(",")) if args.classes \
-        else (8, 14, 20, 30)
+        else microbench.BenchmarkSpec.classes
     report = microbench.ErrorReport.from_cells(
         microbench.evaluate_sample(sample, classes, fractiles))
     return _emit_report(args, report, {"command": "compare",

@@ -39,7 +39,6 @@ __all__ = [
     "MaxEntDensity",
     "ThresholdSolution",
     "solve_rate",
-    "rate_objective",
     "build_density",
     "estimate_share_me",
     "me_share_from_density",
@@ -136,7 +135,7 @@ def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
     """Exponential tilt rate whose conditional mean on [t_lo, t_hi) equals y.
 
     This is the unique maximizer of the bracket's concave auxiliary objective
-    (see ``rate_objective``). For an unbounded bracket (t_hi = inf) the
+    (see ``_divergence``). For an unbounded bracket (t_hi = inf) the
     stationary point is closed-form: -1/(y - t_lo). Bounded brackets use a
     safeguarded Newton iteration on the monotone mean condition, with the
     initial direction taken from the sign of (y - midpoint) and a geometric
@@ -144,7 +143,9 @@ def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
     the sign change. Converges to a mean residual below 1e-12 of the width.
 
     Raises MeanOnBoundaryError when y does not sit strictly inside the
-    bracket: no tilt can match such a mean, which signals corrupt data.
+    bracket: no tilt can match such a mean, which signals corrupt data. So
+    does a mean whose position r = (y - t_lo)/width rounds to 0 or 1, or is
+    so small that 1/r, the initial guess, overflows.
     """
     if math.isinf(t_hi):
         if not y > t_lo:
@@ -158,7 +159,8 @@ def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
         raise MeanOnBoundaryError(
             f"mean {y} must sit strictly inside the bracket [{t_lo}, {t_hi})")
     r = (y - t_lo) / width
-    if not 0.0 < r < 1.0:  # strictly inside, but on the boundary at float resolution
+    # strictly inside, but on the boundary at float resolution
+    if not 0.0 < r < 1.0 or math.isinf(1.0 / r):
         raise MeanOnBoundaryError(
             f"mean {y} is indistinguishable from a boundary of "
             f"[{t_lo}, {t_hi}) in double precision")
@@ -209,18 +211,6 @@ def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
     return u / width
 
 
-def rate_objective(rate: float, t_lo: float, t_hi: float, y: float) -> float:
-    """Concave auxiliary objective whose maximum over the rate gives the
-    bracket's piece; the attained maximum enters the threshold-recovery
-    divergence."""
-    if math.isinf(t_hi):
-        if rate >= 0.0:
-            raise ValueError("the unbounded top bracket needs a negative rate")
-        return rate * (y - t_lo) + math.log(-rate)
-    width = t_hi - t_lo
-    return rate * (y - t_lo) - math.log(width) - _log_iexp(rate * width)
-
-
 # ---------------------------------------------------------------------------
 # pieces and the assembled density
 # ---------------------------------------------------------------------------
@@ -251,8 +241,6 @@ class ExponentialPiece:
             return -math.expm1(self.rate * z)
         width = self.upper - self.lower
         u = self.rate * width
-        if u == 0.0:
-            return z / width
         if u > 50.0:
             return (math.exp(self.rate * (z - width))
                     * math.expm1(-self.rate * z) / math.expm1(-u))
@@ -274,8 +262,6 @@ class ExponentialPiece:
             return math.exp(self.rate * z)
         width = self.upper - self.lower
         u = self.rate * width
-        if u == 0.0:
-            return (width - z) / width
         w = width - z
         if u > 50.0:
             return math.expm1(-self.rate * w) / math.expm1(-u)
@@ -342,10 +328,8 @@ class MaxEntDensity:
 
     def _piece_index(self, y: float) -> int:
         """Index of the piece whose support contains y (y >= bottom)."""
-        k = len(self.pieces) - 1
-        while k > 0 and y >= self.thresholds[k - 1]:
-            k -= 1
-        return k
+        return min(int(np.searchsorted(-self.thresholds, -y)),
+                   len(self.pieces) - 1)
 
     def pdf(self, y: float) -> float:
         if y < self.support_bottom:
@@ -531,13 +515,13 @@ def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
     """
     density = build_density(stats, thresholds)
     total = 0.0
-    for piece in density.pieces:
-        if piece.mass <= 0.0:
-            continue
+    for piece in density.pieces:  # recover_thresholds rejects empty brackets
         if piece.unbounded:
             j_k = -1.0 - math.log(piece.mean - piece.lower)
-        else:
-            j_k = rate_objective(piece.rate, piece.lower, piece.upper, piece.mean)
+        else:  # the attained maximum of the bracket's auxiliary objective
+            width = piece.upper - piece.lower
+            j_k = (piece.rate * (piece.mean - piece.lower) - math.log(width)
+                   - _log_iexp(piece.rate * width))
         total += piece.mass * (j_k + math.log(piece.mass))
 
     k_interior = len(thresholds) - 1

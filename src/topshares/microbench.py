@@ -64,18 +64,15 @@ class MicroSample:
     def __post_init__(self):
         incomes = np.asarray(self.incomes, dtype=float)
         object.__setattr__(self, "incomes", incomes)
-        if self.weights is None:
-            weights = np.ones(len(incomes), dtype=np.int64)
-        else:
-            weights = np.asarray(self.weights)
-            if weights.dtype.kind not in "iu":
-                # checked before the cast, which warns on values it wraps
-                if not np.all((weights > 0) & (weights == np.trunc(weights))):
-                    raise ValueError("weights must be positive integers")
-                # beyond it, floats no longer tell integers apart
-                if np.any(weights > 2**53):
-                    raise ValueError("float weights must not exceed 2**53")
-            weights = weights.astype(np.int64)
+        weights = np.asarray(self.weights)
+        if weights.dtype.kind not in "iu":
+            # checked before the cast, which warns on values it wraps
+            if not np.all((weights > 0) & (weights == np.trunc(weights))):
+                raise ValueError("weights must be positive integers")
+            # beyond it, floats no longer tell integers apart
+            if np.any(weights > 2**53):
+                raise ValueError("float weights must not exceed 2**53")
+        weights = weights.astype(np.int64)
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(incomes):
             raise ValueError("incomes and weights must have equal length")
@@ -116,14 +113,16 @@ class MicroSample:
         return float(np.dot(self.incomes, self.weights))
 
     @cached_property
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The one sort of the sample, highest income first: incomes,
-        weights, and the exact weight total of the rows above each rank
-        (0 before the first row, the filer count after the last). Read-only."""
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The one sort of the sample, highest income first: incomes, weights,
+        the exact weight total of the rows above each rank (0 first, the filer
+        count last) and the weighted income of the i lowest rows at index i,
+        summed bottom-up (0.0 first). Read-only."""
         order = np.argsort(self.incomes)[::-1]
-        weights = self.weights[order]
-        ranked = (self.incomes[order], weights,
-                  np.concatenate(([0], np.cumsum(weights))))
+        incomes, weights = self.incomes[order], self.weights[order]
+        below = np.cumsum(incomes[::-1] * weights[::-1])
+        ranked = (incomes, weights, np.concatenate(([0], np.cumsum(weights))),
+                  np.concatenate(([0.0], below)))
         for array in ranked:
             array.flags.writeable = False
         return ranked
@@ -144,7 +143,7 @@ def oracle_share(sample: MicroSample, p: float) -> float:
         raise ValueError(
             f"top fractile {p} covers fewer than one of {sample.population} units")
 
-    incomes, weights, above = sample._ranked
+    incomes, weights, above, _ = sample._ranked
     # the row straddling the cut, the first whose running total reaches it
     boundary = int(np.searchsorted(above, target, side="left")) - 1
     if boundary >= len(incomes):
@@ -166,12 +165,11 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
 
-    incomes, weights, above = sample._ranked
+    incomes, _, above, below = sample._ranked
     n = len(incomes)
     # rows ranked at or above each threshold; per bracket, the count from the
     # exact weight totals, the income from the bottom-up prefix sum
     ranks = np.concatenate(([0], n - np.searchsorted(incomes[::-1], thresholds)))
-    below = np.concatenate(([0.0], np.cumsum(incomes[::-1] * weights[::-1])))
     sums = below[n - ranks[:-1]] - below[n - ranks[1:]]
     return Tabulation(
         year=0,
@@ -204,7 +202,7 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     else:
         raise ValueError(f"unknown threshold scheme {scheme!r}")
 
-    incomes, _, above = sample._ranked
+    incomes, _, above, _ = sample._ranked
     ranks = np.clip(np.round(fractions * sample.population), 2.0, above[-1])
     rows = np.searchsorted(above, ranks, side="left") - 1
     return np.unique(incomes[rows])[::-1]
@@ -443,18 +441,15 @@ class BenchmarkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
+        """A spec from its JSON form; absent keys take the defaults."""
         raw = json.loads(text)
-        return cls(
-            dist=dist_from_dict(raw["distribution"]),
-            size=int(raw.get("size", 100_000)),
-            classes=tuple(int(k) for k in raw.get("classes", (8, 14, 20, 30))),
-            fractiles=tuple(float(p) for p in raw.get("fractiles", (0.10, 0.05, 0.01))),
-            trials=int(raw.get("trials", 5)),
-            seed=int(raw.get("seed", 0)),
-            top_fraction=float(raw.get("top_fraction", 1e-3)),
-            scheme=str(raw.get("scheme", "geometric")),
-            methods=tuple(raw.get("methods", ("PI", "ME"))),
-        )
+        casts = {"size": int, "classes": lambda v: tuple(int(k) for k in v),
+                 "fractiles": lambda v: tuple(float(p) for p in v),
+                 "trials": int, "seed": int, "top_fraction": float,
+                 "scheme": str, "methods": tuple}
+        return cls(dist=dist_from_dict(raw["distribution"]),
+                   **{key: cast(raw[key]) for key, cast in casts.items()
+                      if key in raw})
 
     def to_dict(self) -> dict:
         return {

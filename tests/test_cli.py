@@ -188,6 +188,20 @@ class TestEstimate:
         assert main(["estimate", "--input", str(tab), "--denominators",
                      str(den), "--fractiles", "1.5"]) == 1
 
+    def test_subnormal_mean_position_is_an_error_not_nan(self, tmp_path, capsys):
+        # the bottom bracket's mean sits a subnormal fraction of its width
+        # above 0, so the rate solve's initial guess -1/r would overflow
+        tab = tmp_path / "tab.csv"
+        tab.write_text("year,lower_threshold,returns,income_sum\n"
+                       "1950,1,1,2\n1950,0,2,4.450147717014407e-309\n")
+        den = tmp_path / "den.csv"
+        den.write_text("year,population,total_income,income_unit\n1950,3,3,1\n")
+        assert main(["estimate", "--input", str(tab), "--denominators", str(den),
+                     "--fractiles", "0.5"]) == 2
+        rows = {r.split(",")[2]: r for r in capsys.readouterr().out.splitlines()[1:]}
+        assert rows["ME"] == "1950,0.5,ME,-,,,,,,error:MeanOnBoundaryError"
+        assert rows["PI"].endswith(",ok")
+
 
 # SHA-256 of the artifacts on the ``inputs`` fixture. They pin every digit,
 # column and status, so a refactor of the estimate loop or the emitter that

@@ -14,7 +14,7 @@ from statistics import NormalDist
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, optimize
 
 import topshares as ts
@@ -23,6 +23,7 @@ from topshares.errors import (
     FractileNotCoveredError,
     InfeasibleOrderingError,
     MeanOnBoundaryError,
+    TopsharesError,
 )
 from topshares.maxent import build_density, solve_rate
 
@@ -748,3 +749,75 @@ def test_hessian_costs_at_most_six_density_builds_per_step(monkeypatch):
     hessian_builds = counts["builds"] - 1 - counts["trials"]
     assert hessian_builds <= 6 * sol.iterations
 
+
+def piece_by_interval(thresholds, y) -> int:
+    """The piece [t_k, t_{k-1}) holding y: the highest whose lower threshold
+    is at or below y; the bottom piece when none is (y below the bottom or
+    NaN)."""
+    return next((k for k, t in enumerate(thresholds) if t <= y),
+                len(thresholds) - 1)
+
+
+def test_piece_index_matches_interval_definition():
+    rng = np.random.default_rng(11)
+    densities = [build_density(stats_from_masses([0.2, 0.3, 0.5], [9.0, 3.0, 0.5],
+                                                 thresholds=[6.0, 1.0, 0.0]))]
+    densities += [build_density(ts.cumulate(random_tabulation(rng)))
+                  for _ in range(50)]
+    for density in densities:
+        t = density.thresholds
+        probes = [-math.inf, math.inf, math.nan, -1.0, 0.0, -0.0]
+        for edge in t:
+            probes += [edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf)]
+        probes += list(rng.uniform(t[-1] / 2, 2 * t[0], 20))
+        for y in probes:
+            assert density._piece_index(y) == piece_by_interval(t, y), (t, y)
+
+
+@st.composite
+def accepted_tabulations(draw):
+    """Tabulations that ``validate`` accepts: 2-12 brackets, thresholds 0
+    or in [1e-6, 1e12], means anywhere in their brackets (on the lower edge
+    included), empty brackets below the top, incomes in units of 1 or 1000."""
+    k = draw(st.integers(2, 12))
+    thresholds = sorted(draw(st.lists(st.floats(1e-6, 1e12), min_size=k,
+                                      max_size=k, unique=True)), reverse=True)
+    if draw(st.booleans()):
+        thresholds[-1] = 0.0
+    unit = draw(st.sampled_from([1.0, 1000.0]))
+    brackets = []
+    for i, lower in enumerate(thresholds):
+        count = draw(st.integers(1 if i == 0 else 0, 10**6))
+        if i == 0:
+            mean = lower * draw(st.floats(1.0, 1e6, exclude_min=True))
+        else:
+            upper = thresholds[i - 1]
+            mean = lower + (upper - lower) * draw(st.floats(0.0, 1.0,
+                                                            exclude_max=True))
+        brackets.append(ts.IncomeBracket(lower, count, count * mean / unit))
+    returns = sum(b.count for b in brackets)
+    income = sum(b.income_sum for b in brackets)
+    tab = ts.Tabulation(
+        year=1950, brackets=tuple(brackets),
+        population=returns + draw(st.integers(0, 10**6)),
+        total_income=income * draw(st.floats(1.0, 3.0)))
+    assume(not ts.validate(tab))
+    return tab
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tab=accepted_tabulations())
+@example(tab=ts.Tabulation(  # a subnormal mean position once gave NaN, "ok"
+    year=1950, brackets=(ts.IncomeBracket(1.0, 1, 2.0),
+                         ts.IncomeBracket(0.0, 2, 4.450147717014407e-309)),
+    population=3, total_income=3.0))
+def test_every_accepted_tabulation_gives_a_finite_share_or_a_typed_error(tab):
+    outcomes = maxent.estimate_shares(ts.cumulate(tab),
+                                      (0.9, 0.5, 0.1, 0.01, 1e-4))
+    for p, method, est in outcomes:
+        if isinstance(est, Exception):
+            assert isinstance(est, (TopsharesError, ValueError)), (p, method)
+        else:
+            assert all(map(math.isfinite, (est.share, est.threshold,
+                                           est.top_income))), (p, method, est)

@@ -306,6 +306,27 @@ class TestProtocol:
                                scheme=scheme)
             assert len(sorts) == 1
 
+    def test_prefix_sums_computed_once_per_sample(self, monkeypatch):
+        # the ranking's weight total and bottom-up income prefix serve every
+        # class count: two sample-length running sums, however many K
+        n = 5000
+        sums = []
+        cumsum = np.cumsum
+
+        def counted(a, *args, **kwargs):
+            if np.size(a) == n:
+                sums.append(a)
+            return cumsum(a, *args, **kwargs)
+        monkeypatch.setattr(np, "cumsum", counted)
+        weighted = mb.MicroSample(np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997),
+                                  np.arange(n) % 9 + 1, nonfiler_count=500)
+        for sample, scheme in ((mb.generate(mb.ParetoDist(2.0), n, seed=4),
+                                "geometric"), (weighted, "equal_mass")):
+            sums.clear()
+            mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001),
+                               scheme=scheme)
+            assert len(sums) == 2
+
     def test_failures_recorded_not_raised(self):
         # fractile below one unit of the population cannot be scored, but
         # the run must not abort
