@@ -98,16 +98,22 @@ DIAGNOSTIC_FIELDS = ["year", "classes", "fractile", "selected_fraction",
 
 def _year_outcomes(tabs, fractiles, methods):
     """(tab, stats, p, method, outcome) per year, as ``estimate_shares`` gives
-    them; a year that cumulate rejects (an empty top bracket, say) has stats
-    None and that error as every outcome."""
+    them for all years at once; a year that cumulate rejects (an empty top
+    bracket, say) has stats None and that error as every outcome."""
+    cumulated = []
     for tab in tabs:
         try:
-            stats = cumulate(tab)
+            cumulated.append(cumulate(tab))
         except ValueError as err:
+            cumulated.append(err)
+    estimates = iter(maxent.estimate_shares(
+        [s for s in cumulated if not isinstance(s, ValueError)], fractiles, methods))
+    for tab, stats in zip(tabs, cumulated):
+        if isinstance(stats, ValueError):
+            outcomes = [(p, method, stats) for p in fractiles for method in methods]
             stats = None
-            outcomes = [(p, method, err) for p in fractiles for method in methods]
         else:
-            outcomes = maxent.estimate_shares(stats, fractiles, methods)
+            outcomes = next(estimates)
         for p, method, est in outcomes:
             yield tab, stats, p, method, est
 

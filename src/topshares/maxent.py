@@ -14,7 +14,13 @@ pieces meet continuously, which is exactly the first-order condition.
 
 Numerical policy: every expression containing (e^(rate*width) - 1)/rate runs
 through kernels that switch to a truncated series when |rate*width| < 1e-6,
-where the direct form starts losing digits to cancellation.
+where the direct form starts losing digits to cancellation. The kernels and
+the rate solve are numpy array expressions: they take a float or an array,
+evaluate each branch on every element and select, with floating-point
+warnings suppressed inside them, since a branch not taken may overflow or
+divide by zero. One rate solve serves a whole batch of brackets (every year
+of a series, every row of a recovery Hessian), and each element gets the
+bits it would get alone.
 """
 
 from __future__ import annotations
@@ -54,66 +60,69 @@ MEAN_RESIDUAL_TOL = 1e-12  # on the bracket mean, relative to bracket width
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels
+# array kernels
 # ---------------------------------------------------------------------------
+# Each kernel takes a float or an array, evaluates every branch on every
+# element and then selects. A branch not taken may overflow or divide by
+# zero, so the kernels run with floating-point warnings suppressed; the
+# _direct and _series helpers are their branches.
+_quiet = np.errstate(all="ignore")
 
-def _iexp_direct(u: float) -> float:
-    return math.expm1(u) / u
+
+def _iexp_direct(u):
+    return np.expm1(u) / u
 
 
-def _iexp_series(u: float) -> float:
+def _iexp_series(u):
     return 1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
 
 
-def _iexp(u: float) -> float:
+@_quiet
+def _iexp(u):
     """(e^u - 1)/u, the mass integral of a unit tilt; 1 at u = 0."""
-    if u == 0.0:
-        return 1.0
-    if abs(u) < SERIES_SWITCH:
-        return _iexp_series(u)
-    return _iexp_direct(u)
+    return np.where(np.abs(u) < SERIES_SWITCH, _iexp_series(u), _iexp_direct(u))
 
 
-def _log_iexp(u: float) -> float:
+@_quiet
+def _log_iexp(u):
     """log((e^u - 1)/u), overflow-safe for large |u|."""
-    if u > 35.0:
-        # e^u dominates: log((e^u-1)/u) = u + log1p(-e^-u) - log u
-        return u + math.log1p(-math.exp(-u)) - math.log(u)
-    if u < -35.0:
-        return math.log(-math.expm1(u)) - math.log(-u)
-    return math.log(_iexp(u))
+    # e^u dominates: log((e^u-1)/u) = u + log1p(-e^-u) - log u
+    high = u + np.log1p(-np.exp(-u)) - np.log(u)
+    low = np.log(-np.expm1(u)) - np.log(-u)
+    return np.where(u > 35.0, high, np.where(u < -35.0, low, np.log(_iexp(u))))
 
 
-def _mean_frac_direct(u: float) -> float:
-    # Only called with u > 0; reflection handles the negative side.
-    return 1.0 / (-math.expm1(-u)) - 1.0 / u
+def _mean_frac_direct(u):
+    # Only meaningful for u > 0; reflection handles the negative side.
+    return 1.0 / (-np.expm1(-u)) - 1.0 / u
 
 
-def _mean_frac_series(u: float) -> float:
+def _mean_frac_series(u):
     return 0.5 + u / 12.0 - u * u * u / 720.0
 
 
-def _mean_frac(u: float) -> float:
+@_quiet
+def _mean_frac(u):
     """Conditional mean position of the tilt e^(u*x) on x in [0, 1].
 
     Strictly increasing from 0 (u -> -inf) through 1/2 (u = 0) to 1
     (u -> +inf). Built on expm1 of negative arguments only, so it never
     overflows.
     """
-    if abs(u) < SERIES_SWITCH:
-        return _mean_frac_series(u)
-    if u > 0.0:
-        return _mean_frac_direct(u)
-    return 1.0 - _mean_frac_direct(-u)
+    w = np.abs(u)
+    direct = _mean_frac_direct(w)
+    return np.where(w < SERIES_SWITCH, _mean_frac_series(u),
+                    np.where(u > 0.0, direct, 1.0 - direct))
 
 
-def _mean_frac_deriv(u: float) -> float:
+@_quiet
+def _mean_frac_deriv(u):
     """Derivative of _mean_frac; even in u, equals 1/12 at 0."""
-    w = abs(u)
-    if w < 1e-2:
-        return 1.0 / 12.0 - u * u / 240.0 + u ** 4 / 6048.0
-    e = -math.expm1(-w)
-    return 1.0 / (w * w) - math.exp(-w) / (e * e)
+    w = np.abs(u)
+    e = -np.expm1(-w)
+    u2 = u * u
+    return np.where(w < 1e-2, 1.0 / 12.0 - u2 / 240.0 + u2 * u2 / 6048.0,
+                    1.0 / u2 - np.exp(-w) / (e * e))
 
 
 def _quantile_frac(u: float, frac: float, width: float) -> float:
@@ -124,91 +133,157 @@ def _quantile_frac(u: float, frac: float, width: float) -> float:
     if u > 50.0:
         # shifted form: e^(rate*z) = frac*e^u + (1-frac) without overflow
         return width + math.log(frac + (1.0 - frac) * math.exp(-u)) * (width / u)
-    return math.log1p(frac * u * _iexp(u)) * (width / u)
+    return math.log1p(frac * u * float(_iexp(u))) * (width / u)
+
+
+@_quiet
+def _density_at(lower, upper, mass, rate, y):
+    """Density of the piece [lower, upper) with ``mass`` and ``rate`` at y,
+    elementwise: the formula behind ExponentialPiece.density_at and the
+    density jumps of the recovery gradient."""
+    z = y - lower
+    width = upper - lower
+    u = rate * width
+    unbounded = mass * (-rate) * np.exp(rate * z)
+    steep = mass * rate * np.exp(rate * (z - width)) / (-np.expm1(-u))
+    tilted = (mass / width) * np.exp(rate * z) / _iexp(u)
+    return np.where(np.isinf(upper), unbounded, np.where(u > 50.0, steep, tilted))
+
+
+@_quiet
+def _attained_objective(lower, upper, rate, mean):
+    """Maximum of each bracket's auxiliary objective, attained at ``rate``,
+    elementwise."""
+    width = upper - lower
+    bounded = rate * (mean - lower) - np.log(width) - _log_iexp(rate * width)
+    return np.where(np.isinf(upper), -1.0 - np.log(mean - lower), bounded)
 
 
 # ---------------------------------------------------------------------------
-# per-bracket rate solve
+# rate solve
 # ---------------------------------------------------------------------------
+
+@_quiet
+def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
+    """Tilt rates whose conditional means on [lower, upper) equal ``mean``,
+    elementwise, and the mask of elements whose mean is on a boundary.
+
+    The arguments broadcast together. An element fails, with rate NaN, when
+    its mean does not sit strictly inside its bracket, or when its position
+    r = (mean - lower)/width rounds to 0 or 1 or is so small that 1/r, the
+    initial guess, overflows; the other elements are solved as usual. An
+    unbounded bracket (upper = inf) has the closed form -1/(mean - lower).
+
+    Each bounded element runs the same safeguarded Newton iteration on the
+    monotone mean condition: an initial guess from series inversion in the
+    middle and the tail asymptotes outside, a geometric expansion from it
+    until [lo, hi] straddles the root, then Newton steps that fall back to
+    bisection when they leave that interval. It stops at a mean residual
+    below MEAN_RESIDUAL_TOL of the width, when a step no longer moves the
+    iterate, or after 200 steps. Every element sees exactly the operations
+    it would see alone, so batching never changes a rate.
+    """
+    lower, upper, mean = np.broadcast_arrays(lower, upper, mean)
+    shape = lower.shape
+    lower, upper, mean = (np.ravel(a).astype(float) for a in (lower, upper, mean))
+    unbounded = np.isinf(upper)
+    width = upper - lower
+    r = (mean - lower) / width
+    # strictly inside, and off the boundary at float resolution
+    inside = np.where(unbounded, mean > lower,
+                      (width > 0.0) & (lower < mean) & (mean < upper)
+                      & (0.0 < r) & (r < 1.0) & ~np.isinf(1.0 / r))
+    rate = np.where(unbounded, -1.0 / (mean - lower), 0.0)
+    rate[~inside] = np.nan
+
+    todo = np.flatnonzero(inside & ~unbounded & (r != 0.5))
+    r = r[todo]
+    u = np.where(r > 0.99, 1.0 / (1.0 - r),
+                 np.where(r < 0.01, -1.0 / r, 12.0 * (r - 0.5)))
+    h = _mean_frac(u) - r
+    step = np.maximum(1.0, np.abs(u))
+    lo, hi = u.copy(), u.copy()
+
+    # expand down while the mean is too high, up while it is too low; an
+    # upward expansion that lands exactly on the root stops there
+    down = h > 0.0
+    go = np.flatnonzero(down | (h < 0.0))
+    while go.size:
+        d = down[go]
+        edge = np.where(d, lo[go], hi[go])
+        u_go = np.where(d, edge - step[go], edge + step[go])
+        lo[go] = np.where(d, u_go, edge)
+        hi[go] = np.where(d, edge, u_go)
+        step[go] *= 2.0
+        h_go = _mean_frac(u_go) - r[go]
+        h[go] = h_go
+        go = go[np.where(d, h_go > 0.0, h_go < 0.0)]
+    u = np.where(down, lo, hi)  # the last point evaluated
+
+    # Newton on the unconverged elements, their state compacted to them
+    live = np.flatnonzero(~(np.abs(h) <= MEAN_RESIDUAL_TOL))
+    u_l, h_l, lo_l, hi_l, r_l = (a[live] for a in (u, h, lo, hi, r))
+    for _ in range(200):
+        if not live.size:
+            break
+        above = h_l > 0.0
+        hi_l = np.where(above, u_l, hi_l)
+        lo_l = np.where(above, lo_l, u_l)
+        d = _mean_frac_deriv(u_l)
+        u_next = np.where(d > 0.0, u_l - h_l / d, np.nan)
+        u_next = np.where((lo_l < u_next) & (u_next < hi_l), u_next,
+                          0.5 * (lo_l + hi_l))  # bisection safeguard
+        moved = u_next != u_l  # else the interval is exhausted
+        if not moved.all():
+            live, u_next, lo_l, hi_l, r_l = (
+                a[moved] for a in (live, u_next, lo_l, hi_l, r_l))
+            if not live.size:
+                break
+        u_l = u_next
+        h_l = _mean_frac(u_l) - r_l
+        u[live] = u_l
+        unconverged = ~(np.abs(h_l) <= MEAN_RESIDUAL_TOL)
+        if not unconverged.all():
+            live, u_l, h_l, lo_l, hi_l, r_l = (
+                a[unconverged] for a in (live, u_l, h_l, lo_l, hi_l, r_l))
+
+    rate[todo] = u / width[todo]
+    return rate.reshape(shape), ~inside.reshape(shape)
+
+
+def _boundary_error(t_lo: float, t_hi: float, y: float,
+                    bracket: int | None = None) -> MeanOnBoundaryError:
+    """The error for a mean that _solve_rates reports on its boundary."""
+    t_lo, t_hi, y = float(t_lo), float(t_hi), float(y)
+    if math.isinf(t_hi):
+        message = (f"mean {y} must sit strictly above the lower threshold "
+                   f"{t_lo} of the unbounded top bracket")
+    elif not (t_hi - t_lo > 0 and t_lo < y < t_hi):
+        message = f"mean {y} must sit strictly inside the bracket [{t_lo}, {t_hi})"
+    else:
+        message = (f"mean {y} is indistinguishable from a boundary of "
+                   f"[{t_lo}, {t_hi}) in double precision")
+    return MeanOnBoundaryError(message, bracket=bracket)
+
 
 def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
     """Exponential tilt rate whose conditional mean on [t_lo, t_hi) equals y.
 
     This is the unique maximizer of the bracket's concave auxiliary objective
-    (see ``_divergence``). For an unbounded bracket (t_hi = inf) the
-    stationary point is closed-form: -1/(y - t_lo). Bounded brackets use a
-    safeguarded Newton iteration on the monotone mean condition, with the
-    initial direction taken from the sign of (y - midpoint) and a geometric
-    expansion to bracket the root; the bracketing interval always straddles
-    the sign change. Converges to a mean residual below 1e-12 of the width.
+    (see ``_divergence``), solved as a one-element ``_solve_rates`` call. For
+    an unbounded bracket (t_hi = inf) the stationary point is closed-form:
+    -1/(y - t_lo). A bounded bracket converges to a mean residual below
+    1e-12 of the width.
 
     Raises MeanOnBoundaryError when y does not sit strictly inside the
     bracket: no tilt can match such a mean, which signals corrupt data. So
     does a mean whose position r = (y - t_lo)/width rounds to 0 or 1, or is
     so small that 1/r, the initial guess, overflows.
     """
-    if math.isinf(t_hi):
-        if not y > t_lo:
-            raise MeanOnBoundaryError(
-                f"mean {y} must sit strictly above the lower threshold {t_lo} "
-                f"of the unbounded top bracket")
-        return -1.0 / (y - t_lo)
-
-    width = t_hi - t_lo
-    if not (width > 0 and t_lo < y < t_hi):
-        raise MeanOnBoundaryError(
-            f"mean {y} must sit strictly inside the bracket [{t_lo}, {t_hi})")
-    r = (y - t_lo) / width
-    # strictly inside, but on the boundary at float resolution
-    if not 0.0 < r < 1.0 or math.isinf(1.0 / r):
-        raise MeanOnBoundaryError(
-            f"mean {y} is indistinguishable from a boundary of "
-            f"[{t_lo}, {t_hi}) in double precision")
-    if r == 0.5:
-        return 0.0
-
-    # initial guess: series inversion in the middle, tail asymptotes outside
-    if r > 0.99:
-        u = 1.0 / (1.0 - r)
-    elif r < 0.01:
-        u = -1.0 / r
-    else:
-        u = 12.0 * (r - 0.5)
-
-    h = _mean_frac(u) - r
-    step = max(1.0, abs(u))
-    lo = hi = u
-    if h > 0.0:
-        while h > 0.0:
-            hi, lo = lo, lo - step
-            step *= 2.0
-            h = _mean_frac(lo) - r
-        u, h_u = lo, h
-    else:
-        while h <= 0.0:
-            if h == 0.0:
-                return u / width
-            lo, hi = hi, hi + step
-            step *= 2.0
-            h = _mean_frac(hi) - r
-        u, h_u = hi, h
-
-    for _ in range(200):
-        if abs(h_u) <= MEAN_RESIDUAL_TOL:
-            return u / width
-        if h_u > 0.0:
-            hi = u
-        else:
-            lo = u
-        d = _mean_frac_deriv(u)
-        u_next = u - h_u / d if d > 0.0 else math.nan
-        if not lo < u_next < hi:
-            u_next = 0.5 * (lo + hi)  # bisection safeguard
-        if u_next == u:
-            return u / width  # interval exhausted at float resolution
-        u = u_next
-        h_u = _mean_frac(u) - r
-    return u / width
+    rate, failed = _solve_rates(t_lo, t_hi, y)
+    if failed:
+        raise _boundary_error(t_lo, t_hi, y)
+    return float(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +319,7 @@ class ExponentialPiece:
         if u > 50.0:
             return (math.exp(self.rate * (z - width))
                     * math.expm1(-self.rate * z) / math.expm1(-u))
-        return (z / width) * _iexp(self.rate * z) / _iexp(u)
+        return float((z / width) * _iexp(self.rate * z) / _iexp(u))
 
     def quantile_upper(self, frac_above: float) -> float:
         """Income level with ``frac_above`` of the piece's mass above it."""
@@ -265,19 +340,11 @@ class ExponentialPiece:
         w = width - z
         if u > 50.0:
             return math.expm1(-self.rate * w) / math.expm1(-u)
-        return (math.exp(self.rate * z) * (w / width)
-                * _iexp(self.rate * w) / _iexp(u))
+        return float(math.exp(self.rate * z) * (w / width)
+                     * _iexp(self.rate * w) / _iexp(u))
 
     def density_at(self, y: float) -> float:
-        z = y - self.lower
-        if self.unbounded:
-            return self.mass * (-self.rate) * math.exp(self.rate * z)
-        width = self.upper - self.lower
-        u = self.rate * width
-        if u > 50.0:
-            return (self.mass * self.rate * math.exp(self.rate * (z - width))
-                    / (-math.expm1(-u)))
-        return (self.mass / width) * math.exp(self.rate * z) / _iexp(u)
+        return float(_density_at(self.lower, self.upper, self.mass, self.rate, y))
 
     def partial_expectation_above(self, y: float) -> float:
         """Integral of x times the piece density over [y, upper)."""
@@ -290,8 +357,8 @@ class ExponentialPiece:
         if y >= self.upper:
             return 0.0
         w = self.upper - y
-        return (self.mass * self.tail_frac(y)
-                * (y + w * _mean_frac(self.rate * w)))
+        return float(self.mass * self.tail_frac(y)
+                     * (y + w * _mean_frac(self.rate * w)))
 
 
 @dataclass(frozen=True)
@@ -373,46 +440,73 @@ class MaxEntDensity:
         return whole + self.pieces[k].partial_expectation_above(y)
 
 
+def _densities(stats: Sequence[CumulativeStats],
+               thresholds: Sequence[np.ndarray],
+               ) -> list[MaxEntDensity | MeanOnBoundaryError]:
+    """The maximum-entropy density of each tabulation at its thresholds,
+    from one rate solve over the occupied brackets of all of them. A
+    tabulation with a bracket mean on its boundary gets that bracket's
+    MeanOnBoundaryError in place of a density; the others are unaffected.
+    Empty brackets become zero-mass pieces."""
+    if not stats:
+        return []
+    sizes = [len(t) for t in thresholds]
+    starts = np.cumsum([0] + sizes[:-1])
+    lower = np.concatenate(thresholds).astype(float)
+    upper = np.empty_like(lower)
+    upper[1:] = lower[:-1]
+    upper[starts] = math.inf
+    mass = np.concatenate([s.bracket_fraction for s in stats])
+    mean = np.concatenate([s.bracket_mean for s in stats])
+    occupied = mass > 0.0
+    rate = np.zeros(len(lower))
+    failed = np.zeros(len(lower), dtype=bool)
+    rate[occupied], failed[occupied] = _solve_rates(
+        lower[occupied], upper[occupied], mean[occupied])
+
+    columns = [a.tolist() for a in (lower, upper, np.where(occupied, mass, 0.0),
+                                    rate, np.where(occupied, mean, math.nan))]
+    out: list[MaxEntDensity | MeanOnBoundaryError] = []
+    for s, start, size in zip(stats, starts.tolist(), sizes):
+        stop = start + size
+        bad = np.flatnonzero(failed[start:stop])
+        if bad.size:
+            i = start + int(bad[0])
+            out.append(_boundary_error(lower[i], upper[i], mean[i],
+                                       bracket=int(bad[0])))
+            continue
+        out.append(MaxEntDensity(
+            pieces=tuple(map(ExponentialPiece,
+                             *(c[start:stop] for c in columns))),
+            thresholds=lower[start:stop].copy(),
+            mass_above=s.top_fraction.copy(),
+            population=s.population,
+            total_income=s.total_income,
+        ))
+    return out
+
+
 def build_density(stats: CumulativeStats,
                   thresholds: np.ndarray | None = None) -> MaxEntDensity:
     """Assemble the maximum-entropy density from bracket masses and means.
 
-    ``thresholds`` defaults to the tabulated ones; threshold recovery passes
+    ``thresholds`` defaults to the tabulated ones; a caller may pass
     candidate vectors instead (same length, strictly decreasing). Each
     occupied bracket's mean must sit strictly inside its bracket. Empty
     brackets become zero-mass pieces.
     """
     if thresholds is None:
         thresholds = stats.thresholds
-    thresholds = np.asarray(thresholds, dtype=float).copy()
+    thresholds = np.asarray(thresholds, dtype=float)
     if len(thresholds) != stats.num_brackets:
         raise ValueError(f"expected {stats.num_brackets} thresholds, got "
                          f"{len(thresholds)}")
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
-
-    pieces = []
-    for k in range(stats.num_brackets):
-        lower = float(thresholds[k])
-        upper = math.inf if k == 0 else float(thresholds[k - 1])
-        q = float(stats.bracket_fraction[k])
-        y = float(stats.bracket_mean[k])
-        if q <= 0.0:
-            pieces.append(ExponentialPiece(lower, upper, 0.0, 0.0, math.nan))
-            continue
-        try:
-            rate = solve_rate(lower, upper, y)
-        except MeanOnBoundaryError as err:
-            raise MeanOnBoundaryError(str(err), bracket=k) from None
-        pieces.append(ExponentialPiece(lower, upper, q, rate, y))
-
-    return MaxEntDensity(
-        pieces=tuple(pieces),
-        thresholds=thresholds,
-        mass_above=stats.top_fraction.copy(),
-        population=stats.population,
-        total_income=stats.total_income,
-    )
+    [density] = _densities([stats], [thresholds])
+    if isinstance(density, MeanOnBoundaryError):
+        raise density
+    return density
 
 
 def me_share_from_density(density: MaxEntDensity, p: float) -> ShareEstimate:
@@ -441,38 +535,40 @@ def _check_methods(methods: Sequence[str]) -> None:
             raise ValueError(f"unknown method {method!r}: expected PI or ME")
 
 
-def estimate_shares(stats: CumulativeStats, fractiles: Sequence[float],
+def estimate_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
                     methods: Sequence[str] = ("PI", "ME"),
-                    ) -> list[tuple[float, str, ShareEstimate | Exception]]:
-    """Every fractile x method estimate of one tabulation, fractile-major.
+                    ) -> list[list[tuple[float, str, ShareEstimate | Exception]]]:
+    """Every fractile x method estimate of each tabulation, fractile-major.
 
     This is the one estimation loop behind both the historical series and
     the accuracy protocol, so PI and ME always see identical inputs. The ME
-    density is built once. Each entry is (p, method, outcome), where the
+    densities of all tabulations come from one rate solve. The result holds
+    one list per tabulation, in order, of (p, method, outcome), where the
     outcome is the ShareEstimate or the TopsharesError/ValueError that
-    stopped it; a failed density build stops every ME entry. Methods other
-    than "PI" and "ME" raise ValueError before any work is done.
+    stopped it; a failed density build stops every ME entry of its
+    tabulation and no other. Methods other than "PI" and "ME" raise
+    ValueError before any work is done.
     """
     _check_methods(methods)
-    density: MaxEntDensity | TopsharesError | None = None
+    densities: list[MaxEntDensity | TopsharesError | None] = [None] * len(stats)
     if "ME" in methods:
-        try:
-            density = build_density(stats)
-        except TopsharesError as err:
-            density = err
+        densities = _densities(stats, [s.thresholds for s in stats])
     out = []
-    for p in fractiles:
-        for method in methods:
-            try:
-                if method == "PI":
-                    outcome = pi_share_from_stats(stats, p)
-                elif isinstance(density, TopsharesError):
-                    outcome = density
-                else:
-                    outcome = me_share_from_density(density, p)
-            except (TopsharesError, ValueError) as err:
-                outcome = err
-            out.append((p, method, outcome))
+    for one, density in zip(stats, densities):
+        outcomes = []
+        for p in fractiles:
+            for method in methods:
+                try:
+                    if method == "PI":
+                        outcome = pi_share_from_stats(one, p)
+                    elif isinstance(density, TopsharesError):
+                        outcome = density
+                    else:
+                        outcome = me_share_from_density(density, p)
+                except (TopsharesError, ValueError) as err:
+                    outcome = err
+                outcomes.append((p, method, outcome))
+        out.append(outcomes)
     return out
 
 
@@ -504,33 +600,35 @@ class ThresholdSolution:
 
 
 def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
-                ) -> tuple[float, np.ndarray]:
-    """Objective and its threshold gradient at a candidate.
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives and threshold gradients at a stack of candidates.
 
     The objective is the minimized divergence as a function of thresholds:
     the mass-weighted sum of attained per-bracket objectives plus the mass
     entropy term. By the envelope theorem its derivative in an interior
     threshold is the density jump across that boundary, so the gradient
-    vanishes exactly when adjacent pieces meet continuously.
+    vanishes exactly when adjacent pieces meet continuously. For (m, K)
+    candidate rows it returns the m objectives and the (m, K-1) gradients,
+    from one rate solve over all rows; each row equals a one-row call bit
+    for bit, and a single (K,) candidate gives a scalar and a (K-1,)
+    gradient. Raises MeanOnBoundaryError when a candidate puts a bracket
+    mean on its boundary.
     """
-    density = build_density(stats, thresholds)
-    total = 0.0
-    for piece in density.pieces:  # recover_thresholds rejects empty brackets
-        if piece.unbounded:
-            j_k = -1.0 - math.log(piece.mean - piece.lower)
-        else:  # the attained maximum of the bracket's auxiliary objective
-            width = piece.upper - piece.lower
-            j_k = (piece.rate * (piece.mean - piece.lower) - math.log(width)
-                   - _log_iexp(piece.rate * width))
-        total += piece.mass * (j_k + math.log(piece.mass))
-
-    k_interior = len(thresholds) - 1
-    grad = np.empty(k_interior)
-    for k in range(k_interior):
-        boundary = float(thresholds[k])
-        grad[k] = (density.pieces[k].density_at(boundary)
-                   - density.pieces[k + 1].density_at(boundary))
-    return total, grad
+    lower = np.asarray(thresholds, dtype=float)
+    upper = np.concatenate((np.full(lower.shape[:-1] + (1,), math.inf),
+                            lower[..., :-1]), axis=-1)
+    mass, mean = stats.bracket_fraction, stats.bracket_mean
+    rate, failed = _solve_rates(lower, upper, mean)
+    if failed.any():
+        at = tuple(np.argwhere(failed)[0])
+        raise _boundary_error(lower[at], upper[at], mean[at[-1]],
+                              bracket=int(at[-1]))
+    terms = mass * (_attained_objective(lower, upper, rate, mean) + np.log(mass))
+    objective = np.cumsum(terms, axis=-1)[..., -1]  # top bracket first, in order
+    boundary = lower[..., :-1]
+    grad = (_density_at(boundary, upper[..., :-1], mass[:-1], rate[..., :-1], boundary)
+            - _density_at(lower[..., 1:], boundary, mass[1:], rate[..., 1:], boundary))
+    return objective, grad
 
 
 def recover_thresholds(stats: CumulativeStats, t_bottom: float,
@@ -547,8 +645,10 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     backtracking line search; the objective blows up at the box edges, so
     iterates stay interior. Gradient k depends only on thresholds k-1, k and
     k+1, so the Hessian is tridiagonal and three perturbation colours
-    recover it (Curtis, Powell & Reid, IMA J. Appl. Math. 1974): 6 gradient
-    evaluations per step for any K. Near the optimum a Newton step can cut
+    recover it (Curtis, Powell & Reid, IMA J. Appl. Math. 1974). Each step
+    makes one ``_divergence`` call on the 2 * min(3, K-1) perturbed rows
+    (6 for K >= 4), so the rate solves of the whole Hessian share one
+    batch; line-search trials are single rows. Near the optimum a Newton step can cut
     the gradient by orders of magnitude while moving the objective by an
     ulp either way, so a step that leaves the objective flat at float
     resolution is accepted when it lowers the gradient. The iteration stops
@@ -581,12 +681,13 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         # which would put a bracket mean on its boundary
         z = np.clip(z, -30.0, 30.0)
         sig = 1.0 / (1.0 + np.exp(-z))
-        t = np.empty(k_total)
-        t[:-1] = box_lo + (box_hi - box_lo) * sig
-        t[-1] = t_bottom
+        t = np.empty(z.shape[:-1] + (k_total,))
+        t[..., :-1] = box_lo + (box_hi - box_lo) * sig
+        t[..., -1] = t_bottom
         return t, sig
 
     def eval_at(z):
+        # at one point (K-1,) or a stack of points (m, K-1)
         t, sig = thresholds_of(z)
         value, grad_t = _divergence(stats, t)
         grad_z = grad_t * (box_hi - box_lo) * sig * (1.0 - sig)
@@ -603,14 +704,17 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         if grad_max <= grad_tol * (1.0 + abs(value)):
             break
 
-        # tridiagonal Hessian by 3-colour central differences of the gradient
+        # tridiagonal Hessian by 3-colour central differences of the
+        # gradient, all 2 * colours rows in one evaluation
         dim = len(z)
+        colours = min(3, dim)
+        shifts = np.zeros((colours, dim))
+        for colour in range(colours):
+            shifts[colour, colour::3] = fd_step
+        _, g = eval_at(np.concatenate((z + shifts, z - shifts)))
         hess = np.zeros((dim, dim))
-        for colour in range(min(3, dim)):
-            shift = np.zeros(dim); shift[colour::3] = fd_step
-            _, gp = eval_at(z + shift)
-            _, gm = eval_at(z - shift)
-            combined = (gp - gm) / (2.0 * fd_step)
+        for colour in range(colours):
+            combined = (g[colour] - g[colours + colour]) / (2.0 * fd_step)
             for j in range(colour, dim, 3):
                 band = slice(max(j - 1, 0), j + 2)
                 hess[band, j] = combined[band]
@@ -647,7 +751,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     grad_norm = float(np.max(np.abs(grad)))
     return ThresholdSolution(
         thresholds=thresholds,
-        objective=value,
+        objective=float(value),
         iterations=iterations,
         grad_norm=grad_norm,
         converged=grad_norm <= grad_tol * (1.0 + abs(value)),

@@ -531,15 +531,19 @@ def evaluate_sample(sample: MicroSample, classes: Iterable[int],
                     trial: int = 0) -> list[ErrorCell]:
     """Score both estimators against the sample oracle at each class count.
 
-    Estimator failures are recorded per cell and never abort the run; a
-    method other than PI or ME raises ValueError.
+    The ME rates of every class count come from one rate solve. Estimator
+    failures are recorded per cell and never abort the run; a method other
+    than PI or ME raises ValueError.
     """
     cells = []
     oracles = {p: oracle_share(sample, p) for p in fractiles}
-    for k in classes:
-        thresholds = quantile_thresholds(sample, k, top_fraction, scheme)
-        stats = cumulate(tabulate(sample, thresholds))
-        for p, method, est in maxent.estimate_shares(stats, fractiles, methods):
+    classes = list(classes)
+    tables = [tabulate(sample, quantile_thresholds(sample, k, top_fraction, scheme))
+              for k in classes]
+    estimates = maxent.estimate_shares([cumulate(t) for t in tables], fractiles,
+                                       methods)
+    for k, outcomes in zip(classes, estimates):
+        for p, method, est in outcomes:
             theta = oracles[p]
             if isinstance(est, Exception):
                 cells.append(ErrorCell(trial, int(k), float(p), method, None,

@@ -8,7 +8,6 @@ golden-section/Brent maximization of the auxiliary objective for the rates.
 import hashlib
 import math
 import struct
-import sys
 from statistics import NormalDist
 
 import mpmath
@@ -135,6 +134,32 @@ class TestKernels:
             assert maxent._log_iexp(u) == pytest.approx(exact, rel=1e-12)
 
 
+def exact_expansion_root() -> float:
+    """A mean position r in (0.6, 0.95) whose initial guess u0 = 12 (r - 1/2)
+    sits below the root and whose first upward expansion point u0 + max(1,
+    |u0|) has mean position exactly r under the shipped kernel: bisect for
+    the sign change of that residual, then scan the nearby ulps."""
+    def residual(r):
+        u0 = 12.0 * (r - 0.5)
+        return float(maxent._mean_frac(u0 + max(1.0, abs(u0)))) - r
+
+    lo, hi = 0.6, 0.95
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r = lo
+    for _ in range(256):
+        r = math.nextafter(r, 0.0)
+    for _ in range(512):
+        if residual(r) == 0.0:
+            return r
+        r = math.nextafter(r, 1.0)
+    raise AssertionError("no mean position within 256 ulps hits the root")
+
+
 class TestSolveRate:
     def test_midpoint_mean_is_uniform(self):
         assert solve_rate(0.0, 1.0, 0.5) == 0.0
@@ -239,6 +264,37 @@ class TestSolveRate:
             width = float(10.0 ** rng.uniform(-2, 4))
             y = lo + width * float(rng.uniform(1e-4, 1 - 1e-4))
             run_case(lo, lo + width, y)
+
+    def test_upward_expansion_landing_on_the_root_returns_it(self):
+        # the first upward expansion point hi of the initial guess u0 has
+        # mean position exactly r: the solve must return hi, not u0
+        r = exact_expansion_root()
+        u0 = 12.0 * (r - 0.5)
+        hi = u0 + max(1.0, abs(u0))
+        assert maxent._mean_frac(u0) < r
+        assert maxent._mean_frac(hi) == r
+        assert solve_rate(0.0, 1.0, r) == hi
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(t_lo=st.floats(-1e12, 1e12), width=st.floats(1e-9, 1e12),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(t_lo=0.0, width=1.0, frac=0.8944432833145982)  # see above
+    @example(t_lo=0.0, width=1.0, frac=1e-300)
+    @example(t_lo=0.0, width=1.0, frac=1.0 - 2.0 ** -53)
+    def test_every_rate_meets_its_residual_bound(self, t_lo, width, frac):
+        t_hi = t_lo + width
+        y = t_lo + frac * width
+        try:
+            rate = solve_rate(t_lo, t_hi, y)
+        except MeanOnBoundaryError:
+            # only a mean on the boundary at float resolution is refused
+            assert not (t_lo < y < t_hi
+                        and 0.0 < (r := (y - t_lo) / (t_hi - t_lo)) < 1.0
+                        and math.isfinite(1.0 / r))
+            return
+        r = (y - t_lo) / (t_hi - t_lo)
+        u = rate * (t_hi - t_lo)
+        assert abs(maxent._mean_frac(u) - r) <= maxent.MEAN_RESIDUAL_TOL
 
     def test_objective_derivative_strictly_decreasing(self):
         # concavity of the auxiliary objective on the search interval
@@ -690,12 +746,14 @@ def solution_digest(sol) -> str:
     return h.hexdigest()
 
 
+# These digests depend on the bits of numpy's exp, expm1, log and log1p,
+# which follow the SIMD code path numpy dispatches to on the host CPU.
 RECOVERY_DIGESTS = {
-    "ladder-8": "b2b799389939963eac9be79d2caeb5d397dea28ad9ece3600815149476d349fe",
-    "ladder-20": "65b19a63b9385fe06091dc7c74c81e3546bc6031714bc882345cd3bc845a4291",
-    "ladder-40": "6ae074f5f5a6875b526a3794c76108fd7f10b52620afe0b25fdf2a02374d359c",
-    "ladder-60": "aa7e2947734f3ccf2271c5f356239f0bfc3de29476c31dcdbb35c581661bf259",
-    "flat-8": "7b93c1166279315aa0a55a8df1e39f0d9374450c90c67ae0ea695079a0713601",
+    "ladder-8": "e3742aea2fec346e1817291d7106e2fd98e67840514f7199e588c2f52e354d8c",
+    "ladder-20": "cc4dbc9cff458668c93c888da2b816e63bea0599428025ed212e3d3ae8bc43ed",
+    "ladder-40": "eab46eb3ccaf826066ca22f5a2d3cd727a34220c13c935e1d9a26401f6cdd781",
+    "ladder-60": "e8b7a80880b69e3a01e75f6cea108e1dd0cab03e123d7c2e435d001ce2a59544",
+    "flat-8": "1ccadc1826579d6e8ff0b5962d5edf58f6f85c56ed1cb165cb7877172c59a365",
 }
 
 
@@ -727,27 +785,72 @@ def test_gradient_entry_reads_only_neighbouring_thresholds(k):
         assert grad[j] != base[j]
 
 
-def test_hessian_costs_at_most_six_density_builds_per_step(monkeypatch):
-    # every density build is the initial point, a line-search trial (an
-    # evaluation at the loop's z_new) or part of the Hessian estimate
-    counts = {"builds": 0, "trials": 0}
-    real_build = maxent.build_density
+@pytest.mark.parametrize("k", [3, 60])
+def test_one_hessian_evaluation_per_newton_step(monkeypatch, k):
+    # a single point (the start or a line-search trial) is a (K,) candidate;
+    # the Hessian of a step is one call on all 2 * min(3, K-1) shifted rows
+    batches = []
+    real = maxent._divergence
 
-    def counting_build(stats, thresholds=None):
-        counts["builds"] += 1
-        caller = sys._getframe(2)  # build_density <- _divergence <- eval_at
-        recover = caller.f_back
-        if caller.f_locals["z"] is recover.f_locals.get("z_new"):
-            counts["trials"] += 1
-        return real_build(stats, thresholds)
+    def counting(stats, thresholds):
+        if np.ndim(thresholds) == 2:
+            batches.append(len(thresholds))
+        return real(stats, thresholds)
 
-    monkeypatch.setattr(maxent, "build_density", counting_build)
-    stats = lognormal_ladder_stats(60)
+    monkeypatch.setattr(maxent, "_divergence", counting)
+    stats = lognormal_ladder_stats(k)
     sol = ts.recover_thresholds(stats, float(stats.thresholds[-1]))
     assert sol.converged and sol.iterations >= 1
-    assert counts["trials"] >= sol.iterations
-    hessian_builds = counts["builds"] - 1 - counts["trials"]
-    assert hessian_builds <= 6 * sol.iterations
+    assert batches == [2 * min(3, k - 1)] * sol.iterations
+
+
+@pytest.mark.parametrize("k", [8, 20, 40, 60])
+def test_stacked_divergence_rows_equal_one_row_calls(k):
+    # batching moves no bit: every row of a 120-row call, objective and
+    # gradient, equals the call on that row alone
+    stats = lognormal_ladder_stats(k)
+    y = stats.bracket_mean
+    rng = np.random.default_rng(k)
+    rows = np.empty((120, k))
+    rows[:, :-1] = y[1:] + (y[:-1] - y[1:]) * rng.uniform(0.02, 0.98, (120, k - 1))
+    rows[:, -1] = stats.thresholds[-1]
+    values, grads = maxent._divergence(stats, rows)
+    assert values.shape == (120,) and grads.shape == (120, k - 1)
+    for row, value, grad in zip(rows, values, grads):
+        one_value, one_grad = maxent._divergence(stats, row[np.newaxis])
+        assert one_value.tobytes() == value.tobytes()
+        assert one_grad.tobytes() == grad.tobytes()
+
+
+def piece_bits(density) -> bytes:
+    return np.array([[p.lower, p.upper, p.mass, p.rate, p.mean]
+                     for p in density.pieces]).tobytes()
+
+
+def test_stacked_density_build_matches_each_year_alone(table_1920):
+    # one rate solve over every year gives each year the density it gets
+    # alone; a year with a mean on its bracket boundary fails by itself
+    rng = np.random.default_rng(23)
+    stats = [ts.cumulate(table_1920)]
+    stats += [ts.cumulate(random_tabulation(rng)) for _ in range(40)]
+    stats.insert(20, stats_from_masses([0.2, 0.3], [5.0, 2.0], thresholds=[4.0, 2.0]))
+    stacked = maxent._densities(stats, [s.thresholds for s in stats])
+    for i, (one, density) in enumerate(zip(stats, stacked)):
+        if i == 20:
+            assert isinstance(density, MeanOnBoundaryError)
+            assert density.bracket == 1
+            with pytest.raises(MeanOnBoundaryError) as err:
+                build_density(one)
+            assert str(err.value) == str(density)
+            continue
+        alone = build_density(one)
+        assert piece_bits(density) == piece_bits(alone)
+        assert density.thresholds.tobytes() == alone.thresholds.tobytes()
+    fractiles = (0.5, 0.1, 0.01, 1e-5)
+    for one, outcomes in zip(stats, maxent.estimate_shares(stats, fractiles)):
+        [alone] = maxent.estimate_shares([one], fractiles)
+        assert [(p, m, repr(o)) for p, m, o in outcomes] == \
+            [(p, m, repr(o)) for p, m, o in alone]
 
 
 def piece_by_interval(thresholds, y) -> int:
@@ -813,8 +916,8 @@ def accepted_tabulations(draw):
                          ts.IncomeBracket(0.0, 2, 4.450147717014407e-309)),
     population=3, total_income=3.0))
 def test_every_accepted_tabulation_gives_a_finite_share_or_a_typed_error(tab):
-    outcomes = maxent.estimate_shares(ts.cumulate(tab),
-                                      (0.9, 0.5, 0.1, 0.01, 1e-4))
+    [outcomes] = maxent.estimate_shares([ts.cumulate(tab)],
+                                        (0.9, 0.5, 0.1, 0.01, 1e-4))
     for p, method, est in outcomes:
         if isinstance(est, Exception):
             assert isinstance(est, (TopsharesError, ValueError)), (p, method)
