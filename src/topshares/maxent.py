@@ -12,15 +12,15 @@ When thresholds are unobserved they can be recovered by pushing the same
 divergence down over ordered candidate thresholds; at the optimum adjacent
 pieces meet continuously, which is exactly the first-order condition.
 
-Numerical policy: every expression containing (e^(rate*width) - 1)/rate runs
-through kernels that switch to a truncated series when |rate*width| < 1e-6,
-where the direct form starts losing digits to cancellation. The kernels and
-the rate solve are numpy array expressions: they take a float or an array,
-evaluate each branch on every element and select, with floating-point
-warnings suppressed inside them, since a branch not taken may overflow or
-divide by zero. One rate solve serves a whole batch of brackets (every year
-of a series, every row of a recovery Hessian), and each element gets the
-bits it would get alone.
+Numerical policy: each closed form has one implementation, a numpy kernel
+over floats or arrays of piece columns that evaluates each branch on every
+element and selects, with floating-point warnings suppressed, since a branch
+not taken may overflow or divide by zero. Every expression containing
+(e^(rate*width) - 1)/rate switches to a truncated series when |rate*width| <
+1e-6, where the direct form starts losing digits to cancellation. One rate
+solve serves a whole batch of brackets (every year of a series, every row of
+a recovery Hessian), one pass of the query kernels every ME cell of a batch,
+and each element gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .pareto import ShareEstimate, pi_share_from_stats
 from .tabulation import CumulativeStats, Tabulation, cumulate
 
 __all__ = [
-    "ExponentialPiece",
     "MaxEntDensity",
     "ThresholdSolution",
     "solve_rate",
@@ -62,10 +61,10 @@ MEAN_RESIDUAL_TOL = 1e-12  # on the bracket mean, relative to bracket width
 # ---------------------------------------------------------------------------
 # array kernels
 # ---------------------------------------------------------------------------
-# Each kernel takes a float or an array, evaluates every branch on every
-# element and then selects. A branch not taken may overflow or divide by
-# zero, so the kernels run with floating-point warnings suppressed; the
-# _direct and _series helpers are their branches.
+# The _direct and _series helpers are branches of the kernel they name. The
+# piece kernels describe the piece [lower, upper) whose density is
+# proportional to exp(rate * y), unbounded when upper = inf; a y they take
+# lies inside the piece unless said otherwise.
 _quiet = np.errstate(all="ignore")
 
 
@@ -125,24 +124,10 @@ def _mean_frac_deriv(u):
                     1.0 / u2 - np.exp(-w) / (e * e))
 
 
-def _quantile_frac(u: float, frac: float, width: float) -> float:
-    """Position in [0, width] below which a tilt with u = rate*width puts
-    ``frac`` of its mass."""
-    if u == 0.0:
-        return frac * width
-    if u > 50.0:
-        # shifted form: e^(rate*z) = frac*e^u + (1-frac) without overflow
-        return width + math.log(frac + (1.0 - frac) * math.exp(-u)) * (width / u)
-    return math.log1p(frac * u * float(_iexp(u))) * (width / u)
-
-
 @_quiet
 def _density_at(lower, upper, mass, rate, y):
-    """Density of the piece [lower, upper) with ``mass`` and ``rate`` at y,
-    elementwise: the formula behind ExponentialPiece.density_at and the
-    density jumps of the recovery gradient."""
-    z = y - lower
-    width = upper - lower
+    """Density at y of the piece carrying ``mass``."""
+    z, width = y - lower, upper - lower
     u = rate * width
     unbounded = mass * (-rate) * np.exp(rate * z)
     steep = mass * rate * np.exp(rate * (z - width)) / (-np.expm1(-u))
@@ -151,9 +136,58 @@ def _density_at(lower, upper, mass, rate, y):
 
 
 @_quiet
+def _cdf_frac(lower, upper, rate, y):
+    """Fraction of the piece's mass at or below y."""
+    z, width = y - lower, upper - lower
+    u = rate * width
+    steep = np.exp(rate * (z - width)) * np.expm1(-rate * z) / np.expm1(-u)
+    tilted = (z / width) * _iexp(rate * z) / _iexp(u)
+    return np.where(np.isinf(upper), -np.expm1(rate * z),
+                    np.where(u > 50.0, steep, tilted))
+
+
+@_quiet
+def _tail_frac(lower, upper, rate, y):
+    """Fraction of the piece's mass at or above y, in a product form that
+    keeps full relative precision even for tiny tails."""
+    z, width = y - lower, upper - lower
+    u = rate * width
+    w = width - z
+    steep = np.expm1(-rate * w) / np.expm1(-u)
+    tilted = np.exp(rate * z) * (w / width) * _iexp(rate * w) / _iexp(u)
+    return np.where(np.isinf(upper), np.exp(rate * z),
+                    np.where(u > 50.0, steep, tilted))
+
+
+@_quiet
+def _quantile_upper(lower, upper, rate, frac):
+    """Income level with ``frac`` of the piece's mass above it."""
+    rate = np.asarray(rate, dtype=float)  # so that u = 0 divides quietly
+    width = upper - lower
+    u = -rate * width  # mirror: the upper tail at rate is the lower tail at -rate
+    # shifted form: e^(rate*z) = frac*e^u + (1-frac) without overflow
+    shifted = width + np.log(frac + (1.0 - frac) * np.exp(-u)) * (width / u)
+    direct = np.log1p(frac * u * _iexp(u)) * (width / u)
+    below = np.where(u == 0.0, frac * width, np.where(u > 50.0, shifted, direct))
+    return np.where(np.isinf(upper), lower + np.log(frac) / rate, upper - below)
+
+
+@_quiet
+def _partial_expectation(lower, upper, mass, rate, mean, y):
+    """Integral of x times the density of the piece carrying ``mass`` with
+    conditional mean ``mean`` over [max(y, lower), upper); any y."""
+    rate = np.asarray(rate, dtype=float)  # so that rate = 0 divides quietly
+    tail, w = mass * _tail_frac(lower, upper, rate, y), upper - y
+    # memoryless top piece: its conditional mean above y is y - 1/rate
+    above = tail * np.where(np.isinf(upper), y - 1.0 / rate,
+                            y + w * _mean_frac(rate * w))
+    whole = np.where(mass > 0.0, mass * mean, 0.0)
+    return np.where(y <= lower, whole, np.where(y >= upper, 0.0, above))
+
+
+@_quiet
 def _attained_objective(lower, upper, rate, mean):
-    """Maximum of each bracket's auxiliary objective, attained at ``rate``,
-    elementwise."""
+    """Maximum of each bracket's auxiliary objective, attained at ``rate``."""
     width = upper - lower
     bounded = rate * (mean - lower) - np.log(width) - _log_iexp(rate * width)
     return np.where(np.isinf(upper), -1.0 - np.log(mean - lower), bounded)
@@ -270,15 +304,9 @@ def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
     """Exponential tilt rate whose conditional mean on [t_lo, t_hi) equals y.
 
     This is the unique maximizer of the bracket's concave auxiliary objective
-    (see ``_divergence``), solved as a one-element ``_solve_rates`` call. For
-    an unbounded bracket (t_hi = inf) the stationary point is closed-form:
-    -1/(y - t_lo). A bounded bracket converges to a mean residual below
-    1e-12 of the width.
-
-    Raises MeanOnBoundaryError when y does not sit strictly inside the
-    bracket: no tilt can match such a mean, which signals corrupt data. So
-    does a mean whose position r = (y - t_lo)/width rounds to 0 or 1, or is
-    so small that 1/r, the initial guess, overflows.
+    (see ``_divergence``), solved as a one-element ``_solve_rates`` call.
+    Raises MeanOnBoundaryError where that call reports the mean on its
+    boundary: no tilt can match such a mean, which signals corrupt data.
     """
     rate, failed = _solve_rates(t_lo, t_hi, y)
     if failed:
@@ -287,202 +315,186 @@ def solve_rate(t_lo: float, t_hi: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pieces and the assembled density
+# the assembled density
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentialPiece:
-    """One exponentially tilted piece on [lower, upper); upper may be inf.
-
-    ``mass`` is the probability carried by the piece, ``mean`` its target
-    conditional mean (NaN for an empty piece). Density within the piece is
-    proportional to exp(rate * y); rate 0 means uniform.
-    """
-
-    lower: float
-    upper: float
-    mass: float
-    rate: float
-    mean: float
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.upper)
-
-    def cdf_frac(self, y: float) -> float:
-        """Fraction of the piece's mass at or below y (y inside the piece)."""
-        z = y - self.lower
-        if self.unbounded:
-            return -math.expm1(self.rate * z)
-        width = self.upper - self.lower
-        u = self.rate * width
-        if u > 50.0:
-            return (math.exp(self.rate * (z - width))
-                    * math.expm1(-self.rate * z) / math.expm1(-u))
-        return float((z / width) * _iexp(self.rate * z) / _iexp(u))
-
-    def quantile_upper(self, frac_above: float) -> float:
-        """Income level with ``frac_above`` of the piece's mass above it."""
-        if self.unbounded:
-            return self.lower + math.log(frac_above) / self.rate
-        width = self.upper - self.lower
-        # mirror: the upper tail of the tilt is the lower tail at -rate
-        return self.upper - _quantile_frac(-self.rate * width, frac_above, width)
-
-    def tail_frac(self, y: float) -> float:
-        """Fraction of the piece's mass at or above y, in a product form
-        that keeps full relative precision even for tiny tails."""
-        z = y - self.lower
-        if self.unbounded:
-            return math.exp(self.rate * z)
-        width = self.upper - self.lower
-        u = self.rate * width
-        w = width - z
-        if u > 50.0:
-            return math.expm1(-self.rate * w) / math.expm1(-u)
-        return float(math.exp(self.rate * z) * (w / width)
-                     * _iexp(self.rate * w) / _iexp(u))
-
-    def density_at(self, y: float) -> float:
-        return float(_density_at(self.lower, self.upper, self.mass, self.rate, y))
-
-    def partial_expectation_above(self, y: float) -> float:
-        """Integral of x times the piece density over [y, upper)."""
-        if y <= self.lower:
-            return self.mass * self.mean if self.mass > 0.0 else 0.0
-        z = y - self.lower
-        if self.unbounded:
-            # memoryless tail: conditional mean above y is y - 1/rate
-            return self.mass * math.exp(self.rate * z) * (y - 1.0 / self.rate)
-        if y >= self.upper:
-            return 0.0
-        w = self.upper - y
-        return float(self.mass * self.tail_frac(y)
-                     * (y + w * _mean_frac(self.rate * w)))
-
 
 @dataclass(frozen=True)
 class MaxEntDensity:
     """Piecewise-exponential maximum-entropy density over [t_K, inf).
 
-    Pieces are ordered from the top bracket down, aligned with the
-    descending-threshold bracket order. Total mass is the covered fraction
-    of the population (filers); population and the income denominator ride
-    along for share computations.
+    Piece k, one per bracket from the top down, lives on [thresholds[k],
+    thresholds[k-1]) (the top one is unbounded) with ``mass[k]``, tilt
+    ``rate[k]`` and conditional mean ``mean[k]`` (0, 0 and NaN for an empty
+    bracket). ``mass_above`` is the mass at or above each threshold, so total
+    mass is the covered fraction of the population (filers). The columns are
+    read-only. A query takes a float or an array and answers elementwise, a
+    float for a float.
     """
 
-    pieces: tuple[ExponentialPiece, ...]
     thresholds: np.ndarray
-    mass_above: np.ndarray  # mass at or above each threshold, top-down
+    mass: np.ndarray
+    rate: np.ndarray
+    mean: np.ndarray
+    mass_above: np.ndarray
     population: int
     total_income: float
 
     def __post_init__(self):
-        self.thresholds.flags.writeable = False
-        self.mass_above.flags.writeable = False
+        for column in self._columns:
+            column.flags.writeable = False
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.thresholds, self.mass, self.rate, self.mean, self.mass_above
 
     @property
     def covered_fraction(self) -> float:
         return float(self.mass_above[-1])
 
     @property
-    def total_mass(self) -> float:
-        return math.fsum(p.mass for p in self.pieces)
-
-    @property
     def support_bottom(self) -> float:
         return float(self.thresholds[-1])
 
-    def _piece_index(self, y: float) -> int:
-        """Index of the piece whose support contains y (y >= bottom)."""
-        return min(int(np.searchsorted(-self.thresholds, -y)),
-                   len(self.pieces) - 1)
+    def pdf(self, y):
+        """Density at y; 0 below the support."""
+        y = np.asarray(y, dtype=float)
+        (lower, upper, mass, rate, _, _), _, _ = _stack([self._columns])
+        k = _piece_index(self.thresholds, y)
+        value = _density_at(lower[k], upper[k], mass[k], rate[k], y)
+        return _like(y, np.where(y < self.support_bottom, 0.0, value))
 
-    def pdf(self, y: float) -> float:
-        if y < self.support_bottom:
-            return 0.0
-        return self.pieces[self._piece_index(y)].density_at(y)
-
-    def cdf(self, y: float) -> float:
+    def cdf(self, y):
         """Probability mass between the bottom threshold and y."""
-        if y < self.support_bottom:
-            raise ValueError(f"{y} lies below the support bottom "
-                             f"{self.support_bottom}")
-        k = self._piece_index(y)
-        piece = self.pieces[k]
-        below_in_piece = piece.mass * piece.cdf_frac(y) if piece.mass > 0 else 0.0
-        return self.covered_fraction - float(self.mass_above[k]) + below_in_piece
+        y = np.asarray(y, dtype=float)
+        below = y < self.support_bottom
+        if below.any():
+            raise ValueError(f"{float(y[below][0])} lies below the support "
+                             f"bottom {self.support_bottom}")
+        (lower, upper, mass, rate, _, above), _, _ = _stack([self._columns])
+        k = _piece_index(self.thresholds, y)
+        inside = mass[k] * _cdf_frac(lower[k], upper[k], rate[k], y)
+        return _like(y, self.covered_fraction - above[k] + inside)
 
-    def quantile_top(self, p: float) -> float:
+    def quantile_top(self, p):
         """Income level with upper-tail mass exactly p above it.
 
         Exact at tabulated fractions: quantile_top(p_k) is the k-th
-        threshold. Fractions above the covered mass are not served; p below
-        the top bracket's mass is served by the unbounded top piece.
+        threshold. p below the top bracket's mass is served by the unbounded
+        top piece; the first p of an array that is not positive or exceeds
+        the covered mass raises.
         """
-        if not p > 0.0:
-            raise ValueError(f"fractile must be positive, got {p}")
-        covered = self.covered_fraction
-        if p > covered:
-            raise FractileNotCoveredError(p, covered)
-        k = int(np.searchsorted(self.mass_above, p, side="left"))
-        if p == self.mass_above[k]:
-            return float(self.thresholds[k])
-        above_higher = float(self.mass_above[k - 1]) if k > 0 else 0.0
-        piece = self.pieces[k]
-        frac_above = (p - above_higher) / piece.mass
-        return piece.quantile_upper(frac_above)
+        p = np.asarray(p, dtype=float)
+        [t], [served] = _quantiles(_stack([self._columns]), p.reshape(1, -1))
+        if not served.all():
+            raise _fractile_error(p.flat[served.argmin()].item(), self.covered_fraction)
+        return _like(p, t)
 
-    def partial_expectation_above(self, y: float) -> float:
+    def partial_expectation_above(self, y):
         """Integral of x times the density over [y, inf)."""
-        k = self._piece_index(y)
-        whole = math.fsum(p.mass * p.mean for p in self.pieces[:k] if p.mass > 0)
-        return whole + self.pieces[k].partial_expectation_above(y)
+        y = np.asarray(y, dtype=float)
+        return _like(y, _partial_expectations(_stack([self._columns]),
+                                              y.reshape(1, -1)))
+
+
+def _like(x: np.ndarray, value: np.ndarray):
+    """A query's answer shaped like ``x``: a float for a 0-d ``x``."""
+    return value.item() if x.ndim == 0 else value.reshape(x.shape)
+
+
+def _stack(columns: Sequence[tuple[np.ndarray, ...]]):
+    """Several densities' columns (thresholds first) end to end as lower and
+    upper edges (inf at each top piece) and the rest, with first rows and sizes."""
+    sizes = np.array([len(c[0]) for c in columns])
+    starts = np.cumsum(sizes) - sizes
+    lower, *rest = (np.concatenate(c, dtype=float) for c in zip(*columns))
+    upper = np.append(math.inf, lower[:-1])
+    upper[starts] = math.inf
+    return (lower, upper, *rest), starts, sizes
+
+
+def _piece_index(thresholds: np.ndarray, y):
+    """Index of the piece holding y: the highest whose lower threshold is
+    at or below y; the bottom piece for y below the bottom or NaN."""
+    return np.minimum(np.searchsorted(-thresholds, -y), len(thresholds) - 1)
+
+
+@_quiet
+def _quantiles(stack, p: np.ndarray):
+    """``quantile_top`` of each stacked density at its row of an (n, m)
+    fractile array, and the mask of the fractiles it serves: positive and
+    covered. Entries off the mask are meaningless."""
+    (lower, upper, mass, rate, _, above), starts, sizes = stack
+    k = np.array([np.searchsorted(above[a:a + n], row)
+                  for a, n, row in zip(starts, sizes, p)]).reshape(p.shape)
+    i = starts[:, None] + np.minimum(k, sizes[:, None] - 1)
+    higher = np.where(k > 0, above[i - 1], 0.0)
+    inside = _quantile_upper(lower[i], upper[i], rate[i], (p - higher) / mass[i])
+    return (np.where(p == above[i], lower[i], inside),
+            (p > 0.0) & (k < sizes[:, None]))
+
+
+def _partial_expectations(stack, y: np.ndarray) -> np.ndarray:
+    """``partial_expectation_above`` of each stacked density at its row of
+    an (n, m) array of income levels: the whole pieces above y, summed
+    exactly rounded, plus the part of the piece holding y."""
+    (lower, upper, mass, rate, mean, _), starts, sizes = stack
+    i = starts[:, None] + np.array([_piece_index(lower[a:a + n], row) for a, n, row
+                                    in zip(starts, sizes, y)]).reshape(y.shape)
+    terms = np.where(mass > 0.0, mass * mean, 0.0).tolist()
+    whole = [[math.fsum(terms[a:j]) for j in row]
+             for a, row in zip(starts.tolist(), i.tolist())]
+    return whole + _partial_expectation(lower[i], upper[i], mass[i], rate[i],
+                                        mean[i], y)
+
+
+def _fractile_error(p: float, covered: float) -> ValueError:
+    """The error for a fractile that a density does not serve."""
+    if not p > 0.0:
+        return ValueError(f"fractile must be positive, got {p}")
+    return FractileNotCoveredError(p, covered)
+
+
+def _me_shares(densities: Sequence[MaxEntDensity], fractiles: Sequence[float],
+               ) -> list[list[ShareEstimate | ValueError]]:
+    """The ME estimate of every fractile on each density, or the error that
+    stops it, from one pass of the kernels over all of them."""
+    if not densities:
+        return []
+    stack = _stack([d._columns for d in densities])
+    t, served = _quantiles(stack, np.tile(np.asarray(fractiles, dtype=float),
+                                          (len(densities), 1)))
+    top = _partial_expectations(stack, t)
+    return [[ShareEstimate(fractile=p, threshold=t_p, top_income=d.population * above,
+                           share=d.population * above / d.total_income, method="ME",
+                           extrapolated=p < float(d.mass_above[0]))
+             if ok else _fractile_error(p, d.covered_fraction)
+             for p, t_p, above, ok in zip(fractiles, *cells)]
+            for d, *cells in zip(densities, t.tolist(), top.tolist(), served.tolist())]
 
 
 def _densities(stats: Sequence[CumulativeStats],
                thresholds: Sequence[np.ndarray],
                ) -> list[MaxEntDensity | MeanOnBoundaryError]:
     """The maximum-entropy density of each tabulation at its thresholds,
-    from one rate solve over the occupied brackets of all of them. A
-    tabulation with a bracket mean on its boundary gets that bracket's
-    MeanOnBoundaryError in place of a density; the others are unaffected.
-    Empty brackets become zero-mass pieces."""
+    from one rate solve over all their brackets; empty brackets become
+    zero-mass pieces. A tabulation with a bracket mean on its boundary gets
+    that bracket's MeanOnBoundaryError in place of a density, alone."""
     if not stats:
         return []
-    sizes = [len(t) for t in thresholds]
-    starts = np.cumsum([0] + sizes[:-1])
-    lower = np.concatenate(thresholds).astype(float)
-    upper = np.empty_like(lower)
-    upper[1:] = lower[:-1]
-    upper[starts] = math.inf
-    mass = np.concatenate([s.bracket_fraction for s in stats])
-    mean = np.concatenate([s.bracket_mean for s in stats])
+    (lower, upper, mass, mean), starts, sizes = _stack(
+        [(t, s.bracket_fraction, s.bracket_mean) for s, t in zip(stats, thresholds)])
     occupied = mass > 0.0
-    rate = np.zeros(len(lower))
-    failed = np.zeros(len(lower), dtype=bool)
-    rate[occupied], failed[occupied] = _solve_rates(
-        lower[occupied], upper[occupied], mean[occupied])
+    rate, failed = _solve_rates(lower, upper, mean)
+    rate, failed = np.where(occupied, rate, 0.0), failed & occupied
+    mass, mean = np.where(occupied, mass, 0.0), np.where(occupied, mean, math.nan)
 
-    columns = [a.tolist() for a in (lower, upper, np.where(occupied, mass, 0.0),
-                                    rate, np.where(occupied, mean, math.nan))]
     out: list[MaxEntDensity | MeanOnBoundaryError] = []
-    for s, start, size in zip(stats, starts.tolist(), sizes):
-        stop = start + size
-        bad = np.flatnonzero(failed[start:stop])
-        if bad.size:
-            i = start + int(bad[0])
-            out.append(_boundary_error(lower[i], upper[i], mean[i],
-                                       bracket=int(bad[0])))
-            continue
-        out.append(MaxEntDensity(
-            pieces=tuple(map(ExponentialPiece,
-                             *(c[start:stop] for c in columns))),
-            thresholds=lower[start:stop].copy(),
-            mass_above=s.top_fraction.copy(),
-            population=s.population,
-            total_income=s.total_income,
-        ))
+    for s, a, b in zip(stats, starts.tolist(), (starts + sizes).tolist()):
+        k = int(np.argmax(failed[a:b]))  # the first failed bracket, if any
+        out.append(_boundary_error(lower[a + k], upper[a + k], mean[a + k], bracket=k)
+                   if failed[a + k] else
+                   MaxEntDensity(*(c[a:b] for c in (lower, mass, rate, mean)),
+                                 s.top_fraction.copy(), s.population, s.total_income))
     return out
 
 
@@ -511,17 +523,10 @@ def build_density(stats: CumulativeStats,
 
 def me_share_from_density(density: MaxEntDensity, p: float) -> ShareEstimate:
     """Top-p share read off an already-built maximum-entropy density."""
-    t_p = density.quantile_top(p)
-    s_p = density.population * density.partial_expectation_above(t_p)
-    return ShareEstimate(
-        fractile=p,
-        threshold=t_p,
-        top_income=s_p,
-        share=s_p / density.total_income,
-        method="ME",
-        bracket=None,
-        extrapolated=p < float(density.mass_above[0]),
-    )
+    [[estimate]] = _me_shares([density], [p])
+    if isinstance(estimate, ValueError):
+        raise estimate
+    return estimate
 
 
 def estimate_share_me(tab: Tabulation, p: float) -> ShareEstimate:
@@ -542,34 +547,31 @@ def estimate_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float]
 
     This is the one estimation loop behind both the historical series and
     the accuracy protocol, so PI and ME always see identical inputs. The ME
-    densities of all tabulations come from one rate solve. The result holds
-    one list per tabulation, in order, of (p, method, outcome), where the
-    outcome is the ShareEstimate or the TopsharesError/ValueError that
-    stopped it; a failed density build stops every ME entry of its
-    tabulation and no other. Methods other than "PI" and "ME" raise
-    ValueError before any work is done.
+    densities of all tabulations come from one rate solve and all their ME
+    entries from one pass of the query kernels. The result holds one list
+    per tabulation, in order, of (p, method, outcome), where the outcome is
+    the ShareEstimate or the TopsharesError/ValueError that stopped it; a
+    failed density build stops every ME entry of its tabulation and no
+    other. Methods other than "PI" and "ME" raise ValueError first.
     """
     _check_methods(methods)
-    densities: list[MaxEntDensity | TopsharesError | None] = [None] * len(stats)
+    me: list[list] = [[None] * len(fractiles)] * len(stats)
     if "ME" in methods:
         densities = _densities(stats, [s.thresholds for s in stats])
-    out = []
-    for one, density in zip(stats, densities):
-        outcomes = []
-        for p in fractiles:
-            for method in methods:
-                try:
-                    if method == "PI":
-                        outcome = pi_share_from_stats(one, p)
-                    elif isinstance(density, TopsharesError):
-                        outcome = density
-                    else:
-                        outcome = me_share_from_density(density, p)
-                except (TopsharesError, ValueError) as err:
-                    outcome = err
-                outcomes.append((p, method, outcome))
-        out.append(outcomes)
-    return out
+        answers = iter(_me_shares([d for d in densities
+                                   if isinstance(d, MaxEntDensity)], fractiles))
+        me = [next(answers) if isinstance(d, MaxEntDensity) else [d] * len(fractiles)
+              for d in densities]
+    return [[(p, method, me_outcome if method == "ME" else _pi_outcome(one, p))
+             for p, me_outcome in zip(fractiles, me_row) for method in methods]
+            for one, me_row in zip(stats, me)]
+
+
+def _pi_outcome(stats: CumulativeStats, p: float) -> ShareEstimate | Exception:
+    try:
+        return pi_share_from_stats(stats, p)
+    except (TopsharesError, ValueError) as err:
+        return err
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +649,9 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     k+1, so the Hessian is tridiagonal and three perturbation colours
     recover it (Curtis, Powell & Reid, IMA J. Appl. Math. 1974). Each step
     makes one ``_divergence`` call on the 2 * min(3, K-1) perturbed rows
-    (6 for K >= 4), so the rate solves of the whole Hessian share one
-    batch; line-search trials are single rows. Near the optimum a Newton step can cut
-    the gradient by orders of magnitude while moving the objective by an
+    (6 for K >= 4), so the rate solves of the whole Hessian share one batch;
+    line-search trials are single rows. Near the optimum a Newton step can
+    cut the gradient by orders of magnitude while moving the objective by an
     ulp either way, so a step that leaves the objective flat at float
     resolution is accepted when it lowers the gradient. The iteration stops
     when the gradient meets ``grad_tol * (1 + |objective|)``, when no step
@@ -720,14 +722,11 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
                 hess[band, j] = combined[band]
         hess = 0.5 * (hess + hess.T)
 
-        direction = None
         try:
-            candidate = np.linalg.solve(hess, -grad)
-            if np.dot(candidate, grad) < 0:  # descent check
-                direction = candidate
+            direction = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            pass
-        if direction is None:
+            direction = grad
+        if not np.dot(direction, grad) < 0:  # descent check
             direction = -grad
 
         # backtracking line search: Armijo decrease, or a lower gradient

@@ -125,17 +125,18 @@ def test_criterion_me_moment_matching(randomized_tabulations):
         for tab in randomized_tabulations:
             stats = ts.cumulate(tab)
             density = ts.build_density(stats)
-            mass_err = abs(density.total_mass - stats.covered_fraction)
+            mass_err = abs(math.fsum(density.mass) - stats.covered_fraction)
             worst_mass = max(worst_mass, mass_err)
             assert mass_err <= 1e-10
-            for k, piece in enumerate(density.pieces):
-                assert piece.mass == float(stats.bracket_fraction[k])
-                if piece.unbounded:
-                    mean = piece.lower - 1.0 / piece.rate
+            upper = np.concatenate(([math.inf], density.thresholds[:-1]))
+            for k, lower in enumerate(density.thresholds):
+                assert density.mass[k] == float(stats.bracket_fraction[k])
+                rate = density.rate[k]
+                if math.isinf(upper[k]):
+                    mean = lower - 1.0 / rate
                 else:
-                    width = piece.upper - piece.lower
-                    mean = piece.lower + width * maxent._mean_frac(
-                        piece.rate * width)
+                    width = upper[k] - lower
+                    mean = lower + width * maxent._mean_frac(rate * width)
                 rel = abs(mean / float(stats.bracket_mean[k]) - 1.0)
                 worst_mean = max(worst_mean, rel)
                 assert rel <= 1e-10, (tab.year, k, rel)
@@ -447,8 +448,6 @@ def test_criterion_rate_zero_stability():
             for sign in (1.0, -1.0):
                 u = sign * mag
                 rate = u / width
-                piece = maxent.ExponentialPiece(lo, lo + width, q, rate,
-                                                math.nan)
 
                 # mass kernel
                 ref = float(mp_iexp(u))
@@ -469,13 +468,14 @@ def test_criterion_rate_zero_stability():
                 # piece cdf: (e^(rate z) - 1)/(e^(rate width) - 1)
                 ref = float(mpmath.expm1(mpmath.mpf(rate) * z)
                             / mpmath.expm1(mpmath.mpf(rate) * width))
-                assert abs(piece.cdf_frac(lo + z) / ref - 1) <= 1e-9
+                got = maxent._cdf_frac(lo, lo + width, rate, lo + z)
+                assert abs(got / ref - 1) <= 1e-9
                 series = (z / width) * maxent._iexp_series(rate * z) \
                     / maxent._iexp_series(u)
                 assert abs(series / ref - 1) <= 1e-9
 
                 # piece quantile: verify the inverse relation at 50 digits
-                y_star = piece.quantile_upper(frac)
+                y_star = float(maxent._quantile_upper(lo, lo + width, rate, frac))
                 zz = mpmath.mpf(y_star) - lo
                 upper_mass = ((mpmath.expm1(mpmath.mpf(rate) * width)
                                - mpmath.expm1(mpmath.mpf(rate) * zz))
@@ -493,7 +493,8 @@ def test_criterion_rate_zero_stability():
                 ref_pe = float(q * (anti(hi_mp) - anti(mpmath.mpf(lo) + z))
                                / (mpmath.exp(r_mp * hi_mp)
                                   - mpmath.exp(r_mp * mpmath.mpf(lo))))
-                got = piece.partial_expectation_above(lo + z)
+                got = maxent._partial_expectation(lo, lo + width, q, rate,
+                                                  math.nan, lo + z)
                 assert abs(got / ref_pe - 1) <= 1e-9
                 w_up = width - z
                 series_pe = q * (1 - series) * (

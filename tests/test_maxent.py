@@ -307,6 +307,13 @@ class TestSolveRate:
         assert all(b < a for a, b in zip(derivs, derivs[1:]))
 
 
+def piece_columns(density, k):
+    """lower, upper, mass, rate and mean of piece k of a density."""
+    upper = math.inf if k == 0 else float(density.thresholds[k - 1])
+    return (float(density.thresholds[k]), upper, float(density.mass[k]),
+            float(density.rate[k]), float(density.mean[k]))
+
+
 def histogram_tab():
     # both bracket means at midpoints: the density is a two-step histogram
     return ts.Tabulation(
@@ -323,21 +330,23 @@ class TestBuildDensity:
                               ts.IncomeBracket(50.0, 10, 10 * 55.0)),
             population=100, total_income=5000.0)
         d = build_density(ts.cumulate(tab))
-        assert d.pieces[1].rate == 0.0
-        assert d.pieces[2].rate == 0.0
-        assert d.pieces[1].density_at(70.0) == pytest.approx(0.3 / 40.0)
+        assert d.rate[1] == 0.0
+        assert d.rate[2] == 0.0
+        assert maxent._density_at(*piece_columns(d, 1)[:4], 70.0) == \
+            pytest.approx(0.3 / 40.0)
 
     def test_table_1920_moment_matching(self, table_1920):
         stats = ts.cumulate(table_1920)
         d = build_density(stats)
-        assert d.total_mass == pytest.approx(stats.covered_fraction, rel=1e-12)
-        for k, piece in enumerate(d.pieces):
-            assert piece.mass == pytest.approx(float(stats.bracket_fraction[k]))
-            if piece.unbounded:
-                mean = piece.lower - 1.0 / piece.rate
+        assert math.fsum(d.mass) == pytest.approx(stats.covered_fraction, rel=1e-12)
+        for k in range(len(d.thresholds)):
+            lower, upper, mass, rate, _ = piece_columns(d, k)
+            assert mass == pytest.approx(float(stats.bracket_fraction[k]))
+            if math.isinf(upper):
+                mean = lower - 1.0 / rate
             else:
-                w = piece.upper - piece.lower
-                mean = piece.lower + w * maxent._mean_frac(piece.rate * w)
+                w = upper - lower
+                mean = lower + w * maxent._mean_frac(rate * w)
             assert mean == pytest.approx(float(stats.bracket_mean[k]), rel=1e-10)
 
     def test_exponential_sample_recovers_common_rate(self):
@@ -350,7 +359,7 @@ class TestBuildDensity:
         sample = mb.MicroSample.from_incomes(incomes)
         thresholds = [5.0, 3.0, 1.8, 0.9, 0.3]
         d = build_density(ts.cumulate(mb.tabulate(sample, thresholds)))
-        rates = [p.rate for p in d.pieces]
+        rates = list(d.rate)
         assert all(abs(r / -1.0 - 1.0) < 0.01 for r in rates)
 
     def test_boundary_mean_propagates_bracket_index(self):
@@ -375,7 +384,7 @@ class TestBuildDensity:
             population=100, total_income=5000.0)
         stats = ts.cumulate(tab)
         d = build_density(stats)
-        assert d.pieces[1].mass == 0.0
+        assert d.mass[1] == 0.0
         assert d.pdf(90.0) == 0.0
         # queries stay consistent around the empty stripe
         assert d.quantile_top(float(stats.top_fraction[0])) == 100.0
@@ -456,24 +465,25 @@ class TestDistributionQueries:
 
     def test_tail_frac_complements_cdf_frac(self, table_1920):
         d = build_density(ts.cumulate(table_1920))
-        for piece in d.pieces:
-            if piece.mass == 0.0:
+        for k in range(len(d.thresholds)):
+            lower, upper, mass, rate, _ = piece_columns(d, k)
+            if mass == 0.0:
                 continue
-            top = piece.lower + 3.0 if piece.unbounded else piece.upper
+            top = lower + 3.0 if math.isinf(upper) else upper
             for s in (0.1, 0.5, 0.9):
-                y = piece.lower + s * (top - piece.lower)
-                assert piece.tail_frac(y) + piece.cdf_frac(y) == \
+                y = lower + s * (top - lower)
+                assert (maxent._tail_frac(lower, upper, rate, y)
+                        + maxent._cdf_frac(lower, upper, rate, y)) == \
                     pytest.approx(1.0, abs=1e-12)
 
     def test_tail_frac_keeps_relative_precision_for_tiny_tails(self):
         mpmath.mp.dps = 50
         for rate in (2.5, -2.5, 40.0):
-            piece = maxent.ExponentialPiece(1.0, 3.0, 0.4, rate, math.nan)
             y = 3.0 - 1e-9  # tail mass around 1e-9 of the piece
             lam = mpmath.mpf(rate)
             ref = float((mpmath.exp(lam * 3) - mpmath.exp(lam * y))
                         / (mpmath.exp(lam * 3) - mpmath.exp(lam * 1)))
-            assert piece.tail_frac(y) == pytest.approx(ref, rel=1e-9)
+            assert maxent._tail_frac(1.0, 3.0, rate, y) == pytest.approx(ref, rel=1e-9)
 
     def test_partial_expectation_matches_quadrature(self, table_1920):
         d = build_density(ts.cumulate(table_1920))
@@ -483,9 +493,9 @@ class TestDistributionQueries:
             inner, _ = integrate.quad(lambda x: x * d.pdf(x), y, top,
                                       points=[t for t in points if y <= t],
                                       limit=200)
-            piece = d.pieces[0]
+            lower, _, mass, rate, _ = piece_columns(d, 0)
             # analytic unbounded-tail remainder above the top threshold
-            tail = piece.mass * (piece.lower - 1.0 / piece.rate) if y <= top else 0.0
+            tail = mass * (lower - 1.0 / rate) if y <= top else 0.0
             oracle = inner + tail
             assert d.partial_expectation_above(y) == pytest.approx(oracle, rel=1e-9)
 
@@ -530,20 +540,19 @@ class TestRateZeroContinuity:
         lo, width, q = 10.0, 4.0, 0.25
         for u in (1e-12, -1e-12, 1e-9, -1e-9):
             rate = u / width
-            tilted = maxent.ExponentialPiece(lo, lo + width, q, rate, math.nan)
-            flat = maxent.ExponentialPiece(lo, lo + width, q, 0.0, math.nan)
+            hi = lo + width
             for y in (10.5, 12.0, 13.9):
-                assert tilted.cdf_frac(y) == pytest.approx(
-                    flat.cdf_frac(y), rel=1e-9)
-                assert tilted.density_at(y) == pytest.approx(
-                    flat.density_at(y), rel=1e-9)
+                assert maxent._cdf_frac(lo, hi, rate, y) == pytest.approx(
+                    maxent._cdf_frac(lo, hi, 0.0, y), rel=1e-9)
+                assert maxent._density_at(lo, hi, q, rate, y) == pytest.approx(
+                    maxent._density_at(lo, hi, q, 0.0, y), rel=1e-9)
             for frac in (0.1, 0.5, 0.9):
-                assert tilted.quantile_upper(frac) == pytest.approx(
-                    flat.quantile_upper(frac), rel=1e-9)
+                assert maxent._quantile_upper(lo, hi, rate, frac) == pytest.approx(
+                    maxent._quantile_upper(lo, hi, 0.0, frac), rel=1e-9)
             for y in (10.5, 12.0, 13.9):
-                t_val = tilted.mass * (1 - tilted.cdf_frac(y)) * (
+                t_val = q * (1 - maxent._cdf_frac(lo, hi, rate, y)) * (
                     y + (lo + width - y) * maxent._mean_frac(rate * (lo + width - y)))
-                f_val = flat.mass * (1 - flat.cdf_frac(y)) * (
+                f_val = q * (1 - maxent._cdf_frac(lo, hi, 0.0, y)) * (
                     y + 0.5 * (lo + width - y))
                 assert t_val == pytest.approx(f_val, rel=1e-9)
 
@@ -580,8 +589,9 @@ class TestRecoverThresholds:
         d = build_density(stats, sol.thresholds)
         for k in range(2):
             b = float(sol.thresholds[k])
-            jump = d.pieces[k].density_at(b) - d.pieces[k + 1].density_at(b)
-            assert abs(jump) < 1e-8 * d.pieces[k].density_at(b)
+            above = maxent._density_at(*piece_columns(d, k)[:4], b)
+            jump = above - maxent._density_at(*piece_columns(d, k + 1)[:4], b)
+            assert abs(jump) < 1e-8 * above
 
     def test_fixed_point_returns_optimum_unchanged(self):
         t_true = np.array([6.0, 3.0, 2.0, 1.0])
@@ -823,8 +833,8 @@ def test_stacked_divergence_rows_equal_one_row_calls(k):
 
 
 def piece_bits(density) -> bytes:
-    return np.array([[p.lower, p.upper, p.mass, p.rate, p.mean]
-                     for p in density.pieces]).tobytes()
+    return np.array([density.thresholds, density.mass, density.rate,
+                     density.mean]).tobytes()
 
 
 def test_stacked_density_build_matches_each_year_alone(table_1920):
@@ -853,6 +863,107 @@ def test_stacked_density_build_matches_each_year_alone(table_1920):
             [(p, m, repr(o)) for p, m, o in alone]
 
 
+def batch_of_years(table_1920):
+    """The 41 tabulations of test_stacked_density_build_matches_each_year_alone,
+    a year with a mean on its bracket boundary (index 20) and one with an
+    empty middle bracket (last)."""
+    rng = np.random.default_rng(23)
+    stats = [ts.cumulate(table_1920)]
+    stats += [ts.cumulate(random_tabulation(rng)) for _ in range(40)]
+    stats.insert(20, stats_from_masses([0.2, 0.3], [5.0, 2.0], thresholds=[4.0, 2.0]))
+    stats.append(ts.cumulate(ts.Tabulation(
+        year=1, brackets=(ts.IncomeBracket(100.0, 10, 10 * 150.0),
+                          ts.IncomeBracket(80.0, 0, 0.0),
+                          ts.IncomeBracket(50.0, 30, 30 * 70.0)),
+        population=100, total_income=5000.0)))
+    return stats
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_batched_me_cells_equal_scalar_queries(table_1920):
+    # one estimate_shares call answers every ME cell of every year as the
+    # year's density answers it one scalar query at a time, errors included
+    stats = batch_of_years(table_1920)
+    fractiles = [0.5, 0.1, 0.01, 1e-5, 1e-12, 0.0, -0.1, math.nan, 1.5]
+    fractiles += [float(s.top_fraction[-1]) for s in stats]  # p == covered
+    for s in stats[::8]:
+        f = s.top_fraction
+        fractiles += [float(p) for p in f]  # tabulated fractions
+        fractiles += [float(p) for p in (f[1:] + f[:-1]) / 2]  # between them
+        fractiles += [float(f[-1]) * (1 + 1e-9)]  # just above covered
+    outcomes = maxent.estimate_shares(stats, fractiles, ("ME",))
+    counts = {"estimate": 0, "uncovered": 0, "not positive": 0}
+    for i, (one, year) in enumerate(zip(stats, outcomes)):
+        assert [(p, m) for p, m, _ in year] == [(p, "ME") for p in fractiles]
+        if i == 20:
+            with pytest.raises(MeanOnBoundaryError) as err:
+                build_density(one)
+            assert {(type(o), str(o)) for _, _, o in year} == \
+                {(MeanOnBoundaryError, str(err.value))}
+            continue
+        density = build_density(one)
+        for p, _, est in year:
+            try:
+                t = density.quantile_top(p)
+                top = density.population * density.partial_expectation_above(t)
+                alone = maxent.me_share_from_density(density, p)
+            except ValueError as err:
+                assert type(est) is type(err) and str(est) == str(err), (i, p)
+                if isinstance(err, FractileNotCoveredError):
+                    assert (err.fractile, err.covered) == (p, density.covered_fraction)
+                    counts["uncovered"] += 1
+                else:
+                    assert str(err) == f"fractile must be positive, got {p}"
+                    counts["not positive"] += 1
+                continue
+            assert isinstance(est, ts.ShareEstimate), (i, p, est)
+            assert repr(est) == repr(alone)
+            assert all(type(v) is float for v in (est.threshold, est.top_income,
+                                                   est.share))
+            assert same_bits(est.threshold, t) and same_bits(est.top_income, top)
+            assert same_bits(est.share, top / density.total_income)
+            counts["estimate"] += 1
+    assert min(counts.values()) > 0, counts
+
+
+def test_array_queries_equal_scalar_queries(table_1920):
+    # each density query answers an array elementwise, bit for bit, in the
+    # input's shape; the first input a scalar call rejects raises the same
+    rng = np.random.default_rng(5)
+    years = batch_of_years(table_1920)
+    del years[20]  # the boundary-mean year has no density
+    for one in years:
+        density = build_density(one)
+        t = density.thresholds
+        ys = np.concatenate((t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                             rng.uniform(t[-1], 2 * t[0], 23), [4 * t[0], 1e300]))
+        ys = ys[ys >= t[-1]]
+        ps = np.concatenate((density.mass_above, rng.uniform(0, 1, 24)
+                             * density.covered_fraction, [1e-300]))
+        for query, xs in ((density.pdf, ys), (density.cdf, ys),
+                          (density.partial_expectation_above, ys),
+                          (density.quantile_top, ps)):
+            xs = xs[: len(xs) // 2 * 2]
+            scalar = np.array([query(float(x)) for x in xs])
+            assert all(type(query(float(x))) is float for x in xs[:3])
+            assert query(xs).tobytes() == scalar.tobytes(), query
+            assert query(xs.reshape(2, -1)).tobytes() == scalar.tobytes()
+            assert query(xs.reshape(2, -1)).shape == (2, len(xs) // 2)
+        assert density.pdf(np.array([t[-1] - 1.0, -np.inf])).tolist() == [0.0, 0.0]
+        covered = density.covered_fraction
+        for query, ok, bad in ((density.cdf, t[0], t[-1] - 1.0),
+                               (density.quantile_top, covered, 0.0),
+                               (density.quantile_top, covered, 2 * covered)):
+            with pytest.raises(ValueError) as alone:
+                query(float(bad))
+            with pytest.raises(type(alone.value)) as batched:
+                query(np.array([ok, bad, bad / 3]))
+            assert str(batched.value) == str(alone.value)
+
+
 def piece_by_interval(thresholds, y) -> int:
     """The piece [t_k, t_{k-1}) holding y: the highest whose lower threshold
     is at or below y; the bottom piece when none is (y below the bottom or
@@ -875,7 +986,7 @@ def test_piece_index_matches_interval_definition():
                        math.nextafter(edge, math.inf)]
         probes += list(rng.uniform(t[-1] / 2, 2 * t[0], 20))
         for y in probes:
-            assert density._piece_index(y) == piece_by_interval(t, y), (t, y)
+            assert maxent._piece_index(t, y) == piece_by_interval(t, y), (t, y)
 
 
 @st.composite
@@ -924,3 +1035,54 @@ def test_every_accepted_tabulation_gives_a_finite_share_or_a_typed_error(tab):
         else:
             assert all(map(math.isfinite, (est.share, est.threshold,
                                            est.top_income))), (p, method, est)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tab=accepted_tabulations())
+def test_both_methods_exact_at_tabulated_fractions(tab):
+    # at a tabulated fraction p_k the ME threshold is the k-th threshold
+    # exactly (the first k when empty brackets repeat p_k), and both methods
+    # reproduce the tabulated income above it
+    stats = ts.cumulate(tab)
+    fractions = [float(p) for p in stats.top_fraction]
+    [outcomes] = maxent.estimate_shares([stats], fractions)
+    for p, method, est in outcomes:
+        if isinstance(est, Exception):
+            continue
+        k = fractions.index(p)
+        if method == "ME":
+            assert est.threshold == float(stats.thresholds[k]), (k, est)
+        exact = float(stats.income_above[k]) / stats.total_income
+        assert est.share == pytest.approx(exact, rel=1e-10), (k, method, est)
+
+
+@pytest.mark.parametrize("u", [80.0, -80.0, 700.0, -700.0])
+def test_steep_piece_kernels_against_mpmath(u):
+    # |u| = |rate * width| > 50: the steep forms of the cdf and tail
+    # fractions (u > 50) and of the quantile (its mirror at u < -50),
+    # against 50-digit evaluation of the raw closed forms
+    mpmath.mp.dps = 50
+    lo, width, q = 2.0, 1.5, 0.3
+    hi = lo + width
+    rate = u / width
+    r, lo_mp, hi_mp = mpmath.mpf(rate), mpmath.mpf(lo), mpmath.mpf(hi)
+    scale = mpmath.exp(r * hi_mp) - mpmath.exp(r * lo_mp)
+
+    def mass_between(a, b):  # fraction of the piece's mass on [a, b]
+        return (mpmath.exp(r * mpmath.mpf(b)) - mpmath.exp(r * mpmath.mpf(a))) / scale
+
+    def anti(x):  # antiderivative of x e^(rate x), times rate
+        return mpmath.exp(r * x) * (x - 1 / r)
+
+    for s in (0.1, 0.4, 0.9):
+        y = lo + s * width
+        for got, ref in ((maxent._cdf_frac(lo, hi, rate, y), mass_between(lo, y)),
+                         (maxent._tail_frac(lo, hi, rate, y), mass_between(y, hi))):
+            assert abs(got / float(ref) - 1) <= 1e-9, (s, got, ref)
+        ref_pe = q * (anti(hi_mp) - anti(mpmath.mpf(y))) / scale
+        got = maxent._partial_expectation(lo, hi, q, rate, math.nan, y)
+        assert abs(got / float(ref_pe) - 1) <= 1e-9, (s, got, ref_pe)
+    for frac in (0.9, 0.35, 1e-3):
+        y_star = float(maxent._quantile_upper(lo, hi, rate, frac))
+        assert lo <= y_star <= hi
+        assert abs(float(mass_between(y_star, hi)) / frac - 1) <= 1e-9, (frac, y_star)
