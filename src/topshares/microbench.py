@@ -98,7 +98,8 @@ class MicroSample:
         return cls(incomes, np.ones(len(incomes), dtype=np.int64),
                    nonfiler_count, total_income)
 
-    @property
+    # the arrays are read-only, so each total is computed once
+    @cached_property
     def filer_count(self) -> int:
         return int(self.weights.sum())
 
@@ -106,7 +107,7 @@ class MicroSample:
     def population(self) -> int:
         return self.filer_count + self.nonfiler_count
 
-    @property
+    @cached_property
     def total_income(self) -> float:
         if self.total_income_override is not None:
             return float(self.total_income_override)
@@ -118,11 +119,20 @@ class MicroSample:
         the exact weight total of the rows above each rank (0 first, the filer
         count last) and the weighted income of the i lowest rows at index i,
         summed bottom-up (0.0 first). Read-only."""
-        order = np.argsort(self.incomes)[::-1]
-        incomes, weights = self.incomes[order], self.weights[order]
-        below = np.cumsum(incomes[::-1] * weights[::-1])
-        ranked = (incomes, weights, np.concatenate(([0], np.cumsum(weights))),
-                  np.concatenate(([0.0], below)))
+        n = len(self.incomes)
+        if self.filer_count == n:
+            # weights are at least 1, so every one is 1: tied incomes are
+            # equal floats, sorting the values alone gives the same arrays,
+            # and x * 1 is exact
+            ascending = np.sort(self.incomes)
+            incomes, weights = ascending[::-1], self.weights
+            above, below = np.arange(n + 1, dtype=np.int64), np.cumsum(ascending)
+        else:
+            order = np.argsort(self.incomes)[::-1]
+            incomes, weights = self.incomes[order], self.weights[order]
+            above = np.concatenate(([0], np.cumsum(weights)))
+            below = np.cumsum(incomes[::-1] * weights[::-1])
+        ranked = (incomes, weights, above, np.concatenate(([0.0], below)))
         for array in ranked:
             array.flags.writeable = False
         return ranked
@@ -205,7 +215,9 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     incomes, _, above, _ = sample._ranked
     ranks = np.clip(np.round(fractions * sample.population), 2.0, above[-1])
     rows = np.searchsorted(above, ranks, side="left") - 1
-    return np.unique(incomes[rows])[::-1]
+    # + 0.0 turns -0.0 into 0.0, so the ladder does not depend on which of
+    # two tied zeros the sort put last
+    return np.unique(incomes[rows])[::-1] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +372,11 @@ class MixtureDist:
             raise ValueError("mixture weights must sum to 1")
 
     def draw(self, u_component: np.ndarray, u_value: np.ndarray) -> np.ndarray:
-        cuts = np.cumsum(self.weights)
-        which = np.searchsorted(cuts, u_component, side="right")
-        which = np.minimum(which, len(self.components) - 1)
+        # the component's index is the number of cuts at or below u, the
+        # last cut (the weights' total, about 1) left out
+        which = np.zeros(u_component.shape, dtype=np.intp)
+        for cut in np.cumsum(self.weights)[:-1]:
+            which += u_component >= cut
         out = np.empty_like(u_value)
         for i, comp in enumerate(self.components):
             mask = which == i

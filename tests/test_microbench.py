@@ -221,6 +221,25 @@ class TestGenerate:
         sample = mb.generate(dist, 20_000, seed=2)
         assert (sample.incomes >= 10.0).mean() == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (0.2, 0.5, 0.3)])
+    def test_mixture_draw_matches_searchsorted_reference(self, weights):
+        # the component is picked by comparisons against the inner cuts; the
+        # reference picks it by binary search, clipped to the last component
+        components = (mb.ParetoDist(2.0, 1.0), mb.ParetoDist(3.0, 10.0),
+                      mb.LognormalDist(5.0, 0.5))[:len(weights)]
+        dist = mb.MixtureDist(weights, components)
+        cuts = np.cumsum(weights)
+        rng = np.random.default_rng(12)
+        u_component = np.concatenate([[0.0, 1.0], cuts, np.nextafter(cuts, 0.0),
+                                      np.nextafter(cuts, 1.0), rng.random(3000)])
+        u_value = rng.random(len(u_component))
+        which = np.minimum(np.searchsorted(cuts, u_component, side="right"),
+                           len(components) - 1)
+        want = np.empty_like(u_value)
+        for i, component in enumerate(components):
+            want[which == i] = component.quantile(u_value[which == i])
+        assert dist.draw(u_component, u_value).tobytes() == want.tobytes()
+
     def test_heavy_tail_flagged_not_forbidden(self):
         with pytest.warns(UserWarning, match="infinite mean"):
             mb.ParetoDist(exponent=1.0)
@@ -239,6 +258,12 @@ class TestGenerate:
                               components=(mb.ParetoDist(2.5, 2.0),
                                           mb.LognormalDist(1.0, 0.7)))
         assert mb.dist_from_dict(dist.to_dict()) == dist
+
+
+def _tied_weighted(n):
+    """n rows of tied whole incomes with weights 1 to 9, plus non-filers."""
+    return mb.MicroSample(np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997),
+                          np.arange(n) % 9 + 1, nonfiler_count=500)
 
 
 class TestProtocol:
@@ -289,26 +314,34 @@ class TestProtocol:
         assert coarse.trials_ok == 5
 
     def test_each_sample_sorted_once(self, monkeypatch):
-        # the oracle, the threshold ladder and the tabulation share one sort
+        # the oracle, the threshold ladder and the tabulation share one sort:
+        # of the values alone for unit weights, of an order for weighted rows
+        n = 4000
         sorts = []
-        argsort = np.argsort
 
-        def counted(*args, **kwargs):
-            sorts.append(args)
-            return argsort(*args, **kwargs)
-        monkeypatch.setattr(np, "argsort", counted)
-        weighted = mb.MicroSample(np.floor(np.arange(1.0, 4001.0) ** 1.3 % 997),
-                                  np.arange(4000) % 9 + 1, nonfiler_count=500)
-        for sample, scheme in ((mb.generate(mb.ParetoDist(2.0), 5000, seed=4),
-                                "geometric"), (weighted, "equal_mass")):
+        def counting(name):
+            sort = getattr(np, name)
+
+            def counted(a, *args, **kwargs):
+                if np.shape(a)[-1:] == (n,):
+                    sorts.append(name)
+                return sort(a, *args, **kwargs)
+            return counted
+        for name in ("sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, counting(name))
+        for sample, scheme, kind in (
+                (mb.generate(mb.ParetoDist(2.0), n, seed=4), "geometric", "sort"),
+                (_tied_weighted(n), "equal_mass", "argsort")):
             sorts.clear()
             mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001),
                                scheme=scheme)
-            assert len(sorts) == 1
+            assert sorts == [kind]
 
     def test_prefix_sums_computed_once_per_sample(self, monkeypatch):
         # the ranking's weight total and bottom-up income prefix serve every
-        # class count: two sample-length running sums, however many K
+        # class count, however many K: a unit-weight sample's weight totals
+        # are its ranks, so it needs one sample-length running sum, a
+        # weighted one two
         n = 5000
         sums = []
         cumsum = np.cumsum
@@ -318,14 +351,60 @@ class TestProtocol:
                 sums.append(a)
             return cumsum(a, *args, **kwargs)
         monkeypatch.setattr(np, "cumsum", counted)
-        weighted = mb.MicroSample(np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997),
-                                  np.arange(n) % 9 + 1, nonfiler_count=500)
-        for sample, scheme in ((mb.generate(mb.ParetoDist(2.0), n, seed=4),
-                                "geometric"), (weighted, "equal_mass")):
+        for sample, scheme, running in (
+                (mb.generate(mb.ParetoDist(2.0), n, seed=4), "geometric", 1),
+                (_tied_weighted(n), "equal_mass", 2)):
             sums.clear()
             mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001),
                                scheme=scheme)
-            assert len(sums) == 2
+            assert len(sums) == running
+
+    def test_totals_computed_once_per_sample(self, monkeypatch):
+        # the filer count and the income total are cached on the sample:
+        # one weight sum and one sample-length dot product, however many K
+        # and fractiles read them
+        n = 5000
+        calls = []
+        dot = np.dot
+
+        def counted_dot(a, b, *args, **kwargs):
+            if np.size(a) == n:
+                calls.append("dot")
+            return dot(a, b, *args, **kwargs)
+        monkeypatch.setattr(np, "dot", counted_dot)
+
+        class CountedSums(np.ndarray):
+            def sum(self, *args, **kwargs):
+                if self.size == n:
+                    calls.append("sum")
+                return super().sum(*args, **kwargs)
+        for sample in (mb.generate(mb.ParetoDist(2.0), n, seed=4),
+                       _tied_weighted(n)):
+            # the sample is frozen; swap in weights that count their sums
+            object.__setattr__(sample, "weights", sample.weights.view(CountedSums))
+            calls.clear()
+            mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001))
+            assert sorted(calls) == ["dot", "sum"]
+
+    def test_zero_threshold_has_positive_sign(self):
+        # 0.0 and -0.0 are both accepted incomes and tie in a sort; the
+        # ladder must not depend on which of them the sort put last
+        rng = np.random.default_rng(17)
+        n = 60
+        for _ in range(30):
+            incomes = rng.integers(0, 5, n).astype(float)
+            incomes[:6] = 0.0
+            signed = incomes.copy()
+            signed[(incomes == 0.0) & (rng.random(n) < 0.5)] = -0.0
+            weights = rng.integers(1, 4, n)
+            for make in (mb.MicroSample.from_incomes,
+                         lambda x: mb.MicroSample(x, weights)):
+                sample, plain = make(signed), make(incomes)
+                for k in (3, 5, 8):
+                    got = mb.quantile_thresholds(sample, k, top_fraction=0.05)
+                    want = mb.quantile_thresholds(plain, k, top_fraction=0.05)
+                    assert got.tobytes() == want.tobytes()
+                    assert got[-1] == 0.0 and not np.signbit(got).any()
 
     def test_failures_recorded_not_raised(self):
         # fractile below one unit of the population cannot be scored, but
@@ -356,6 +435,71 @@ class TestProtocol:
                                 trials=2, seed=77)
         again = mb.BenchmarkSpec.from_json(json.dumps(spec.to_dict()))
         assert again == spec
+
+
+# ---------------------------------------------------------------------------
+# unit-weight ranking (one value sort) against the argsort reference
+# ---------------------------------------------------------------------------
+
+def _argsort_ranking(sample):
+    """``MicroSample._ranked`` by the general path: an argsort, then the
+    incomes and weights gathered in that order."""
+    order = np.argsort(sample.incomes)[::-1]
+    incomes, weights = sample.incomes[order], sample.weights[order]
+    return (incomes, weights, np.concatenate(([0], np.cumsum(weights))),
+            np.concatenate(([0.0], np.cumsum(incomes[::-1] * weights[::-1]))))
+
+
+def _result(call, *args, **kwargs):
+    """A call's result as exact text (repr round-trips floats), or its error."""
+    try:
+        result = call(*args, **kwargs)
+    except Exception as err:  # compared, not hidden
+        return ("raised", type(err), str(err))
+    if isinstance(result, np.ndarray):
+        return (result.dtype, result.tobytes())
+    return repr(result)
+
+
+@st.composite
+def unit_weight_samples(draw):
+    """Tied whole-currency incomes, scaled so that some running sums round,
+    as a MicroSample with unit weights (with non-filers and an income total
+    override) or as a loaded CSV."""
+    units = draw(st.lists(st.integers(0, 60), min_size=20, max_size=120))
+    if not any(units):
+        units[0] = 1
+    x = np.array(units, dtype=float) * draw(st.sampled_from([1.0, 0.37, 3.1e14]))
+    if draw(st.booleans()):
+        return mb.load_micro_csv("income,weight\n" + "".join(
+            f"{income!r},1\n" for income in x.tolist()))
+    override = draw(st.none() | st.floats(1.0, 3.0).map(lambda f: f * x.sum()))
+    return mb.MicroSample(x, np.ones(len(x), dtype=np.int64),
+                          nonfiler_count=draw(st.integers(0, 40)),
+                          total_income_override=override)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(unit_weight_samples())
+def test_unit_weight_ranking_matches_argsort_reference(sample):
+    ranked = sample._ranked
+    assert ranked[1] is sample.weights  # ranked by the values alone
+    reference = mb.MicroSample(sample.incomes, sample.weights,
+                               sample.nonfiler_count, sample.total_income_override)
+    reference.__dict__["_ranked"] = _argsort_ranking(reference)
+    for got, want in zip(ranked, reference._ranked):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for p in (1.0, 0.5, 0.25, 0.1):
+        assert _result(mb.oracle_share, sample, p) == \
+            _result(mb.oracle_share, reference, p)
+    for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
+        ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
+        assert _result(mb.quantile_thresholds, sample, k, 0.05, scheme) == \
+            _result(mb.quantile_thresholds, reference, k, 0.05, scheme)
+        assert _result(mb.tabulate, sample, ladder) == \
+            _result(mb.tabulate, reference, ladder)
+    assert _result(mb.evaluate_sample, sample, (3, 6), (0.5, 0.1), top_fraction=0.05) \
+        == _result(mb.evaluate_sample, reference, (3, 6), (0.5, 0.1), top_fraction=0.05)
 
 
 class TestMicroCSV:
