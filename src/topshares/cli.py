@@ -23,7 +23,7 @@ import sys
 
 from . import maxent, microbench
 from .errors import FractileNotCoveredError, ParseError
-from .tabulation import cumulate, parse_denominators, parse_tabulations
+from .tabulation import _cumulate, _read_series, parse_denominators
 
 DEFAULT_FRACTILES = (0.10, 0.05, 0.01, 0.005, 0.001, 0.0001)
 
@@ -55,7 +55,7 @@ def _load_inputs(args):
     with open(args.denominators, "r", encoding="utf-8") as fh:
         denominators = parse_denominators(fh)
     with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_tabulations(fh, denominators)
+        return _read_series(fh, denominators)
 
 
 def _emit(args, meta, **tables) -> None:
@@ -96,26 +96,23 @@ DIAGNOSTIC_FIELDS = ["year", "classes", "fractile", "selected_fraction",
                      "distance_pp", "bracket", "threshold", "status"]
 
 
-def _year_outcomes(tabs, fractiles, methods):
-    """(tab, stats, p, method, outcome) per year, as ``estimate_shares`` gives
-    them for all years at once; a year that cumulate rejects (an empty top
-    bracket, say) has stats None and that error as every outcome."""
-    cumulated = []
-    for tab in tabs:
-        try:
-            cumulated.append(cumulate(tab))
-        except ValueError as err:
-            cumulated.append(err)
+def _year_outcomes(series, fractiles, methods):
+    """(year, classes, stats, p, method, outcome) per year, as
+    ``estimate_shares`` gives them for all years at once; a year that
+    cumulate rejects (an empty top bracket, say) has stats None and that
+    error as every outcome."""
+    sizes, *_, denominators = series
+    cumulated = _cumulate(series)
     estimates = iter(maxent.estimate_shares(
         [s for s in cumulated if not isinstance(s, ValueError)], fractiles, methods))
-    for tab, stats in zip(tabs, cumulated):
+    for d, classes, stats in zip(denominators, sizes.tolist(), cumulated):
         if isinstance(stats, ValueError):
             outcomes = [(p, method, stats) for p in fractiles for method in methods]
             stats = None
         else:
             outcomes = next(estimates)
         for p, method, est in outcomes:
-            yield tab, stats, p, method, est
+            yield d.year, classes, stats, p, method, est
 
 
 def _exit_status(rows) -> int:
@@ -127,10 +124,10 @@ def cmd_estimate(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     methods = {"pi": ("PI",), "me": ("ME",), "both": ("PI", "ME")}[args.method]
     rows = []
-    for tab, _, p, method, est in _year_outcomes(_load_inputs(args), fractiles,
-                                                 methods):
+    for year, _, _, p, method, est in _year_outcomes(_load_inputs(args), fractiles,
+                                                     methods):
         row = dict.fromkeys(ESTIMATE_FIELDS, "")
-        row.update(year=tab.year, fractile=repr(p), method=method,
+        row.update(year=year, fractile=repr(p), method=method,
                    share_pct=MARKER)
         if isinstance(est, Exception):
             row["status"] = _status(est)
@@ -150,16 +147,12 @@ def cmd_estimate(args) -> int:
     meta = {"command": "estimate", "fractiles": fractiles,
             "methods": list(methods)}
     if args.layout == "appendix":
+        # rows come year by year, fractile-major: one wide row per method
         headers = [_fractile_header(p) for p in fractiles]
-        share = {(r["year"], r["method"], r["fractile"]): r["share_pct"]
-                 for r in rows}
-        wide = []
-        for year in sorted({r["year"] for r in rows}):
-            for method in methods:
-                wrow = {"Year": year, "method": method}
-                for p, header in zip(fractiles, headers):
-                    wrow[header] = share.get((year, method, repr(p)), MARKER)
-                wide.append(wrow)
+        m, n = len(methods), len(fractiles) * len(methods)
+        wide = [{"Year": rows[i]["year"], "method": method, **dict(zip(
+                    headers, (r["share_pct"] for r in rows[i + k:i + n:m])))}
+                for i in range(0, len(rows), n) for k, method in enumerate(methods)]
         _emit(args, meta, rows=(["Year", "method", *headers], wide))
     else:
         _emit(args, meta, rows=(ESTIMATE_FIELDS, rows))
@@ -170,10 +163,10 @@ def cmd_diagnostics(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     rows = []
     # PI's reference bracket is the class whose top fraction is nearest p
-    for tab, stats, p, _, est in _year_outcomes(_load_inputs(args), fractiles,
-                                                ("PI",)):
+    for year, classes, stats, p, _, est in _year_outcomes(_load_inputs(args),
+                                                          fractiles, ("PI",)):
         row = dict.fromkeys(DIAGNOSTIC_FIELDS, "")
-        row.update(year=tab.year, classes=tab.num_brackets, fractile=repr(p),
+        row.update(year=year, classes=classes, fractile=repr(p),
                    status="ok")
         if isinstance(est, Exception):
             row["status"] = _status(est)

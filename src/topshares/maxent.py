@@ -35,9 +35,8 @@ from .errors import (
     FractileNotCoveredError,
     InfeasibleOrderingError,
     MeanOnBoundaryError,
-    TopsharesError,
 )
-from .pareto import ShareEstimate, pi_share_from_stats
+from .pareto import ShareEstimate, pi_shares
 from .tabulation import CumulativeStats, Tabulation, cumulate
 
 __all__ = [
@@ -548,30 +547,27 @@ def estimate_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float]
     This is the one estimation loop behind both the historical series and
     the accuracy protocol, so PI and ME always see identical inputs. The ME
     densities of all tabulations come from one rate solve and all their ME
-    entries from one pass of the query kernels. The result holds one list
+    entries from one pass of the query kernels; the PI brackets of all
+    entries are selected in one array pass. The result holds one list
     per tabulation, in order, of (p, method, outcome), where the outcome is
     the ShareEstimate or the TopsharesError/ValueError that stopped it; a
     failed density build stops every ME entry of its tabulation and no
     other. Methods other than "PI" and "ME" raise ValueError first.
     """
     _check_methods(methods)
-    me: list[list] = [[None] * len(fractiles)] * len(stats)
+    me = pi = [[None] * len(fractiles)] * len(stats)
     if "ME" in methods:
         densities = _densities(stats, [s.thresholds for s in stats])
         answers = iter(_me_shares([d for d in densities
                                    if isinstance(d, MaxEntDensity)], fractiles))
         me = [next(answers) if isinstance(d, MaxEntDensity) else [d] * len(fractiles)
               for d in densities]
-    return [[(p, method, me_outcome if method == "ME" else _pi_outcome(one, p))
-             for p, me_outcome in zip(fractiles, me_row) for method in methods]
-            for one, me_row in zip(stats, me)]
-
-
-def _pi_outcome(stats: CumulativeStats, p: float) -> ShareEstimate | Exception:
-    try:
-        return pi_share_from_stats(stats, p)
-    except (TopsharesError, ValueError) as err:
-        return err
+    if "PI" in methods:
+        pi = pi_shares(stats, fractiles)
+    return [[(p, method, me_outcome if method == "ME" else pi_outcome)
+             for p, me_outcome, pi_outcome in zip(fractiles, me_row, pi_row)
+             for method in methods]
+            for me_row, pi_row in zip(me, pi)]
 
 
 # ---------------------------------------------------------------------------

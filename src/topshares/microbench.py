@@ -621,7 +621,7 @@ def load_micro_csv(raw) -> MicroSample:
     and its line.
     """
     text = _text(raw)
-    columns = _columns(text, _MICRO_COLUMNS, "micro CSV")
+    columns = _columns(text, _MICRO_COLUMNS, None, "micro CSV")
     if columns is not None:
         try:
             return MicroSample(columns["income"], columns["weight"])

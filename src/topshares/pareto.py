@@ -8,7 +8,9 @@ estimate reproduces the tabulated cumulative income exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "top_income_at",
     "estimate_share_pi",
     "pi_share_from_stats",
+    "pi_shares",
 ]
 
 
@@ -60,6 +63,43 @@ class ShareEstimate:
     extrapolated: bool = False
 
 
+def _fits(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
+          ) -> list[list[ParetoBracketFit | ValueError]]:
+    """``select_bracket`` of every fractile on each tabulation's statistics,
+    or the error that stops it: the nearest fractions of all of them in one
+    array pass over their stacked brackets."""
+    if not stats:
+        return []
+    sizes = np.array([s.num_brackets for s in stats])
+    starts = np.cumsum(sizes) - sizes
+    fraction, threshold, coef, expo = (np.concatenate(c) for c in zip(*(
+        (s.top_fraction, s.thresholds, s.pareto_coefficient, s.pareto_exponent)
+        for s in stats)))
+    distance = np.abs(fraction - np.array(fractiles, dtype=float)[:, None])
+    nearest = np.repeat(np.minimum.reduceat(distance, starts, axis=1), sizes, axis=1)
+    best = np.maximum.reduceat(  # the last bracket at that distance: larger p_k wins ties
+        np.where(distance == nearest, np.arange(len(fraction)), 0), starts, axis=1).T
+    return [[_fit(p, covered, k - a, *law) for p, k, *law in zip(fractiles, *cells)]
+            for a, covered, *cells in zip(
+                starts.tolist(), fraction[starts + sizes - 1].tolist(), best.tolist(),
+                *(column[best].tolist() for column in (threshold, fraction, coef, expo)))]
+
+
+def _fit(p, covered, bracket, threshold, fraction, coefficient, exponent,
+         ) -> ParetoBracketFit | ValueError:
+    """The local law at the selected bracket, or the error that stops it."""
+    if not 0.0 < p <= 1.0:
+        return ValueError(f"fractile must be in (0, 1], got {p}")
+    if p > covered:
+        return FractileNotCoveredError(p, covered)
+    if threshold <= 0:
+        return ParetoFitError("no Pareto law at a zero threshold", bracket=bracket)
+    if not math.isfinite(coefficient) or coefficient <= 1.0:
+        return ParetoFitError(f"local Pareto coefficient {coefficient} must exceed 1",
+                              bracket=bracket)
+    return ParetoBracketFit(bracket, threshold, fraction, coefficient, exponent)
+
+
 def select_bracket(stats: CumulativeStats, p: float) -> ParetoBracketFit:
     """Pick the bracket whose top fraction is nearest p (absolute distance).
 
@@ -68,30 +108,10 @@ def select_bracket(stats: CumulativeStats, p: float) -> ParetoBracketFit:
     covered fraction, and ParetoFitError when the chosen bracket has no valid
     local Pareto law (zero threshold or coefficient <= 1).
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"fractile must be in (0, 1], got {p}")
-    covered = stats.covered_fraction
-    if p > covered:
-        raise FractileNotCoveredError(p, covered)
-
-    distance = np.abs(stats.top_fraction - p)
-    best = np.flatnonzero(distance == distance.min())[-1]  # larger p_k wins ties
-
-    coef = float(stats.pareto_coefficient[best])
-    expo = float(stats.pareto_exponent[best])
-    threshold = float(stats.thresholds[best])
-    if threshold <= 0:
-        raise ParetoFitError("no Pareto law at a zero threshold", bracket=int(best))
-    if not np.isfinite(coef) or coef <= 1.0:
-        raise ParetoFitError(
-            f"local Pareto coefficient {coef} must exceed 1", bracket=int(best))
-    return ParetoBracketFit(
-        bracket=int(best),
-        threshold=threshold,
-        top_fraction=float(stats.top_fraction[best]),
-        coefficient=coef,
-        exponent=expo,
-    )
+    [[fit]] = _fits([stats], [p])
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 def threshold_at(fit: ParetoBracketFit, p: float) -> float:
@@ -107,20 +127,37 @@ def top_income_at(fit: ParetoBracketFit, p: float, population: float) -> float:
     return population * p * fit.coefficient * threshold_at(fit, p)
 
 
-def pi_share_from_stats(stats: CumulativeStats, p: float) -> ShareEstimate:
-    """Pareto-interpolated share from precomputed cumulative statistics."""
-    fit = select_bracket(stats, p)
+def pi_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
+              ) -> list[list[ShareEstimate | ValueError]]:
+    """The Pareto-interpolated estimate of every fractile on each tabulation's
+    statistics, or the error that stops it: one list per tabulation, one
+    outcome per fractile. The brackets of all cells are selected in one array
+    pass; each cell's closed forms run on Python floats."""
+    return [[fit if isinstance(fit, ValueError) else _estimate(s, fit, p)
+             for p, fit in zip(fractiles, fits)]
+            for s, fits in zip(stats, _fits(stats, fractiles))]
+
+
+def _estimate(stats: CumulativeStats, fit: ParetoBracketFit, p: float,
+              ) -> ShareEstimate | ParetoFitError:
+    """The fitted law's estimate at p; a ParetoFitError where its threshold,
+    top income or share is not finite."""
     t_p = threshold_at(fit, p)
     s_p = top_income_at(fit, p, stats.population)
-    return ShareEstimate(
-        fractile=p,
-        threshold=t_p,
-        top_income=s_p,
-        share=s_p / stats.total_income,
-        method="PI",
-        bracket=fit.bracket,
-        extrapolated=p < float(stats.top_fraction[0]),
-    )
+    share = s_p / stats.total_income
+    if not math.isfinite(share):  # as it is when t_p or s_p is not
+        return ParetoFitError(f"fitted threshold {t_p}, top income {s_p} and share "
+                              f"{share} must be finite", bracket=fit.bracket)
+    return ShareEstimate(p, t_p, s_p, share, "PI", fit.bracket,
+                         p < float(stats.top_fraction[0]))
+
+
+def pi_share_from_stats(stats: CumulativeStats, p: float) -> ShareEstimate:
+    """Pareto-interpolated share from precomputed cumulative statistics."""
+    estimate = _estimate(stats, select_bracket(stats, p), p)
+    if isinstance(estimate, ParetoFitError):
+        raise estimate
+    return estimate
 
 
 def estimate_share_pi(tab: Tabulation, p: float) -> ShareEstimate:

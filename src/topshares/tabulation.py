@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -155,75 +155,114 @@ class CumulativeStats:
         return float(self.top_fraction[-1])
 
 
+def _series(tabs: list[Tabulation]) -> tuple:
+    """Tabulations end to end as columns, (sizes, thresholds, counts, sums,
+    denominators): bracket counts, each year's brackets in normalized order,
+    and its year and denominators (a Denominator, or here the Tabulation).
+    Counts are int64: one outside int64 raises OverflowError."""
+    brackets = [b for tab in tabs for b in tab.brackets]
+    return (np.array([tab.num_brackets for tab in tabs], dtype=np.int64),
+            *(np.array([getattr(b, name) for b in brackets], dtype=kind)
+              for name, kind in (("lower_threshold", float), ("count", np.int64),
+                                 ("income_sum", float))), tabs)
+
+
+def _violations(series: tuple) -> list[list[Violation]]:
+    """``validate`` of every year of a series: each check flags all years or
+    all brackets at once, and the flags become each year's violations in
+    validate's order. A year's total count is summed exactly."""
+    sizes, t, c, s, denominators = series
+    starts = np.cumsum(sizes) - sizes
+    population, income, unit = ([getattr(d, name) for d in denominators] for name
+                                in ("population", "total_income", "income_unit"))
+    total = [sum(c[a:a + n].tolist()) for a, n in zip(starts.tolist(), sizes.tolist())]
+    position = np.arange(len(t)) - np.repeat(starts, sizes)
+    upper = np.append(math.inf, t[:-1])  # the next threshold up, below position 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = s * np.repeat([u if u > 0 else 1.0 for u in unit], sizes) / c
+    occupied, top = c > 0, position == 0
+    checks = (  # (group, code, flags by year or by bracket, message)
+        (0, "too_few_brackets", sizes < 2, "need at least 2 brackets, got {n}"),
+        (0, "population_not_positive", [p <= 0 for p in population],
+         "population must be positive, got {population}"),
+        (0, "total_income_not_positive", [not (math.isfinite(x) and x > 0) for x in income],
+         "total_income must be positive and finite, got {income}"),
+        (0, "income_unit_not_positive", [not (math.isfinite(x) and x > 0) for x in unit],
+         "income_unit must be positive and finite, got {unit}"),
+        (1, "negative_count", c < 0, "count {c} is negative"),
+        (1, "bad_threshold", ~np.isfinite(t) | (t < 0), "threshold {t} not finite and >= 0"),
+        (1, "bad_income_sum", ~np.isfinite(s) | (s < 0), "income_sum {s} not finite and >= 0"),
+        (2, "thresholds_not_strictly_decreasing", ~top & ~(t < upper),
+         "threshold {t} does not sit strictly below {upper}"),
+        # bracket means sit inside their bracket, strictly above the lower
+        # threshold for the open top bracket; compared in threshold units
+        (3, "top_mean_not_above_threshold", occupied & top & ~(mean > t),
+         "open top bracket mean {mean} not strictly above threshold {t}"),
+        (3, "mean_below_bracket", occupied & ~top & (mean < t),
+         "mean {mean} below lower threshold {t}"),
+        (3, "mean_above_bracket", occupied & ~top & ~(mean < t) & ~(mean < upper),
+         "mean {mean} not strictly below upper threshold {upper}"),
+        (4, "counts_exceed_population", [0 < p < n for p, n in zip(population, total)],
+         "{total} returns exceed population {population}"),
+        (4, "counts_exceed_int64", [n > _INT64_MAX for n in total],
+         "{total} returns exceed 2**63 - 1"))
+    year_of = np.repeat(np.arange(len(sizes)), sizes)
+    found = []
+    for rank, (group, code, flags, message) in enumerate(checks):
+        for i in np.flatnonzero(flags).tolist():
+            if group in (0, 4):  # i is a year
+                found.append((i, group, -1, rank, code, None, message.format(
+                    n=sizes[i], population=population[i], income=income[i],
+                    unit=unit[i], total=total[i])))
+            else:  # i is a bracket
+                found.append((year_of.item(i), group, position.item(i), rank, code,
+                              position.item(i), message.format(
+                                  c=c[i], t=t[i], s=s[i], mean=mean[i], upper=upper[i])))
+    out: list[list[Violation]] = [[] for _ in denominators]
+    for y, _, _, _, code, bracket, message in sorted(found):
+        out[y].append(Violation(code, bracket, message))
+    return out
+
+
 def validate(tab: Tabulation) -> list[Violation]:
     """Check every tabulation invariant; return all violations found.
 
     An empty list means the tabulation is valid. Violations are data, not
     failures: nothing is raised.
     """
-    out: list[Violation] = []
+    return _violations(_series([tab]))[0]
 
-    if tab.num_brackets < 2:
-        out.append(Violation("too_few_brackets", None,
-                             f"need at least 2 brackets, got {tab.num_brackets}"))
-    if tab.population <= 0:
-        out.append(Violation("population_not_positive", None,
-                             f"population must be positive, got {tab.population}"))
-    if not np.isfinite(tab.total_income) or tab.total_income <= 0:
-        out.append(Violation("total_income_not_positive", None,
-                             f"total_income must be positive and finite, got {tab.total_income}"))
-    if not np.isfinite(tab.income_unit) or tab.income_unit <= 0:
-        out.append(Violation("income_unit_not_positive", None,
-                             f"income_unit must be positive and finite, got {tab.income_unit}"))
 
-    brackets = tab.brackets
-    for i, b in enumerate(brackets):
-        if b.count < 0:
-            out.append(Violation("negative_count", i,
-                                 f"count {b.count} is negative"))
-        if not np.isfinite(b.lower_threshold) or b.lower_threshold < 0:
-            out.append(Violation("bad_threshold", i,
-                                 f"threshold {b.lower_threshold} not finite and >= 0"))
-        if not np.isfinite(b.income_sum) or b.income_sum < 0:
-            out.append(Violation("bad_income_sum", i,
-                                 f"income_sum {b.income_sum} not finite and >= 0"))
-
-    for i in range(1, len(brackets)):
-        if not brackets[i].lower_threshold < brackets[i - 1].lower_threshold:
-            out.append(Violation(
-                "thresholds_not_strictly_decreasing", i,
-                f"threshold {brackets[i].lower_threshold} does not sit strictly "
-                f"below {brackets[i - 1].lower_threshold}"))
-
-    # Bracket means must sit inside their bracket (strictly above the lower
-    # threshold for the open top bracket). Compare in threshold units.
-    unit = tab.income_unit if tab.income_unit > 0 else 1.0
-    for i, b in enumerate(brackets):
-        if b.count <= 0:
-            continue
-        mean = b.income_sum * unit / b.count
-        if i == 0:
-            if not mean > b.lower_threshold:
-                out.append(Violation(
-                    "top_mean_not_above_threshold", i,
-                    f"open top bracket mean {mean} not strictly above "
-                    f"threshold {b.lower_threshold}"))
-        else:
-            upper = brackets[i - 1].lower_threshold
-            if mean < b.lower_threshold:
-                out.append(Violation(
-                    "mean_below_bracket", i,
-                    f"mean {mean} below lower threshold {b.lower_threshold}"))
-            elif not mean < upper:
-                out.append(Violation(
-                    "mean_above_bracket", i,
-                    f"mean {mean} not strictly below upper threshold {upper}"))
-
-    total_count = sum(b.count for b in brackets)
-    if tab.population > 0 and total_count > tab.population:
-        out.append(Violation("counts_exceed_population", None,
-                             f"{total_count} returns exceed population {tab.population}"))
-    return out
+def _cumulate(series: tuple) -> list[CumulativeStats | ValueError]:
+    """``cumulate`` of every year of a series in one array pass; a year with
+    an empty top bracket gets that ValueError in place of its statistics."""
+    sizes, t, counts, sums, denominators = series
+    starts = np.cumsum(sizes) - sizes
+    n, unit = (np.repeat(np.array([getattr(d, name) for d in denominators], dtype=float),
+                         sizes) for name in ("population", "income_unit"))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = sums * unit
+    # running sums bit for bit np.cumsum's on each year alone: one 2-D cumsum
+    # per run of positions the same years reach, from the sum before the run
+    # (padding every year to the longest lets one long year inflate memory)
+    count_above, income_above, done = counts.copy(), sums.copy(), 0
+    for depth in sorted(set(sizes.tolist()) - {0}):
+        at = starts[sizes >= depth, None] + np.arange(max(done - 1, 0), depth)
+        count_above[at], income_above[at], done = (
+            np.cumsum(count_above[at], axis=1), np.cumsum(income_above[at], axis=1), depth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_above = income_above / count_above
+        coef = np.where(t > 0, mean_above / t, np.nan)
+        expo = np.where(coef > 1, coef / (coef - 1), np.nan)
+        bracket_mean = np.where(counts > 0, sums / np.where(counts > 0, counts, 1), np.nan)
+        columns = (t, counts, count_above, income_above, count_above / n, mean_above,
+                   coef, expo, counts / n, bracket_mean)
+    return [CumulativeStats(*(column[a:a + k] for column in columns), d.population,
+                            float(d.total_income) * float(d.income_unit))
+            if k and count_above[a] > 0 else
+            ValueError("top bracket is empty: conditional means above the "
+                       "highest threshold are undefined")
+            for a, k, d in zip(starts.tolist(), sizes.tolist(), denominators)]
 
 
 def cumulate(tab: Tabulation) -> CumulativeStats:
@@ -234,40 +273,10 @@ def cumulate(tab: Tabulation) -> CumulativeStats:
     brackets get a NaN bracket mean. Recomputing from the same tabulation is
     bit-identical.
     """
-    unit = float(tab.income_unit)
-    thresholds = np.array([b.lower_threshold for b in tab.brackets], dtype=float)
-    counts = np.array([b.count for b in tab.brackets], dtype=np.int64)
-    sums = np.array([b.income_sum for b in tab.brackets], dtype=float) * unit
-
-    count_above = np.cumsum(counts)
-    income_above = np.cumsum(sums)
-    if count_above[0] <= 0:
-        raise ValueError("top bracket is empty: conditional means above the "
-                         "highest threshold are undefined")
-
-    n = float(tab.population)
-    top_fraction = count_above / n
-    mean_above = income_above / count_above
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(thresholds > 0, mean_above / thresholds, np.nan)
-        expo = np.where(coef > 1, coef / (coef - 1), np.nan)
-        bracket_mean = np.where(counts > 0, sums / np.where(counts > 0, counts, 1), np.nan)
-
-    return CumulativeStats(
-        thresholds=thresholds,
-        counts=counts,
-        count_above=count_above,
-        income_above=income_above,
-        top_fraction=top_fraction,
-        mean_above=mean_above,
-        pareto_coefficient=coef,
-        pareto_exponent=expo,
-        bracket_fraction=counts / n,
-        bracket_mean=bracket_mean,
-        population=tab.population,
-        total_income=float(tab.total_income) * unit,
-    )
+    [stats] = _cumulate(_series([tab]))
+    if isinstance(stats, ValueError):
+        raise stats
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +288,7 @@ def cumulate(tab: Tabulation) -> CumulativeStats:
 # ---------------------------------------------------------------------------
 
 _TAB_COLUMNS = ("year", "lower_threshold", "returns", "income_sum")
+_INT64_MAX = 2**63 - 1
 _DENOM_COLUMNS = ("year", "population", "total_income", "income_unit")
 
 
@@ -340,30 +350,33 @@ def _records(raw, required: tuple[str, ...], columns: Mapping[str, str] | None,
     return idx, checked()
 
 
-def _columns(text: str, required: tuple[str, ...], what: str,
-             ) -> dict[str, np.ndarray] | None:
-    """The required columns of a CSV text as contiguous float64 arrays, read
-    in one call to numpy's C parser; values are not range-checked.
+def _columns(text: str, required: tuple[str, ...],
+             columns: Mapping[str, str] | None, what: str,
+             integers: tuple[str, ...] = ()) -> dict[str, np.ndarray] | None:
+    """The required columns of a CSV text as contiguous arrays, read in one
+    call to numpy's C parser: int64 for the ``integers`` columns, float64 for
+    the rest; values are not range-checked.
 
     None when the data rows are not a grid of plain numbers exactly as wide
     as the header (quoted fields, blank-looking cells, ragged or longer
-    rows, no rows at all); the caller then reads the text with ``_records``,
-    which names the first bad line. The header is read by ``_header``, as
-    there.
+    rows, a non-integer or beyond int64 in an integer column, no rows at
+    all); the caller then reads the text with ``_records``, which names the
+    first bad line. The header is read by ``_header``, as there.
     """
     # lineno counts CSV records: if a quoted field spans lines, loadtxt
     # reads a quote or the header itself, and fails
-    lineno, width, idx = _header(_reader(text), required, None, what)
+    lineno, width, idx = _header(_reader(text), required, columns, what)
+    ints = {idx[name] for name in integers}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
             grid = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=lineno,
-                              comments=None, ndmin=2)
+                              comments=None, ndmin=1, dtype=[
+                                  (f"c{i}", np.int64 if i in ints else float)
+                                  for i in range(width)])
     except (ValueError, Warning):
         return None
-    if grid.shape[1] != width:
-        return None
-    return {name: grid[:, i].copy() for name, i in idx.items()}
+    return {name: grid[f"c{i}"].copy() for name, i in idx.items()}
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
@@ -371,6 +384,8 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         value = int(text)
     except ValueError:
         raise ParseError(f"{what} {text!r} is not an integer", line=lineno) from None
+    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise ParseError(f"{what} {value} is outside the int64 range", line=lineno)
     return value
 
 
@@ -406,6 +421,59 @@ def parse_denominators(raw) -> dict[int, Denominator]:
     return out
 
 
+def _bracket_rows(text: str, columns: Mapping[str, str] | None):
+    """``_columns`` of a tabulation text, read row by row: a ParseError at
+    the first bad line."""
+    idx, rows = _records(text, _TAB_COLUMNS, columns, "tabulation")
+    seen: dict[tuple[int, float], tuple[int, int, float]] = {}
+    for lineno, fields in rows:
+        year = _parse_int(fields[idx["year"]], "year", lineno)
+        threshold = _parse_float(fields[idx["lower_threshold"]], "lower_threshold", lineno)
+        count = _parse_int(fields[idx["returns"]], "returns", lineno)
+        if count < 0:
+            raise ParseError(f"returns {count} is negative", line=lineno)
+        income_sum = _parse_float(fields[idx["income_sum"]], "income_sum", lineno)
+        if income_sum < 0:
+            raise ParseError(f"income_sum {income_sum} is negative", line=lineno)
+        if (year, threshold) in seen:
+            raise ParseError(f"duplicate bracket threshold {threshold} for year {year} "
+                             f"(first seen on line {seen[year, threshold][0]})", line=lineno)
+        seen[year, threshold] = lineno, count, income_sum
+    rows = [(*key, count, income_sum) for key, (_, count, income_sum) in seen.items()]
+    return {name: np.array([row[i] for row in rows], dtype=kind) for i, (name, kind)
+            in enumerate(zip(_TAB_COLUMNS, (np.int64, float, np.int64, float)))}
+
+
+def _read_series(raw, denominators: Mapping[int, Denominator],
+                 columns: Mapping[str, str] | None = None) -> tuple:
+    """``parse_tabulations`` as a series (see ``_series``), no bracket objects
+    built. A plain file, one the row path reads with the same numbers, is
+    read in one pass; any other file is read row by row, which rejects it at
+    its first bad line or reads it. Either way one sort groups the rows."""
+    text = _text(raw)
+    for grid in (_columns(text, _TAB_COLUMNS, columns, "tabulation",
+                          ("year", "returns")), None):
+        if grid is None:
+            grid = _bracket_rows(text, columns)
+        order = np.lexsort((-grid["lower_threshold"], grid["year"]))
+        year, t, c, s = (grid[name][order] for name in _TAB_COLUMNS)
+        same_year = year[1:] == year[:-1]
+        if (np.isfinite(t).all() and np.isfinite(s).all() and (s >= 0).all()
+                and (c >= 0).all() and not (same_year & (t[1:] == t[:-1])).any()):
+            break
+    first = np.flatnonzero(np.append(year.size > 0, ~same_year))
+    years = year[first].tolist()
+    series = (np.diff(first, append=len(year)), t, c, s,
+              [denominators.get(y, Denominator(y, 1, 1.0)) for y in years])
+    for y, problems in zip(years, _violations(series)):
+        if y not in denominators:
+            raise ParseError(f"missing denominator metadata for year {y}")
+        if problems:
+            detail = "; ".join(f"[{v.code}] {v.message}" for v in problems)
+            raise ParseError(f"year {y}: invalid tabulation: {detail}")
+    return series
+
+
 def parse_tabulations(raw, denominators: Mapping[int, Denominator],
                       columns: Mapping[str, str] | None = None,
                       ) -> list[Tabulation]:
@@ -416,39 +484,11 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator],
     is sorted by year. Raises ParseError with a line number on bad rows and
     on validation failures.
     """
-    idx, rows = _records(raw, _TAB_COLUMNS, columns, "tabulation")
-    per_year: dict[int, list[IncomeBracket]] = {}
-    seen: dict[tuple[int, float], int] = {}
-    for lineno, fields in rows:
-        year = _parse_int(fields[idx["year"]], "year", lineno)
-        threshold = _parse_float(fields[idx["lower_threshold"]], "lower_threshold", lineno)
-        count = _parse_int(fields[idx["returns"]], "returns", lineno)
-        if count < 0:
-            raise ParseError(f"returns {count} is negative", line=lineno)
-        income_sum = _parse_float(fields[idx["income_sum"]], "income_sum", lineno)
-        if income_sum < 0:
-            raise ParseError(f"income_sum {income_sum} is negative", line=lineno)
-        key = (year, threshold)
-        if key in seen:
-            raise ParseError(f"duplicate bracket threshold {threshold} for year "
-                             f"{year} (first seen on line {seen[key]})", line=lineno)
-        seen[key] = lineno
-        per_year.setdefault(year, []).append(IncomeBracket(threshold, count, income_sum))
-
-    out = []
-    for year in sorted(per_year):
-        if year not in denominators:
-            raise ParseError(f"missing denominator metadata for year {year}")
-        d = denominators[year]
-        tab = Tabulation(year=year, brackets=tuple(per_year[year]),
-                         population=d.population, total_income=d.total_income,
-                         income_unit=d.income_unit)
-        problems = validate(tab)
-        if problems:
-            detail = "; ".join(f"[{v.code}] {v.message}" for v in problems)
-            raise ParseError(f"year {year}: invalid tabulation: {detail}")
-        out.append(tab)
-    return out
+    sizes, *arrays, years = _read_series(raw, denominators, columns)
+    brackets = list(map(IncomeBracket, *(array.tolist() for array in arrays)))
+    return [Tabulation(d.year, tuple(brackets[a:a + n]), d.population, d.total_income,
+                       d.income_unit)
+            for a, n, d in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist(), years)]
 
 
 def parse_tabulation(raw, denominators: Mapping[int, Denominator],

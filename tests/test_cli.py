@@ -1,5 +1,6 @@
 """Command line interface: artifacts, markers, layouts, determinism, exits."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -9,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import topshares
+from topshares import cli, maxent, microbench, pareto, tabulation
 from topshares.cli import main
 
 TAB_CSV = """year,lower_threshold,returns,income_sum
@@ -275,6 +278,165 @@ def test_artifact_bytes_pinned(inputs, tmp_path, command, layout, fmt):
     assert main(argv) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PINNED_ARTIFACTS[(command, layout, fmt)], out.read_text()
+
+
+def _series_csv(years: int = 120) -> tuple[str, str]:
+    """A deterministic series of 3-40 brackets a year, rows shuffled.
+
+    Local Pareto laws with per-year exponents, coverage and income units;
+    among the years are uncovered fractiles (coverage below 10%), deep
+    extrapolated fractiles, zero bottom thresholds, empty middle brackets,
+    empty top brackets (every ME and PI row an error) and a bracket mean on
+    its lower threshold (the year's ME rows fail). At 10% coverage a zero
+    bottom threshold is PI's reference bracket for the top decile.
+    """
+    rows, dens = [], []
+    for i in range(years):
+        year, k = 1850 + i, 3 + i * 13 % 38
+        alpha, ratio = 1.5 + i % 7 * 0.2, 1.15 + i % 5 * 0.1
+        unit = 1000.0 if i % 4 == 1 else 1.0
+        bottom = float(2000 + i * 37 % 900)
+        thresholds = [round(bottom * ratio ** (k - 1 - j)) * 1.0 for j in range(k)]
+        if i % 11 == 3:
+            thresholds[-1] = 0.0
+        above = [round(4e6 * (t / bottom) ** -alpha) if t else 4_000_000
+                 for t in thresholds]
+        counts = [max(1, above[0])] + [b - a for a, b in zip(above, above[1:])]
+        means = [thresholds[0] * alpha / (alpha - 1.0)]
+        means += [t + (0.3 + (i + j) % 5 * 0.05) * (u - t)
+                  for j, (t, u) in enumerate(zip(thresholds[1:], thresholds), 1)]
+        if i % 13 == 4 and k > 3:
+            counts[1] = 0
+        if i % 23 == 5:
+            counts[0] = 0
+        if i % 29 == 7:  # a whole-number mean, exact in double precision
+            means[k // 2] = thresholds[k // 2]
+            unit = 1.0
+        sums = [c * m / unit for c, m in zip(counts, means)]
+        # at 10% coverage, PI's top-decile bracket is the zero threshold
+        covered = 0.1 if i % 11 == 3 else 0.04 + i * 37 % 100 / 100 * 0.9
+        for j in range(k):
+            rows.append(((j * 7919 + i * 31) % 1009,
+                         f"{year},{thresholds[j]!r},{counts[j]},{sums[j]!r}"))
+        dens.append(f"{year},{round(sum(counts) / covered)},"
+                    f"{sum(sums) * 1.4!r},{unit!r}")
+    rows.sort()
+    return ("year,lower_threshold,returns,income_sum\n"
+            + "".join(f"{line}\n" for _, line in rows),
+            "year,population,total_income,income_unit\n"
+            + "".join(f"{line}\n" for line in dens))
+
+
+# (exit status, SHA-256) of each command on ``_series_csv``, recorded before
+# the tabulation reader, validation, cumulation and PI selection became
+# array passes; like PINNED_ARTIFACTS they depend on numpy's exp, expm1,
+# log and log1p bits.
+PINNED_SERIES = {
+    ("estimate", "long", "csv", False):
+        (2, "42fb7d522b1c13c4baad10fa7665be2a666e5faa2bf89d0dc61a276d0986fffc"),
+    ("estimate", "long", "csv", True):
+        (2, "9a163693447dde9269af26393a5f6580347191bb30834f73e47673de34a08013"),
+    ("estimate", "appendix", "csv", False):
+        (2, "bd4f1114229e0ab53ea266a1d99d76eae01adf2874d01d0c6b9ef82ab2767dc8"),
+    ("estimate", "appendix", "csv", True):
+        (2, "ac6ab5200dc9106631dedc27cfe63046a585881dc5b69baf53ea19033f769bb9"),
+    ("estimate", "long", "json", False):
+        (2, "bf76192c7659fe2a793dd4ebe4a331b68a0d564201128396be2186dc805a1217"),
+    ("estimate", "long", "json", True):
+        (2, "ce0af5b32a782681b786e4483a1ca8f40528c123fa7e8036a12f96ba7bcea873"),
+    ("diagnostics", None, "csv", False):
+        (2, "da0e94aa79f63c9fe7b93f019aa746bad85e9e3306c791523f92501912448efc"),
+    ("diagnostics", None, "json", False):
+        (2, "009c7d8dbad1da9abf1fd058fd27d4cde7a87d339fff10de0bedcf04573a6d60"),
+}
+
+
+@pytest.mark.parametrize("command,layout,fmt,extrapolate", sorted(
+    PINNED_SERIES, key=lambda k: (k[0], k[1] or "", k[2], k[3])))
+def test_series_bytes_pinned(tmp_path, command, layout, fmt, extrapolate):
+    tab_text, den_text = _series_csv()
+    tab, den, out = (tmp_path / name for name in ("tab.csv", "den.csv", f"out.{fmt}"))
+    tab.write_text(tab_text)
+    den.write_text(den_text)
+    argv = [command, "--input", str(tab), "--denominators", str(den),
+            "--format", fmt, "--out", str(out)]
+    if layout:
+        argv += ["--layout", layout]
+    if extrapolate:
+        argv.append("--allow-extrapolation")
+    code, digest = PINNED_SERIES[(command, layout, fmt, extrapolate)]
+    assert main(argv) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
+    # one read, one rate solve, and no per-year or per-cell calls into the
+    # scalar validate, cumulate and PI selection
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "loadtxt", counting("loadtxt", np.loadtxt))
+    monkeypatch.setattr(maxent, "_solve_rates", counting("_solve_rates",
+                                                         maxent._solve_rates))
+    for module, name in ((tabulation, "validate"), (tabulation, "cumulate"),
+                         (tabulation, "_bracket_rows"), (pareto, "select_bracket"),
+                         (pareto, "pi_share_from_stats")):
+        original = getattr(module, name)
+        for namespace in (tabulation, pareto, maxent, microbench, cli):
+            if getattr(namespace, name, None) is original:
+                monkeypatch.setattr(namespace, name, counting(name, original))
+    tab_text, den_text = _series_csv(50)
+    tab, den = tmp_path / "tab.csv", tmp_path / "den.csv"
+    tab.write_text(tab_text)
+    den.write_text(den_text)
+    assert main(["estimate", "--input", str(tab), "--denominators", str(den),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert calls == {"loadtxt": 1, "_solve_rates": 1}
+
+
+@pytest.mark.parametrize("rows,population,message", [
+    # a count beyond int64 once ended in an OverflowError traceback
+    ("1950,10,100000000000000000000,1e21\n1950,5,1,6\n", 10**21,
+     "line 2: population 1000000000000000000000 is outside the int64 range"),
+    ("1950,10,100000000000000000000,1e21\n1950,5,1,6\n", 5000,
+     "line 2: returns 100000000000000000000 is outside the int64 range"),
+    # counts that fit an int64 but whose total does not once wrapped
+    # negative, printing every covered cell as uncovered with exit 0
+    ("1950,10,9223372036854775000,2e20\n1950,5,9000,6e4\n", 10**19,
+     "line 2: population 10000000000000000000 is outside the int64 range"),
+    ("1950,10,9223372036854775000,2e20\n1950,5,9000,6e4\n", 2**63 - 1,
+     "year 1950: invalid tabulation: [counts_exceed_population] "
+     "9223372036854784000 returns exceed population 9223372036854775807; "
+     "[counts_exceed_int64] 9223372036854784000 returns exceed 2**63 - 1"),
+])
+def test_counts_beyond_int64_exit_one(tmp_path, capsys, rows, population, message):
+    tab, den, out = tmp_path / "tab.csv", tmp_path / "den.csv", tmp_path / "out.csv"
+    tab.write_text("year,lower_threshold,returns,income_sum\n" + rows)
+    den.write_text("year,population,total_income,income_unit\n"
+                   f"1950,{population},1e22,1\n")
+    assert main(["estimate", "--input", str(tab), "--denominators", str(den),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_pi_overflow_is_a_typed_error(tmp_path, capsys):
+    # the coefficient at a 2e-300 threshold is about 5e306, so the top
+    # income overflows: the rows once read inf with status ok and exit 0
+    tab, den = tmp_path / "tab.csv", tmp_path / "den.csv"
+    tab.write_text("year,lower_threshold,returns,income_sum\n"
+                   "1950,2e-300,300,3e9\n1950,1e-300,200,3e-298\n")
+    den.write_text("year,population,total_income,income_unit\n1950,1000,1e10,1\n")
+    assert main(["estimate", "--input", str(tab), "--denominators", str(den),
+                 "--method", "pi", "--fractiles", "0.4,0.3"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"1950,{p},PI,-,,,,,,error:ParetoFitError" for p in ("0.4", "0.3")]
 
 
 # The protocol commands on a lognormal-Pareto mixture and on a weighted micro

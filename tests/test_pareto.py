@@ -1,5 +1,6 @@
 """Pareto interpolation: bracket selection, fractile formulas, exactness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import integrate
 
 import topshares as ts
+from topshares import pareto
 from topshares.errors import FractileNotCoveredError, ParetoFitError
 from topshares.pareto import (
     ParetoBracketFit,
@@ -245,3 +247,86 @@ class TestProperties:
             # oracle anchored at p itself (the exactness identity)
             at_p = mixture.partial_above(mixture.quantile(p)) / mixture.mean
             assert est.share < at_p
+
+
+def reference_select_bracket(stats, p):
+    """The per-cell select_bracket the array selection replaced."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"fractile must be in (0, 1], got {p}")
+    covered = stats.covered_fraction
+    if p > covered:
+        raise FractileNotCoveredError(p, covered)
+    distance = np.abs(stats.top_fraction - p)
+    best = np.flatnonzero(distance == distance.min())[-1]
+    coef = float(stats.pareto_coefficient[best])
+    threshold = float(stats.thresholds[best])
+    if threshold <= 0:
+        raise ParetoFitError("no Pareto law at a zero threshold", bracket=int(best))
+    if not np.isfinite(coef) or coef <= 1.0:
+        raise ParetoFitError(f"local Pareto coefficient {coef} must exceed 1",
+                             bracket=int(best))
+    return ParetoBracketFit(int(best), threshold, float(stats.top_fraction[best]), coef,
+                            float(stats.pareto_exponent[best]))
+
+
+def reference_pi_share(stats, p):
+    """The per-cell pi_share_from_stats the array path replaced."""
+    fit = reference_select_bracket(stats, p)
+    t_p = threshold_at(fit, p)
+    s_p = top_income_at(fit, p, stats.population)
+    return ts.ShareEstimate(p, t_p, s_p, s_p / stats.total_income, "PI", fit.bracket,
+                            p < float(stats.top_fraction[0]))
+
+
+def _described(value):
+    """A fit or estimate by its repr, an error by type, message and bracket."""
+    if isinstance(value, Exception):
+        return type(value), str(value), getattr(value, "bracket", None)
+    return repr(value)
+
+
+def _outcome(call, *args):
+    try:
+        return _described(call(*args))
+    except Exception as err:  # compared, not hidden
+        return _described(err)
+
+
+def test_array_selection_matches_scalar_reference():
+    # random tables, tables with tied and repeated fractions, coefficients
+    # at or below 1 and zero thresholds; fractiles at, between and beyond
+    # the tabulated fractions, one per covered fraction, and invalid ones
+    rng = np.random.default_rng(23)
+    stats = [ts.cumulate(random_tabulation(rng)) for _ in range(60)]
+    stats += [stats_with_fractions([0.01, 0.02, 0.02, 0.05, 0.1, 0.1, 0.3])
+              for _ in range(2)]
+    flat = stats_with_fractions([0.01, 0.03, 0.05, 0.2])
+    stats.append(dataclasses.replace(
+        flat, pareto_coefficient=np.array([2.0, 1.0, np.nan, 0.5]),
+        thresholds=np.array([3.0, 2.0, 1.0, 0.0])))
+    fractiles = [0.5, 0.1, 0.05, 0.03, 0.02, 0.015, 0.01, 0.004, 1e-6, 1.0, 0.0, -0.1,
+                 1.5, math.nan, *(s.covered_fraction for s in stats[:5]),
+                 *(float(f) for f in stats[0].top_fraction)]
+    fractiles += [math.nextafter(f, 1.0) for f in fractiles[:8]]
+    fits = pareto._fits(stats, fractiles)
+    estimates = pareto.pi_shares(stats, fractiles)
+    for s, fit_row, estimate_row in zip(stats, fits, estimates):
+        for p, fit, estimate in zip(fractiles, fit_row, estimate_row):
+            expected = _outcome(reference_select_bracket, s, p)
+            assert _described(fit) == _outcome(select_bracket, s, p) == expected
+            assert _described(estimate) == _outcome(pi_share_from_stats, s, p) \
+                == _outcome(reference_pi_share, s, p)
+    assert sum(isinstance(f, ParetoBracketFit) for row in fits for f in row) > 1000
+
+
+def test_non_finite_pi_estimate_is_a_fit_error():
+    # the local coefficient at a 2e-300 threshold is about 5e306: the top
+    # income overflows to inf, once reported as a share
+    stats = ts.cumulate(ts.Tabulation(1950, (ts.IncomeBracket(2e-300, 300, 3e9),
+                                             ts.IncomeBracket(1e-300, 200, 3e-298)),
+                                      1000, 1e10))
+    with pytest.raises(ParetoFitError, match="must be finite"):
+        pi_share_from_stats(stats, 0.4)
+    [[low, high]] = pareto.pi_shares([stats], [0.4, 0.3])
+    assert isinstance(low, ParetoFitError) and isinstance(high, ParetoFitError)
+    assert low.bracket == 1 and select_bracket(stats, 0.4).bracket == 1

@@ -1,11 +1,16 @@
 """Tabulation model: validation, cumulative statistics, CSV round trips."""
 
+import contextlib
+import dataclasses
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import topshares as ts
+from topshares import tabulation
 from topshares.errors import ParseError
 from topshares.tabulation import parse_denominators, parse_tabulations
 
@@ -252,6 +257,10 @@ class TestParsing:
         with pytest.raises(ParseError, match="mean_below_bracket"):
             parse_tabulations(bad, parse_denominators(DENOM_CSV))
 
+    def test_header_only_file_holds_no_tabulation(self):
+        for text in (TAB_CSV.splitlines()[0], TAB_CSV.splitlines()[0] + "\n\n"):
+            assert parse_tabulations(text, parse_denominators(DENOM_CSV)) == []
+
     def test_custom_column_mapping(self):
         renamed = TAB_CSV.replace("lower_threshold", "threshold")
         tabs = parse_tabulations(renamed, parse_denominators(DENOM_CSV),
@@ -291,3 +300,340 @@ class TestRoundTrip:
         assert tab.brackets[0].lower_threshold == 100.0625
         assert tab.brackets[0].income_sum == 800.333333333333337
         assert tab.total_income == 5000.125
+
+
+# ---------------------------------------------------------------------------
+# the columnar validation and cumulation against the scalar reference
+# ---------------------------------------------------------------------------
+
+def reference_validate(tab):
+    """The bracket-by-bracket validate the columnar one replaced, kept as
+    the reference for its violations, messages and order."""
+    out = []
+    if tab.num_brackets < 2:
+        out.append(("too_few_brackets", None,
+                    f"need at least 2 brackets, got {tab.num_brackets}"))
+    if tab.population <= 0:
+        out.append(("population_not_positive", None,
+                    f"population must be positive, got {tab.population}"))
+    if not np.isfinite(tab.total_income) or tab.total_income <= 0:
+        out.append(("total_income_not_positive", None,
+                    f"total_income must be positive and finite, got {tab.total_income}"))
+    if not np.isfinite(tab.income_unit) or tab.income_unit <= 0:
+        out.append(("income_unit_not_positive", None,
+                    f"income_unit must be positive and finite, got {tab.income_unit}"))
+    brackets = tab.brackets
+    for i, b in enumerate(brackets):
+        if b.count < 0:
+            out.append(("negative_count", i, f"count {b.count} is negative"))
+        if not np.isfinite(b.lower_threshold) or b.lower_threshold < 0:
+            out.append(("bad_threshold", i,
+                        f"threshold {b.lower_threshold} not finite and >= 0"))
+        if not np.isfinite(b.income_sum) or b.income_sum < 0:
+            out.append(("bad_income_sum", i,
+                        f"income_sum {b.income_sum} not finite and >= 0"))
+    for i in range(1, len(brackets)):
+        if not brackets[i].lower_threshold < brackets[i - 1].lower_threshold:
+            out.append(("thresholds_not_strictly_decreasing", i,
+                        f"threshold {brackets[i].lower_threshold} does not sit strictly "
+                        f"below {brackets[i - 1].lower_threshold}"))
+    unit = tab.income_unit if tab.income_unit > 0 else 1.0
+    with np.errstate(all="ignore"):
+        for i, b in enumerate(brackets):
+            if b.count <= 0:
+                continue
+            mean = b.income_sum * unit / b.count
+            if i == 0:
+                if not mean > b.lower_threshold:
+                    out.append(("top_mean_not_above_threshold", i,
+                                f"open top bracket mean {mean} not strictly above "
+                                f"threshold {b.lower_threshold}"))
+            else:
+                upper = brackets[i - 1].lower_threshold
+                if mean < b.lower_threshold:
+                    out.append(("mean_below_bracket", i,
+                                f"mean {mean} below lower threshold {b.lower_threshold}"))
+                elif not mean < upper:
+                    out.append(("mean_above_bracket", i,
+                                f"mean {mean} not strictly below upper threshold {upper}"))
+    total_count = sum(b.count for b in brackets)
+    if tab.population > 0 and total_count > tab.population:
+        out.append(("counts_exceed_population", None,
+                    f"{total_count} returns exceed population {tab.population}"))
+    if total_count > 2**63 - 1:
+        out.append(("counts_exceed_int64", None, f"{total_count} returns exceed 2**63 - 1"))
+    return out
+
+
+def reference_parse_tabulations(text, denominators):
+    """The row-by-row parse_tabulations the one-pass reader replaced: rows
+    grouped by year in a dict, brackets sorted by Tabulation, each year
+    checked by the reference validate."""
+    idx, rows = tabulation._records(text, tabulation._TAB_COLUMNS, None, "tabulation")
+    per_year, seen = {}, {}
+    for lineno, fields in rows:
+        year = tabulation._parse_int(fields[idx["year"]], "year", lineno)
+        threshold = tabulation._parse_float(fields[idx["lower_threshold"]],
+                                            "lower_threshold", lineno)
+        count = tabulation._parse_int(fields[idx["returns"]], "returns", lineno)
+        if count < 0:
+            raise ParseError(f"returns {count} is negative", line=lineno)
+        income_sum = tabulation._parse_float(fields[idx["income_sum"]], "income_sum",
+                                             lineno)
+        if income_sum < 0:
+            raise ParseError(f"income_sum {income_sum} is negative", line=lineno)
+        if (year, threshold) in seen:
+            raise ParseError(f"duplicate bracket threshold {threshold} for year {year} "
+                             f"(first seen on line {seen[year, threshold]})", line=lineno)
+        seen[year, threshold] = lineno
+        per_year.setdefault(year, []).append(ts.IncomeBracket(threshold, count, income_sum))
+    out = []
+    for year in sorted(per_year):
+        if year not in denominators:
+            raise ParseError(f"missing denominator metadata for year {year}")
+        d = denominators[year]
+        tab = ts.Tabulation(year, tuple(per_year[year]), d.population, d.total_income,
+                            d.income_unit)
+        problems = reference_validate(tab)
+        if problems:
+            raise ParseError(f"year {year}: invalid tabulation: "
+                             + "; ".join(f"[{code}] {message}" for code, _, message in problems))
+        out.append(tab)
+    return out
+
+
+def reference_cumulate(tab):
+    """The per-tabulation cumulate the columnar one replaced: its arrays in
+    CumulativeStats field order, then population and total income."""
+    unit = float(tab.income_unit)
+    thresholds = np.array([b.lower_threshold for b in tab.brackets], dtype=float)
+    counts = np.array([b.count for b in tab.brackets], dtype=np.int64)
+    with np.errstate(all="ignore"):
+        sums = np.array([b.income_sum for b in tab.brackets], dtype=float) * unit
+        count_above = np.cumsum(counts)
+        income_above = np.cumsum(sums)
+    if count_above[0] <= 0:
+        raise ValueError("top bracket is empty: conditional means above the "
+                         "highest threshold are undefined")
+    n = float(tab.population)
+    with np.errstate(all="ignore"):
+        top_fraction = count_above / n
+        mean_above = income_above / count_above
+        coef = np.where(thresholds > 0, mean_above / thresholds, np.nan)
+        expo = np.where(coef > 1, coef / (coef - 1), np.nan)
+        bracket_mean = np.where(counts > 0, sums / np.where(counts > 0, counts, 1), np.nan)
+        return (thresholds, counts, count_above, income_above, top_fraction, mean_above,
+                coef, expo, counts / n, bracket_mean, tab.population,
+                float(tab.total_income) * unit)
+
+
+def corrupted_tabulation(rng):
+    """A random tabulation, valid or broken in one to three random ways."""
+    tab = random_tabulation(rng)
+    brackets = list(tab.brackets)
+    fields = dict(population=tab.population, total_income=tab.total_income,
+                  income_unit=tab.income_unit)
+    for _ in range(int(rng.integers(0, 4))):
+        if not brackets:
+            break
+        i = int(rng.integers(len(brackets)))
+        b = brackets[i]
+        kind = int(rng.integers(12))
+        if kind == 0:
+            brackets[i] = ts.IncomeBracket(b.lower_threshold, -b.count - 1, b.income_sum)
+        elif kind == 1:
+            bad = float(rng.choice([np.nan, np.inf, -np.inf, -3.0]))
+            brackets[i] = ts.IncomeBracket(bad, b.count, b.income_sum)
+        elif kind == 2:
+            bad = float(rng.choice([np.nan, np.inf, -1.0, 0.0]))
+            brackets[i] = ts.IncomeBracket(b.lower_threshold, b.count, bad)
+        elif kind == 3 and i > 0:  # a threshold equal to the one above
+            brackets[i] = ts.IncomeBracket(brackets[i - 1].lower_threshold, b.count,
+                                           b.income_sum)
+        elif kind == 4:
+            brackets[i] = ts.IncomeBracket(b.lower_threshold, 0, 0.0)
+        elif kind == 5:  # the mean on a bracket edge or outside the bracket
+            brackets[i] = ts.IncomeBracket(b.lower_threshold, b.count,
+                                           b.income_sum * float(rng.choice([0.5, 2.0, 100.0])))
+        elif kind == 6:
+            fields["population"] = int(rng.choice([0, -5, 10]))
+        elif kind == 7:
+            fields["total_income"] = float(rng.choice([0.0, -1.0, np.nan, np.inf]))
+        elif kind == 8:
+            fields["income_unit"] = float(rng.choice([0.0, -2.0, np.nan, np.inf]))
+        elif kind == 9:
+            brackets = brackets[:int(rng.integers(0, 2))]
+        elif kind == 10 and np.isfinite(b.lower_threshold):  # a mean on the threshold
+            brackets[i] = ts.IncomeBracket(float(round(b.lower_threshold)), b.count,
+                                           round(b.lower_threshold) * b.count / tab.income_unit)
+        elif kind == 11:
+            brackets[i] = ts.IncomeBracket(0.0, b.count, b.income_sum)
+    return ts.Tabulation(year=tab.year, brackets=tuple(brackets), **fields)
+
+
+def test_validate_matches_scalar_reference():
+    # every code, bracket and message, in order, also for a batch of years
+    rng = np.random.default_rng(41)
+    tabs = [corrupted_tabulation(rng) for _ in range(600)]
+    expected = [[ts.Violation(*v) for v in reference_validate(tab)] for tab in tabs]
+    assert sum(map(bool, expected)) > 300
+    assert len({v.code for vs in expected for v in vs}) == 12
+    assert [ts.validate(tab) for tab in tabs] == expected
+    assert tabulation._violations(tabulation._series(tabs)) == expected
+
+
+def test_cumulate_matches_scalar_reference_bit_for_bit():
+    # years of 0 to 30 brackets, some empty at the top, counts past 2**53,
+    # stacked in one batch and one at a time
+    rng = np.random.default_rng(42)
+    tabs = [corrupted_tabulation(rng) for _ in range(400)]
+    tabs += [ts.Tabulation(1, (ts.IncomeBracket(2.0, 2**61, 3.0 * 2**61),
+                               ts.IncomeBracket(1.0, 2**61 + 1, 1.5 * 2**61)), 2**63 - 1,
+                           1e19)]
+
+    def outcome(stats):
+        if isinstance(stats, Exception):
+            return type(stats), str(stats)
+        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+                for v in dataclasses.astuple(stats)]
+
+    def reference(tab):
+        try:
+            columns = reference_cumulate(tab)
+        except ValueError as err:
+            return ValueError, str(err)
+        return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in columns]
+
+    batch = tabulation._cumulate(tabulation._series(tabs))
+    for tab, stats in zip(tabs, batch):
+        if tab.brackets:
+            assert outcome(stats) == reference(tab)
+        else:
+            assert isinstance(stats, ValueError)
+    for tab in tabs[:100]:
+        try:
+            single = ts.cumulate(tab)
+        except ValueError as err:
+            single = err
+        assert outcome(single) == outcome(batch[tabs.index(tab)])
+
+
+def test_count_total_beyond_int64_is_a_violation():
+    # each count fits an int64, their sum would wrap
+    tab = ts.Tabulation(1950, (ts.IncomeBracket(10.0, 9223372036854775000, 2e20),
+                               ts.IncomeBracket(5.0, 9000, 6e4)), 10**19, 1e21)
+    assert [(v.code, v.message) for v in ts.validate(tab)] == [
+        ("counts_exceed_int64", "9223372036854784000 returns exceed 2**63 - 1")]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass tabulation reader against the row path
+# ---------------------------------------------------------------------------
+
+SERIES_DENOMINATORS = parse_denominators(
+    "year,population,total_income,income_unit\n"
+    + "".join(f"{y},{10**7 + y},{1e12 + y},1\n" for y in range(1948, 1954)))
+
+
+def _read(text, parse=parse_tabulations, rows_only=False):
+    """What a parser makes of a text: each tabulation's repr (every value,
+    exactly), or the exception type, message and line."""
+    try:
+        with mock.patch.object(tabulation, "_columns", return_value=None) if rows_only \
+                else contextlib.nullcontext():
+            return repr(parse(text, SERIES_DENOMINATORS))
+    except Exception as err:  # compared, not hidden
+        return ("raised", type(err), str(err), getattr(err, "line", None))
+
+
+def _assert_readers_agree(text):
+    """The one-pass reader, the row path and the reference read the same."""
+    assert _read(text) == _read(text, rows_only=True) \
+        == _read(text, reference_parse_tabulations), text
+
+
+_YEAR_CELLS = st.one_of(
+    st.sampled_from(["1950", "1951", "1952"]),
+    st.sampled_from(["1950.0", "1e3", "+1951", " 1952 ", "1_950", "01950", "-1950",
+                     "1949", "١٩٥٠", str(2**63), str(-2**63 - 1), "nan", ""]))
+_THRESHOLD_CELLS = st.one_of(
+    st.integers(0, 10**6).map(str), st.floats(0, 1e7).map(repr),
+    st.sampled_from(["1e3", "+5", "-0", "0", "-1", "1_000", "inf", "-inf", "nan",
+                     str(2**53 + 1), "5.", ".5", "  7  ", '"8"', ""]))
+_COUNT_CELLS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", "-5", "1e3", "+5", "1_000", "5.0", "007", str(2**53 + 1),
+                     str(2**63 - 1), str(2**63), "nan", "inf", '"3"', " 4 "]))
+_SUM_CELLS = st.one_of(
+    st.floats(0, 1e12).map(repr), st.integers(0, 10**9).map(str),
+    st.sampled_from(["-1", "-0", "inf", "nan", "1_0", "+3.5", "1e400", "4.9e-324",
+                     '"2"', ""]))
+
+
+@st.composite
+def tabulation_texts(draw):
+    """Multi-year tabulation texts: plausible brackets (so that some files
+    validate), tricky tokens, duplicates, blank and quoted lines, any row
+    order, CRLF or LF."""
+    header = draw(st.sampled_from([
+        "year,lower_threshold,returns,income_sum",
+        "year,lower_threshold,returns,income_sum",
+        "income_sum,returns,year,lower_threshold",
+        "year,lower_threshold,returns,income_sum,note",
+        "year,lower_threshold,returns,income_sum,note",
+        "year,lower_threshold,returns"]))
+    names = header.split(",")
+    lines = []
+    for year in draw(st.lists(st.sampled_from([1950, 1951, 1952]), min_size=1,
+                              max_size=3, unique=True)):
+        k = draw(st.integers(2, 6))
+        edges = sorted(draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k,
+                                     unique=True)), reverse=True)
+        for i, t in enumerate(edges):
+            count = draw(st.integers(1 if i == 0 else 0, 1000))
+            mean = t * 1.5 if i == 0 else (t + edges[i - 1]) / 2
+            cells = {"year": str(year), "lower_threshold": repr(float(t)),
+                     "returns": str(count), "income_sum": repr(count * mean), "note": "x"}
+            if draw(st.integers(0, 9)) == 0:
+                name = draw(st.sampled_from(["year", "lower_threshold", "returns",
+                                             "income_sum"]))
+                cells[name] = draw({"year": _YEAR_CELLS, "lower_threshold": _THRESHOLD_CELLS,
+                                    "returns": _COUNT_CELLS, "income_sum": _SUM_CELLS}[name])
+            lines.append(",".join(cells.get(name, "1") for name in names))
+    if draw(st.integers(0, 4)) == 0:
+        lines.append(draw(st.sampled_from(lines)))  # a duplicate row
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 4)) // 3):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "  ", ",,,", '"1950",1,1,1', "1950,1"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header, *lines]) + draw(st.sampled_from(["", eol]))
+
+
+TRAP_TABULATIONS = [
+    "year,lower_threshold,returns,income_sum\n1950,2,1,3\n1950,1,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950.0,2,1,3\n1950,1,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950,2,1e3,3\n1950,1,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950,2,1,3\n1950,1,1,1.5\n1950,1,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950,0,1,3\n1950,-0,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950,2,1,3\n1950,1,1,-0\n",
+    f"year,lower_threshold,returns,income_sum\n1950,2,{2**53 + 1},3e16\n1950,1,1,1.5\n",
+    f"year,lower_threshold,returns,income_sum\n1950,2,{2**63},3\n1950,1,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950,2,1,3\n1950,inf,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n1950,2,1,nan\n1950,1,1,1.5\n",
+    "year,lower_threshold,returns,income_sum\n",
+    "year,lower_threshold,returns,income_sum\n1950,2,1,3\n1953,1,1,1.5\n",
+]
+
+
+@pytest.mark.parametrize("text", TRAP_TABULATIONS)
+def test_trap_tabulations_read_as_the_row_path_does(text):
+    _assert_readers_agree(text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tabulation_texts())
+def test_one_pass_reader_matches_row_path(text):
+    # the same tabulations, value for value, or the same error at the same
+    # line; the examples are fixed so that every run checks the same texts
+    _assert_readers_agree(text)
