@@ -123,30 +123,36 @@ def _exit_status(rows) -> int:
 def cmd_estimate(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     methods = {"pi": ("PI",), "me": ("ME",), "both": ("PI", "ME")}[args.method]
+    long = args.layout == "long"
     rows = []
     for year, _, _, p, method, est in _year_outcomes(_load_inputs(args), fractiles,
                                                      methods):
-        row = dict.fromkeys(ESTIMATE_FIELDS, "")
-        row.update(year=year, fractile=repr(p), method=method,
-                   share_pct=MARKER)
+        # the appendix prints only share_pct; the other fields are long-only
+        row = {"year": year, "share_pct": MARKER}
+        if long:
+            row = {**dict.fromkeys(ESTIMATE_FIELDS, ""), **row,
+                   "fractile": repr(p), "method": method}
         if isinstance(est, Exception):
             row["status"] = _status(est)
         elif est.extrapolated and not args.allow_extrapolation:
             row["status"] = "extrapolation_disabled"
         else:
-            row.update({
-                "share_pct": f"{100.0 * est.share:.2f}",
-                "share_pct_full": repr(100.0 * est.share),
-                "threshold": repr(est.threshold),
-                "top_income": repr(est.top_income),
-                "bracket": "" if est.bracket is None else est.bracket,
-                "extrapolated": "true" if est.extrapolated else "false",
-                "status": "extrapolated" if est.extrapolated else "ok",
-            })
+            row.update(share_pct=f"{100.0 * est.share:.2f}",
+                       status="extrapolated" if est.extrapolated else "ok")
+            if long:
+                row.update({
+                    "share_pct_full": repr(100.0 * est.share),
+                    "threshold": repr(est.threshold),
+                    "top_income": repr(est.top_income),
+                    "bracket": "" if est.bracket is None else est.bracket,
+                    "extrapolated": "true" if est.extrapolated else "false",
+                })
         rows.append(row)
     meta = {"command": "estimate", "fractiles": fractiles,
             "methods": list(methods)}
-    if args.layout == "appendix":
+    if long:
+        _emit(args, meta, rows=(ESTIMATE_FIELDS, rows))
+    else:
         # rows come year by year, fractile-major: one wide row per method
         headers = [_fractile_header(p) for p in fractiles]
         m, n = len(methods), len(fractiles) * len(methods)
@@ -154,8 +160,6 @@ def cmd_estimate(args) -> int:
                     headers, (r["share_pct"] for r in rows[i + k:i + n:m])))}
                 for i in range(0, len(rows), n) for k, method in enumerate(methods)]
         _emit(args, meta, rows=(["Year", "method", *headers], wide))
-    else:
-        _emit(args, meta, rows=(ESTIMATE_FIELDS, rows))
     return _exit_status(rows)
 
 

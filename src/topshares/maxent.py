@@ -211,7 +211,9 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     monotone mean condition: an initial guess from series inversion in the
     middle and the tail asymptotes outside, a geometric expansion from it
     until [lo, hi] straddles the root, then Newton steps that fall back to
-    bisection when they leave that interval. It stops at a mean residual
+    bisection when they leave that interval. Newton starts at the evaluated
+    point nearest the root: the end of [lo, hi] with the smaller |residual|,
+    as the mean is monotone in the rate. It stops at a mean residual
     below MEAN_RESIDUAL_TOL of the width, when a step no longer moves the
     iterate, or after 200 steps. Every element sees exactly the operations
     it would see alone, so batching never changes a rate.
@@ -236,6 +238,7 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     h = _mean_frac(u) - r
     step = np.maximum(1.0, np.abs(u))
     lo, hi = u.copy(), u.copy()
+    h_edge = h.copy()
 
     # expand down while the mean is too high, up while it is too low; an
     # upward expansion that lands exactly on the root stops there
@@ -248,10 +251,15 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
         lo[go] = np.where(d, u_go, edge)
         hi[go] = np.where(d, edge, u_go)
         step[go] *= 2.0
+        h_edge[go] = h[go]
         h_go = _mean_frac(u_go) - r[go]
         h[go] = h_go
         go = go[np.where(d, h_go > 0.0, h_go < 0.0)]
-    u = np.where(down, lo, hi)  # the last point evaluated
+    # start at the last point, lo going down, or at the edge it expanded
+    # from, whichever is nearer the root
+    nearer = np.abs(h_edge) < np.abs(h)
+    u = np.where(nearer != down, lo, hi)
+    h = np.where(nearer, h_edge, h)
 
     # Newton on the unconverged elements, their state compacted to them
     live = np.flatnonzero(~(np.abs(h) <= MEAN_RESIDUAL_TOL))

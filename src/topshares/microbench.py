@@ -154,8 +154,9 @@ def oracle_share(sample: MicroSample, p: float) -> float:
             f"top fractile {p} covers fewer than one of {sample.population} units")
 
     incomes, weights, above, _ = sample._ranked
-    # the row straddling the cut, the first whose running total reaches it
-    boundary = int(np.searchsorted(above, target, side="left")) - 1
+    # the row straddling the cut, the first whose running total reaches it,
+    # i.e. ceil(target): an int key searches the totals exactly, uncast
+    boundary = int(np.searchsorted(above, math.ceil(target), side="left")) - 1
     if boundary >= len(incomes):
         top_sum = float(np.dot(incomes, weights))  # cut falls among non-filers
     else:
@@ -213,7 +214,9 @@ def quantile_thresholds(sample: MicroSample, classes: int,
         raise ValueError(f"unknown threshold scheme {scheme!r}")
 
     incomes, _, above, _ = sample._ranked
-    ranks = np.clip(np.round(fractions * sample.population), 2.0, above[-1])
+    # integer ranks, clipped exactly, for the exact search oracle_share makes
+    ranks = [min(max(int(r), 2), int(above[-1]))
+             for r in np.round(fractions * sample.population)]
     rows = np.searchsorted(above, ranks, side="left") - 1
     # + 0.0 turns -0.0 into 0.0, so the ladder does not depend on which of
     # two tied zeros the sort put last

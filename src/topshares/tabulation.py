@@ -360,12 +360,19 @@ def _columns(text: str, required: tuple[str, ...],
     None when the data rows are not a grid of plain numbers exactly as wide
     as the header (quoted fields, blank-looking cells, ragged or longer
     rows, a non-integer or beyond int64 in an integer column, no rows at
-    all); the caller then reads the text with ``_records``, which names the
-    first bad line. The header is read by ``_header``, as there.
+    all, a field beyond the csv module's size limit); the caller then reads
+    the text with ``_records``, which names the first bad line. The header
+    is read by ``_header``, as there.
     """
     # lineno counts CSV records: if a quoted field spans lines, loadtxt
     # reads a quote or the header itself, and fails
     lineno, width, idx = _header(_reader(text), required, columns, what)
+    # a field over the limit fills some block of limit // 2 + 1 characters
+    # with no comma or line break; the row path judges any text with one
+    block = csv.field_size_limit() // 2 + 1
+    for start in range(0, len(text) - block + 1, block):
+        if all(text.find(c, start, start + block) < 0 for c in ",\n\r"):
+            return None
     ints = {idx[name] for name in integers}
     try:
         with warnings.catch_warnings():

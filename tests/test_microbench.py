@@ -1,10 +1,12 @@
 """Micro-sample oracle, tabulation of samples, generation, and the protocol."""
 
 import io
+import itertools
 import json
 import math
 import statistics
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -74,6 +76,29 @@ class TestOracleShare:
         top = mb.MicroSample([1.0, 2.0], np.array([2**62, 2**62 - 1],
                                                   dtype=np.int64))
         assert top.filer_count == 2**63 - 1
+
+    def test_weight_total_searches_exact_past_2_53(self):
+        # the running totals 1 + (2**53 + 2) and 2**53 + 5 both read
+        # 2**53 + 4 as floats, so a float search for a cut at 2**53 + 4 stops
+        # a row early; the rows found must be those of Python-int totals
+        incomes, weights = [2.0, 1.0, 0.5], [1, 2**53 + 2, 2]
+        sample = mb.MicroSample(np.array(incomes), np.array(weights),
+                                nonfiler_count=2**53 + 3,
+                                total_income_override=2.0**60)
+        totals = list(itertools.accumulate(weights))
+
+        def row_reaching(rank):
+            return next(i for i, total in enumerate(totals) if total >= rank)
+
+        target = 0.5 * sample.population  # 2**53 + 4, exactly
+        row = row_reaching(math.ceil(target))
+        exact = (sum(Fraction(x) * w for x, w in zip(incomes[:row], weights[:row]))
+                 + (Fraction(target) - sum(weights[:row])) * Fraction(incomes[row]))
+        assert mb.oracle_share(sample, 0.5) == float(exact) / 2.0**60
+        # geometric K = 2 ranks: 0.001 of the population, then every filer
+        ranks = [round(1e-3 * sample.population), totals[-1]]
+        assert mb.quantile_thresholds(sample, 2).tolist() == sorted(
+            {incomes[row_reaching(rank)] for rank in ranks}, reverse=True)
 
 
 class TestTabulate:
@@ -529,6 +554,7 @@ class TestMicroCSV:
     @pytest.mark.parametrize("text,line", [
         ("income,weight\n1,2\r3,4\n", 2),                       # a lone CR
         ("income,weight\n1,2\n" + "9" * 200_000 + ",1\n", 3),   # field limit
+        ("income,weight\n1,2\n1" + "0" * 10 + "." + "0" * 200_000 + ",1\n", 3),  # 1e10
     ])
     def test_malformed_csv_raises_parse_error(self, text, line):
         for raw in (text, text.encode("utf-8")):

@@ -623,6 +623,9 @@ TRAP_TABULATIONS = [
     "year,lower_threshold,returns,income_sum\n1950,2,1,nan\n1950,1,1,1.5\n",
     "year,lower_threshold,returns,income_sum\n",
     "year,lower_threshold,returns,income_sum\n1950,2,1,3\n1953,1,1,1.5\n",
+    # 1e10 to numpy's parser, a field beyond the csv module's limit
+    "year,lower_threshold,returns,income_sum\n1950,1" + "0" * 10 + "." + "0" * 200_000
+    + ",1,3e10\n1950,1,1,1.5\n",
 ]
 
 
