@@ -15,12 +15,13 @@ pieces meet continuously, which is exactly the first-order condition.
 Numerical policy: each closed form has one implementation, a numpy kernel
 over floats or arrays of piece columns that evaluates each branch on every
 element and selects, with floating-point warnings suppressed, since a branch
-not taken may overflow or divide by zero. Every expression containing
-(e^(rate*width) - 1)/rate switches to a truncated series when |rate*width| <
-1e-6, where the direct form starts losing digits to cancellation. One rate
-solve serves a whole batch of brackets (every year of a series, every row of
-a recovery Hessian), one pass of the query kernels every ME cell of a batch,
-and each element gets the bits it would get alone.
+not taken may overflow or divide by zero. Where a direct form loses digits
+to cancellation as u = rate*width nears 0, its kernel switches to a truncated
+series: (e^u - 1)/u below |u| = 1e-6, the conditional mean position and its
+derivative below |u| = 1e-2, where the cancellation would exceed the rate
+solve's residual tolerance. One rate solve serves a whole batch of brackets
+(every year of a series), one pass of the query kernels every ME cell of a
+batch, and each element gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ __all__ = [
     "recover_thresholds",
 ]
 
-# Below this |rate * width| the direct closed forms lose precision to
-# cancellation, so the kernels switch to truncated series.
+# Below this |rate * width| the direct mass integral loses precision to
+# cancellation, so _iexp switches to its truncated series.
 SERIES_SWITCH = 1e-6
 
 MEAN_RESIDUAL_TOL = 1e-12  # on the bracket mean, relative to bracket width
@@ -96,7 +97,8 @@ def _mean_frac_direct(u):
 
 
 def _mean_frac_series(u):
-    return 0.5 + u / 12.0 - u * u * u / 720.0
+    u3 = u * u * u
+    return 0.5 + u / 12.0 - u3 / 720.0 + u3 * u * u / 30240.0
 
 
 @_quiet
@@ -109,7 +111,7 @@ def _mean_frac(u):
     """
     w = np.abs(u)
     direct = _mean_frac_direct(w)
-    return np.where(w < SERIES_SWITCH, _mean_frac_series(u),
+    return np.where(w < 1e-2, _mean_frac_series(u),
                     np.where(u > 0.0, direct, 1.0 - direct))
 
 
@@ -207,16 +209,18 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     initial guess, overflows; the other elements are solved as usual. An
     unbounded bracket (upper = inf) has the closed form -1/(mean - lower).
 
-    Each bounded element runs the same safeguarded Newton iteration on the
-    monotone mean condition: an initial guess from series inversion in the
-    middle and the tail asymptotes outside, a geometric expansion from it
-    until [lo, hi] straddles the root, then Newton steps that fall back to
-    bisection when they leave that interval. Newton starts at the evaluated
-    point nearest the root: the end of [lo, hi] with the smaller |residual|,
-    as the mean is monotone in the rate. It stops at a mean residual
-    below MEAN_RESIDUAL_TOL of the width, when a step no longer moves the
-    iterate, or after 200 steps. Every element sees exactly the operations
-    it would see alone, so batching never changes a rate.
+    Each bounded element solves _mean_frac(u) = r for u = rate * width by
+    safeguarded Newton. With the Langevin function L, _mean_frac(u) =
+    1/2 + L(u/2)/2, and 1 - 1/u < _mean_frac(u) < 1/2 + u/12 for u > 0,
+    mirrored for u < 0, so the root lies strictly between 12(r - 1/2) and
+    1/(1 - r) when r > 1/2, and between -1/r and 12(r - 1/2) when r < 1/2.
+    Newton starts at the end that approximates the root better (the tail
+    asymptote outside [0.01, 0.99], the series inversion inside) and falls
+    back to bisection when a step leaves the interval that still brackets
+    the root. It stops at a mean residual below MEAN_RESIDUAL_TOL of the
+    width, when a step no longer moves the iterate, or after 200 steps.
+    Every element sees exactly the operations it would see alone, so
+    batching never changes a rate.
     """
     lower, upper, mean = np.broadcast_arrays(lower, upper, mean)
     shape = lower.shape
@@ -233,33 +237,10 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
 
     todo = np.flatnonzero(inside & ~unbounded & (r != 0.5))
     r = r[todo]
-    u = np.where(r > 0.99, 1.0 / (1.0 - r),
-                 np.where(r < 0.01, -1.0 / r, 12.0 * (r - 0.5)))
+    series, tail = 12.0 * (r - 0.5), np.where(r > 0.5, 1.0 / (1.0 - r), -1.0 / r)
+    lo, hi = np.minimum(series, tail), np.maximum(series, tail)
+    u = np.where((r > 0.99) | (r < 0.01), tail, series)
     h = _mean_frac(u) - r
-    step = np.maximum(1.0, np.abs(u))
-    lo, hi = u.copy(), u.copy()
-    h_edge = h.copy()
-
-    # expand down while the mean is too high, up while it is too low; an
-    # upward expansion that lands exactly on the root stops there
-    down = h > 0.0
-    go = np.flatnonzero(down | (h < 0.0))
-    while go.size:
-        d = down[go]
-        edge = np.where(d, lo[go], hi[go])
-        u_go = np.where(d, edge - step[go], edge + step[go])
-        lo[go] = np.where(d, u_go, edge)
-        hi[go] = np.where(d, edge, u_go)
-        step[go] *= 2.0
-        h_edge[go] = h[go]
-        h_go = _mean_frac(u_go) - r[go]
-        h[go] = h_go
-        go = go[np.where(d, h_go > 0.0, h_go < 0.0)]
-    # start at the last point, lo going down, or at the edge it expanded
-    # from, whichever is nearer the root
-    nearer = np.abs(h_edge) < np.abs(h)
-    u = np.where(nearer != down, lo, hi)
-    h = np.where(nearer, h_edge, h)
 
     # Newton on the unconverged elements, their state compacted to them
     live = np.flatnonzero(~(np.abs(h) <= MEAN_RESIDUAL_TOL))
@@ -605,36 +586,50 @@ class ThresholdSolution:
         self.thresholds.flags.writeable = False
 
 
+@_quiet
 def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Objectives and threshold gradients at a stack of candidates.
+                ) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Objective, threshold gradient and tridiagonal Hessian at candidate
+    thresholds (K,), from one rate solve.
 
     The objective is the minimized divergence as a function of thresholds:
     the mass-weighted sum of attained per-bracket objectives plus the mass
     entropy term. By the envelope theorem its derivative in an interior
-    threshold is the density jump across that boundary, so the gradient
-    vanishes exactly when adjacent pieces meet continuously. For (m, K)
-    candidate rows it returns the m objectives and the (m, K-1) gradients,
-    from one rate solve over all rows; each row equals a one-row call bit
-    for bit, and a single (K,) candidate gives a scalar and a (K-1,)
-    gradient. Raises MeanOnBoundaryError when a candidate puts a bracket
-    mean on its boundary.
+    threshold is the density jump across that boundary, f_lo of the piece
+    above minus f_hi of the piece below, so the gradient vanishes exactly
+    when adjacent pieces meet continuously. An edge density moves only with
+    its own piece's edges, so the Hessian is tridiagonal, returned as its
+    diagonal (K-1,) and off-diagonal (K-2,). Differentiating the mean
+    condition lower + w M(u) = mean (w the width, u = rate * w, M =
+    _mean_frac, m = M(u), m' = M'(u)) gives, per bounded piece, df_lo/dlo =
+    f_lo c and df_hi/dhi = -f_hi c with c = (1 + m(1-m)/m') / w, and
+    df_lo/dhi = -df_hi/dlo = f_lo (m^2/m' - 1) / w = f_hi ((1-m)^2/m' - 1) / w;
+    the unbounded top piece has f_lo = mass/(mean - lower), so df_lo/dlo =
+    f_lo^2/mass. The edge densities take _density_at's overflow-safe forms.
+    Raises MeanOnBoundaryError when a candidate puts a bracket mean on its
+    boundary.
     """
     lower = np.asarray(thresholds, dtype=float)
-    upper = np.concatenate((np.full(lower.shape[:-1] + (1,), math.inf),
-                            lower[..., :-1]), axis=-1)
+    upper = np.append(math.inf, lower[:-1])
     mass, mean = stats.bracket_fraction, stats.bracket_mean
     rate, failed = _solve_rates(lower, upper, mean)
     if failed.any():
-        at = tuple(np.argwhere(failed)[0])
-        raise _boundary_error(lower[at], upper[at], mean[at[-1]],
-                              bracket=int(at[-1]))
+        k = int(np.argmax(failed))
+        raise _boundary_error(lower[k], upper[k], mean[k], bracket=k)
     terms = mass * (_attained_objective(lower, upper, rate, mean) + np.log(mass))
-    objective = np.cumsum(terms, axis=-1)[..., -1]  # top bracket first, in order
-    boundary = lower[..., :-1]
-    grad = (_density_at(boundary, upper[..., :-1], mass[:-1], rate[..., :-1], boundary)
-            - _density_at(lower[..., 1:], boundary, mass[1:], rate[..., 1:], boundary))
-    return objective, grad
+    objective = float(np.cumsum(terms)[-1])  # top bracket first, in order
+    f_lo = _density_at(lower, upper, mass, rate, lower)
+    f_hi = _density_at(lower[1:], upper[1:], mass[1:], rate[1:], upper[1:])
+    width = upper[1:] - lower[1:]
+    u = rate[1:] * width
+    m, m_prime = _mean_frac(u), _mean_frac_deriv(u)
+    edge = (1.0 + m * (1.0 - m) / m_prime) / width
+    lo_lo = np.append(f_lo[0] ** 2 / mass[0], f_lo[1:] * edge)
+    diag = lo_lo[:-1] + f_hi * edge  # d/dt_j of f_lo(j) - f_hi(j+1)
+    # df_lo/dhi from the smaller edge density, to keep its relative precision
+    far = np.maximum(m, 1.0 - m)
+    off = (np.minimum(f_lo[1:], f_hi) * (far * far / m_prime - 1.0) / width)[:-1]
+    return objective, f_lo[:-1] - f_hi, (diag, off)
 
 
 def recover_thresholds(stats: CumulativeStats, t_bottom: float,
@@ -646,21 +641,19 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     over the interior ones. Each interior threshold must separate the means
     of the brackets it divides, so the feasible set is a box per threshold;
     the search runs in logistic coordinates inside those boxes, which keeps
-    the ordering feasible by construction. Second-order steps use the
-    analytic gradient (density jumps) with a finite-difference Hessian and a
-    backtracking line search; the objective blows up at the box edges, so
-    iterates stay interior. Gradient k depends only on thresholds k-1, k and
-    k+1, so the Hessian is tridiagonal and three perturbation colours
-    recover it (Curtis, Powell & Reid, IMA J. Appl. Math. 1974). Each step
-    makes one ``_divergence`` call on the 2 * min(3, K-1) perturbed rows
-    (6 for K >= 4), so the rate solves of the whole Hessian share one batch;
-    line-search trials are single rows. Near the optimum a Newton step can
-    cut the gradient by orders of magnitude while moving the objective by an
-    ulp either way, so a step that leaves the objective flat at float
-    resolution is accepted when it lowers the gradient. The iteration stops
-    when the gradient meets ``grad_tol * (1 + |objective|)``, when no step
-    lowers the objective or the gradient, or after ``max_iterations`` Newton
-    steps.
+    the ordering feasible by construction. Newton steps use the closed-form
+    gradient (density jumps) and tridiagonal Hessian of ``_divergence``,
+    carried to logistic coordinates by the chain rule, with a backtracking
+    line search; the objective blows up at the box edges, so iterates stay
+    interior. Each line-search trial is one ``_divergence`` call, one rate
+    solve, and the accepted trial's Hessian serves the next step, so a
+    recovery makes 1 + (line-search trials) calls. Near the optimum a Newton
+    step can cut the gradient by orders of magnitude while moving the
+    objective by an ulp either way, so a step that leaves the objective flat
+    at float resolution is accepted when it lowers the gradient. The
+    iteration stops when the gradient meets ``grad_tol * (1 + |objective|)``,
+    when no step lowers the objective or the gradient, or after
+    ``max_iterations`` Newton steps.
     """
     k_total = stats.num_brackets
     if k_total < 2:
@@ -680,51 +673,33 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
 
     # Interior threshold k must lie strictly between the means it separates.
     box_lo = y[1:].astype(float)
-    box_hi = y[:-1].astype(float)
+    span = y[:-1] - box_lo
 
     def thresholds_of(z):
         # |z| capped so the logistic never saturates to an exact box edge,
         # which would put a bracket mean on its boundary
-        z = np.clip(z, -30.0, 30.0)
-        sig = 1.0 / (1.0 + np.exp(-z))
-        t = np.empty(z.shape[:-1] + (k_total,))
-        t[..., :-1] = box_lo + (box_hi - box_lo) * sig
-        t[..., -1] = t_bottom
-        return t, sig
+        sig = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
+        return np.append(box_lo + span * sig, t_bottom), sig
 
     def eval_at(z):
-        # at one point (K-1,) or a stack of points (m, K-1)
+        # t = box_lo + span * sig(z): dt/dz = s, d2t/dz2 = s (1 - 2 sig)
         t, sig = thresholds_of(z)
-        value, grad_t = _divergence(stats, t)
-        grad_z = grad_t * (box_hi - box_lo) * sig * (1.0 - sig)
-        return value, grad_z
+        value, grad_t, (diag_t, off_t) = _divergence(stats, t)
+        s = span * sig * (1.0 - sig)
+        off = off_t * s[:-1] * s[1:]
+        hess = (np.diag(diag_t * s * s + grad_t * s * (1.0 - 2.0 * sig))
+                + np.diag(off, 1) + np.diag(off, -1))
+        return value, grad_t * s, hess
 
     z = np.zeros(k_total - 1)  # box midpoints
-    value, grad = eval_at(z)
+    value, grad, hess = eval_at(z)
 
     iterations = 0
-    fd_step = 1e-5
     flat = 4.0 * np.finfo(float).eps
     while iterations < max_iterations:
         grad_max = np.max(np.abs(grad))
         if grad_max <= grad_tol * (1.0 + abs(value)):
             break
-
-        # tridiagonal Hessian by 3-colour central differences of the
-        # gradient, all 2 * colours rows in one evaluation
-        dim = len(z)
-        colours = min(3, dim)
-        shifts = np.zeros((colours, dim))
-        for colour in range(colours):
-            shifts[colour, colour::3] = fd_step
-        _, g = eval_at(np.concatenate((z + shifts, z - shifts)))
-        hess = np.zeros((dim, dim))
-        for colour in range(colours):
-            combined = (g[colour] - g[colours + colour]) / (2.0 * fd_step)
-            for j in range(colour, dim, 3):
-                band = slice(max(j - 1, 0), j + 2)
-                hess[band, j] = combined[band]
-        hess = 0.5 * (hess + hess.T)
 
         try:
             direction = np.linalg.solve(hess, -grad)
@@ -739,11 +714,11 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         step = 1.0
         for _ in range(60):
             z_new = z + step * direction
-            v_new, g_new = eval_at(z_new)
+            v_new, g_new, h_new = eval_at(z_new)
             if (v_new <= value + 1e-4 * step * slope
                     or (abs(v_new - value) <= flat * (1.0 + abs(value))
                         and np.max(np.abs(g_new)) < grad_max)):
-                z, value, grad = z_new, v_new, g_new
+                z, value, grad, hess = z_new, v_new, g_new, h_new
                 break
             step *= 0.5
         else:

@@ -207,6 +207,9 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if scheme == "geometric":
+        if not 0.0 < top_fraction < 1.0:
+            raise ValueError(f"top_fraction must lie strictly between 0 and 1, "
+                             f"got {top_fraction}")
         fractions = top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
     elif scheme == "equal_mass":
         fractions = np.arange(1, classes + 1) / classes

@@ -178,8 +178,10 @@ def _violations(series: tuple) -> list[list[Violation]]:
     total = [sum(c[a:a + n].tolist()) for a, n in zip(starts.tolist(), sizes.tolist())]
     position = np.arange(len(t)) - np.repeat(starts, sizes)
     upper = np.append(math.inf, t[:-1])  # the next threshold up, below position 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = s * np.repeat([u if u > 0 else 1.0 for u in unit], sizes) / c
+    scale = np.repeat([u if u > 0 else 1.0 for u in unit], sizes)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = s * scale
+        mean = scaled / c
     occupied, top = c > 0, position == 0
     checks = (  # (group, code, flags by year or by bracket, message)
         (0, "too_few_brackets", sizes < 2, "need at least 2 brackets, got {n}"),
@@ -189,9 +191,17 @@ def _violations(series: tuple) -> list[list[Violation]]:
          "total_income must be positive and finite, got {income}"),
         (0, "income_unit_not_positive", [not (math.isfinite(x) and x > 0) for x in unit],
          "income_unit must be positive and finite, got {unit}"),
+        # finite factors whose product overflows in threshold units
+        (0, "scaled_total_income_not_finite",
+         [math.isfinite(x) and math.isfinite(u) and not math.isfinite(x * u)
+          for x, u in zip(income, unit)],
+         "total_income {income} times income_unit {unit} is not finite"),
         (1, "negative_count", c < 0, "count {c} is negative"),
         (1, "bad_threshold", ~np.isfinite(t) | (t < 0), "threshold {t} not finite and >= 0"),
         (1, "bad_income_sum", ~np.isfinite(s) | (s < 0), "income_sum {s} not finite and >= 0"),
+        (1, "scaled_income_sum_not_finite",
+         np.isfinite(s) & np.isfinite(scale) & ~np.isfinite(scaled),
+         "income_sum {s} times income_unit {unit} is not finite"),
         (2, "thresholds_not_strictly_decreasing", ~top & ~(t < upper),
          "threshold {t} does not sit strictly below {upper}"),
         # bracket means sit inside their bracket, strictly above the lower
@@ -217,7 +227,8 @@ def _violations(series: tuple) -> list[list[Violation]]:
             else:  # i is a bracket
                 found.append((year_of.item(i), group, position.item(i), rank, code,
                               position.item(i), message.format(
-                                  c=c[i], t=t[i], s=s[i], mean=mean[i], upper=upper[i])))
+                                  c=c[i], t=t[i], s=s[i], mean=mean[i], upper=upper[i],
+                                  unit=scale[i])))
     out: list[list[Violation]] = [[] for _ in denominators]
     for y, _, _, _, code, bracket, message in sorted(found):
         out[y].append(Violation(code, bracket, message))

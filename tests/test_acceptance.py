@@ -381,6 +381,42 @@ def test_criterion_bias_direction():
     print(f"PASS: bias direction ({tally}; {t.elapsed:.1f}s)")
 
 
+def test_criterion_me_more_accurate_than_pi():
+    """The paper's accuracy claim on the micro protocol: at n = 2x10^5, 10
+    trials, seed 7, K in {8, 14, 30} and p in {0.1, 0.05, 0.01}, ME's MSE of
+    the relative error is at most PI's in 9/9 cells for lognormal(0, 1) and
+    for a 0.97/0.03 mixture of lognormal(10.2, 0.75) and Pareto(2.2, 6e4),
+    and in at least 8/9 for Pareto(2). There PI's premise, a Pareto tail,
+    holds exactly, and PI wins K = 8, p = 0.1 (ME 9.8e-8 against PI's
+    8.0e-8 when this was pinned); that exception is printed. No cell may
+    fail.
+    The seeds and draws are fixed, not chosen for the outcome.
+    """
+    laws = (("lognormal(0, 1)", mb.LognormalDist(0.0, 1.0), 9),
+            ("lognormal/Pareto mixture", mb.MixtureDist(
+                (0.97, 0.03), (mb.LognormalDist(10.2, 0.75), mb.ParetoDist(2.2, 6e4))), 9),
+            ("Pareto(2)", mb.ParetoDist(2.0), 8))
+    tallies, exceptions = [], []
+    with timed(30.0) as t:
+        for name, dist, need in laws:
+            report = mb.run_protocol(mb.BenchmarkSpec(
+                dist=dist, size=200_000, classes=(8, 14, 30),
+                fractiles=(0.1, 0.05, 0.01), trials=10, seed=7))
+            mse = {}
+            for s in report.summaries:
+                assert (s.trials_ok, s.trials_failed) == (10, 0), (name, s)
+                mse.setdefault((s.classes, s.fractile), {})[s.method] = s.mse_rel_error
+            assert len(mse) == 9
+            wins = [cell for cell, m in mse.items() if m["ME"] <= m["PI"]]
+            exceptions += [f"{name} K={k} p={p}: ME {mse[k, p]['ME']:.3g} vs "
+                           f"PI {mse[k, p]['PI']:.3g}"
+                           for k, p in sorted(mse.keys() - set(wins))]
+            assert len(wins) >= need, (name, mse)
+            tallies.append(f"{name} {len(wins)}/9")
+    print(f"PASS: ME MSE <= PI MSE ({'; '.join(tallies)}; exceptions: "
+          f"{'; '.join(exceptions) or 'none'}; {t.elapsed:.2f}s)")
+
+
 def test_criterion_published_series_not_reproducible_statement(tmp_path):
     """The published 1966-1995 micro-file MSE pair and the 1917-1965 share
     tables require IRS micro-files and digitized SOI tabulations that are
@@ -425,10 +461,11 @@ def test_criterion_rate_zero_stability():
     1e-9 relative at |rate*width| in {1e-4, 1e-7, 1e-10}.
 
     The reference for each direct closed form is a 50-digit evaluation
-    (below 1e-6 the double-precision direct form of the tilted-mean kernel
-    is destroyed by cancellation, which is why production switches to the
-    series there; the double direct branch is additionally asserted at
-    1e-4 where it is numerically meaningful).
+    (below 1e-2 the double-precision direct form of the tilted-mean kernel
+    loses more than the rate solve's 1e-12 residual tolerance to
+    cancellation, which is why production switches to the series there, and
+    below 1e-6 it is destroyed; the double direct branch is additionally
+    asserted at 1e-4, where it still holds 1e-9 relative).
     """
     mpmath.mp.dps = 50
 

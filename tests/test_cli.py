@@ -428,6 +428,29 @@ def test_counts_beyond_int64_exit_one(tmp_path, capsys, rows, population, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows,total,message", [
+    ("1950,2e12,5,1e300\n1950,1e12,10,1500\n", "1e6",
+     "[scaled_income_sum_not_finite] income_sum 1e+300 times income_unit "
+     "10000000000.0 is not finite"),
+    ("1950,2e12,5,1500\n1950,1e12,10,1500\n", "1e300",
+     "[scaled_total_income_not_finite] total_income 1e+300 times income_unit "
+     "10000000000.0 is not finite"),
+], ids=["income_sum", "total_income"])
+def test_income_overflowing_threshold_units_exits_one(tmp_path, capsys, rows, total,
+                                                      message):
+    # the scaled income sum once leaked an overflow warning and printed nan
+    # ME shares with status ok; the scaled total printed every share as 0.00
+    tab, den, out = tmp_path / "tab.csv", tmp_path / "den.csv", tmp_path / "out.csv"
+    tab.write_text("year,lower_threshold,returns,income_sum\n" + rows)
+    den.write_text(f"year,population,total_income,income_unit\n1950,100,{total},1e10\n")
+    for method in ("me", "pi", "both"):
+        assert main(["estimate", "--input", str(tab), "--denominators", str(den),
+                     "--method", method, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: year 1950: invalid tabulation: {message}\n")
+        assert not out.exists()
+
+
 def test_pi_overflow_is_a_typed_error(tmp_path, capsys):
     # the coefficient at a 2e-300 threshold is about 5e306, so the top
     # income overflows: the rows once read inf with status ok and exit 0

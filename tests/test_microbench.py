@@ -144,6 +144,18 @@ class TestTabulate:
         fractions = ts.cumulate(tab).bracket_fraction
         assert np.all(np.abs(fractions - 1.0 / 30.0) < 1e-3)
 
+    @pytest.mark.parametrize("top_fraction", [0.0, 1.0, 2.0, -0.5, math.nan])
+    def test_geometric_top_fraction_outside_unit_interval_rejected(self, top_fraction):
+        # 0 once turned K = 8 into 2 thresholds, 1 and 2 into one; -0.5 and
+        # NaN warned and failed converting NaN ranks to integers
+        sample = mb.generate(mb.ParetoDist(2.0), 1_000, seed=1)
+        with pytest.raises(ValueError) as err:
+            mb.quantile_thresholds(sample, 8, top_fraction=top_fraction)
+        assert str(err.value) == ("top_fraction must lie strictly between 0 and 1, "
+                                  f"got {top_fraction}")
+        assert len(mb.quantile_thresholds(sample, 8, top_fraction=top_fraction,
+                                          scheme="equal_mass")) == 8
+
     def test_nonincreasing_thresholds_rejected(self):
         sample = mb.MicroSample.from_incomes([5.0, 15.0])
         with pytest.raises(ValueError):

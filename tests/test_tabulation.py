@@ -84,6 +84,22 @@ class TestValidate:
         assert {"too_few_brackets", "population_not_positive",
                 "total_income_not_positive"} <= codes
 
+    @pytest.mark.parametrize("top_sum,total,code,message", [
+        (1e300, 1e6, "scaled_income_sum_not_finite",
+         "income_sum 1e+300 times income_unit 10000000000.0 is not finite"),
+        (1500.0, 1e300, "scaled_total_income_not_finite",
+         "total_income 1e+300 times income_unit 10000000000.0 is not finite"),
+    ], ids=["income_sum", "total_income"])
+    def test_income_overflowing_threshold_units_is_a_violation(
+            self, top_sum, total, code, message):
+        # each factor is finite, their product is not; validating warns of
+        # nothing (the suite turns a RuntimeWarning into an error)
+        tab = ts.Tabulation(year=1950, brackets=(
+            ts.IncomeBracket(2e12, 5, top_sum), ts.IncomeBracket(1e12, 10, 1500.0)),
+            population=100, total_income=total, income_unit=1e10)
+        assert [(v.code, v.bracket, v.message) for v in ts.validate(tab)] == [
+            (code, 0 if code == "scaled_income_sum_not_finite" else None, message)]
+
     def test_empty_bracket_is_allowed(self):
         tab = simple_tab(brackets=(
             ts.IncomeBracket(100.0, 5, 5 * 160.0),
@@ -322,6 +338,12 @@ def reference_validate(tab):
     if not np.isfinite(tab.income_unit) or tab.income_unit <= 0:
         out.append(("income_unit_not_positive", None,
                     f"income_unit must be positive and finite, got {tab.income_unit}"))
+    if (np.isfinite(tab.total_income) and np.isfinite(tab.income_unit)
+            and not np.isfinite(tab.total_income * tab.income_unit)):
+        out.append(("scaled_total_income_not_finite", None,
+                    f"total_income {tab.total_income} times income_unit "
+                    f"{tab.income_unit} is not finite"))
+    unit = tab.income_unit if tab.income_unit > 0 else 1.0
     brackets = tab.brackets
     for i, b in enumerate(brackets):
         if b.count < 0:
@@ -332,12 +354,16 @@ def reference_validate(tab):
         if not np.isfinite(b.income_sum) or b.income_sum < 0:
             out.append(("bad_income_sum", i,
                         f"income_sum {b.income_sum} not finite and >= 0"))
+        if (np.isfinite(b.income_sum) and np.isfinite(unit)
+                and not np.isfinite(b.income_sum * unit)):
+            out.append(("scaled_income_sum_not_finite", i,
+                        f"income_sum {b.income_sum} times income_unit {unit} "
+                        f"is not finite"))
     for i in range(1, len(brackets)):
         if not brackets[i].lower_threshold < brackets[i - 1].lower_threshold:
             out.append(("thresholds_not_strictly_decreasing", i,
                         f"threshold {brackets[i].lower_threshold} does not sit strictly "
                         f"below {brackets[i - 1].lower_threshold}"))
-    unit = tab.income_unit if tab.income_unit > 0 else 1.0
     with np.errstate(all="ignore"):
         for i, b in enumerate(brackets):
             if b.count <= 0:
