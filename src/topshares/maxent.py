@@ -38,7 +38,7 @@ from .errors import (
     MeanOnBoundaryError,
 )
 from .pareto import ShareEstimate, pi_shares
-from .tabulation import CumulativeStats, Tabulation, cumulate
+from .tabulation import CumulativeStats, Tabulation, _stack, cumulate
 
 __all__ = [
     "MaxEntDensity",
@@ -389,17 +389,6 @@ def _like(x: np.ndarray, value: np.ndarray):
     return value.item() if x.ndim == 0 else value.reshape(x.shape)
 
 
-def _stack(columns: Sequence[tuple[np.ndarray, ...]]):
-    """Several densities' columns (thresholds first) end to end as lower and
-    upper edges (inf at each top piece) and the rest, with first rows and sizes."""
-    sizes = np.array([len(c[0]) for c in columns])
-    starts = np.cumsum(sizes) - sizes
-    lower, *rest = (np.concatenate(c, dtype=float) for c in zip(*columns))
-    upper = np.append(math.inf, lower[:-1])
-    upper[starts] = math.inf
-    return (lower, upper, *rest), starts, sizes
-
-
 def _piece_index(thresholds: np.ndarray, y):
     """Index of the piece holding y: the highest whose lower threshold is
     at or below y; the bottom piece for y below the bottom or NaN."""
@@ -442,48 +431,48 @@ def _fractile_error(p: float, covered: float) -> ValueError:
     return FractileNotCoveredError(p, covered)
 
 
-def _me_shares(densities: Sequence[MaxEntDensity], fractiles: Sequence[float],
+def _me_shares(stack, tabs: Sequence, fractiles: Sequence[float],
                ) -> list[list[ShareEstimate | ValueError]]:
-    """The ME estimate of every fractile on each density, or the error that
-    stops it, from one pass of the kernels over all of them."""
-    if not densities:
-        return []
-    stack = _stack([d._columns for d in densities])
+    """The ME estimate of every fractile on each year of a solved stack (see
+    ``_densities``), or the error that stops it, from one pass of the query
+    kernels; ``tabs`` give each year's population and total income."""
+    (*_, above), starts, sizes = stack
     t, served = _quantiles(stack, np.tile(np.asarray(fractiles, dtype=float),
-                                          (len(densities), 1)))
+                                          (len(tabs), 1)))
     top = _partial_expectations(stack, t)
-    return [[ShareEstimate(fractile=p, threshold=t_p, top_income=d.population * above,
-                           share=d.population * above / d.total_income, method="ME",
-                           extrapolated=p < float(d.mass_above[0]))
-             if ok else _fractile_error(p, d.covered_fraction)
-             for p, t_p, above, ok in zip(fractiles, *cells)]
-            for d, *cells in zip(densities, t.tolist(), top.tolist(), served.tolist())]
+    return [[ShareEstimate(fractile=p, threshold=t_p, top_income=s.population * a,
+                           share=s.population * a / s.total_income, method="ME",
+                           extrapolated=p < first)
+             if ok else _fractile_error(p, covered)
+             for p, t_p, a, ok in zip(fractiles, *cells)]
+            for s, first, covered, *cells in zip(
+                tabs, above[starts].tolist(), above[starts + sizes - 1].tolist(),
+                t.tolist(), top.tolist(), served.tolist())]
 
 
-def _densities(stats: Sequence[CumulativeStats],
-               thresholds: Sequence[np.ndarray],
-               ) -> list[MaxEntDensity | MeanOnBoundaryError]:
-    """The maximum-entropy density of each tabulation at its thresholds,
-    from one rate solve over all their brackets; empty brackets become
-    zero-mass pieces. A tabulation with a bracket mean on its boundary gets
-    that bracket's MeanOnBoundaryError in place of a density, alone."""
-    if not stats:
-        return []
-    (lower, upper, mass, mean), starts, sizes = _stack(
-        [(t, s.bracket_fraction, s.bracket_mean) for s, t in zip(stats, thresholds)])
+def _densities(stats: Sequence[CumulativeStats], thresholds: Sequence[np.ndarray],
+               ) -> tuple[tuple, list[MeanOnBoundaryError | None]]:
+    """The maximum-entropy densities of tabulations at their thresholds from
+    one rate solve, as the ``_stack`` of their ``MaxEntDensity._columns``:
+    ((lower, upper, mass, rate, mean, mass_above), starts, sizes), empty
+    brackets as zero-mass pieces. Beside it, per tabulation, the
+    MeanOnBoundaryError of its first bracket with a mean on its boundary
+    (its rows then hold no density), or None."""
+    (lower, upper, mass, mean, above), starts, sizes = _stack(
+        [(t, s.bracket_fraction, s.bracket_mean, s.top_fraction)
+         for s, t in zip(stats, thresholds)])
     occupied = mass > 0.0
     rate, failed = _solve_rates(lower, upper, mean)
     rate, failed = np.where(occupied, rate, 0.0), failed & occupied
     mass, mean = np.where(occupied, mass, 0.0), np.where(occupied, mean, math.nan)
-
-    out: list[MaxEntDensity | MeanOnBoundaryError] = []
-    for s, a, b in zip(stats, starts.tolist(), (starts + sizes).tolist()):
-        k = int(np.argmax(failed[a:b]))  # the first failed bracket, if any
-        out.append(_boundary_error(lower[a + k], upper[a + k], mean[a + k], bracket=k)
-                   if failed[a + k] else
-                   MaxEntDensity(*(c[a:b] for c in (lower, mass, rate, mean)),
-                                 s.top_fraction.copy(), s.population, s.total_income))
-    return out
+    # each year's first failed row, or len(failed) when none
+    first = np.minimum.reduceat(np.where(failed, np.arange(len(failed)), len(failed)),
+                                starts)
+    errors = [_boundary_error(lower[i], upper[i], mean[i], bracket=i - a)
+              if i < len(failed) else None
+              for a, i in zip(starts.tolist(), first.tolist())]
+    mean[failed] = math.nan  # queried with the rest: an infinite mean would raise
+    return ((lower, upper, mass, rate, mean, above), starts, sizes), errors
 
 
 def build_density(stats: CumulativeStats,
@@ -503,15 +492,17 @@ def build_density(stats: CumulativeStats,
                          f"{len(thresholds)}")
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
-    [density] = _densities([stats], [thresholds])
-    if isinstance(density, MeanOnBoundaryError):
-        raise density
-    return density
+    ((lower, _, mass, rate, mean, above), _, _), [error] = _densities(
+        [stats], [thresholds])
+    if error is not None:
+        raise error
+    return MaxEntDensity(lower, mass, rate, mean, above, stats.population,
+                         stats.total_income)
 
 
 def me_share_from_density(density: MaxEntDensity, p: float) -> ShareEstimate:
     """Top-p share read off an already-built maximum-entropy density."""
-    [[estimate]] = _me_shares([density], [p])
+    [[estimate]] = _me_shares(_stack([density._columns]), [density], [p])
     if isinstance(estimate, ValueError):
         raise estimate
     return estimate
@@ -534,23 +525,21 @@ def estimate_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float]
     """Every fractile x method estimate of each tabulation, fractile-major.
 
     This is the one estimation loop behind both the historical series and
-    the accuracy protocol, so PI and ME always see identical inputs. The ME
-    densities of all tabulations come from one rate solve and all their ME
-    entries from one pass of the query kernels; the PI brackets of all
-    entries are selected in one array pass. The result holds one list
-    per tabulation, in order, of (p, method, outcome), where the outcome is
-    the ShareEstimate or the TopsharesError/ValueError that stopped it; a
-    failed density build stops every ME entry of its tabulation and no
-    other. Methods other than "PI" and "ME" raise ValueError first.
+    the accuracy protocol, so PI and ME always see identical inputs. Each
+    method lays all tabulations out once with ``_stack``: ME solves every
+    rate in one call and answers every cell from that one stack, with no
+    per-year density; PI selects all cells' brackets in one array pass. The
+    result holds one list per tabulation, in order, of (p, method, outcome),
+    the outcome being the ShareEstimate or the TopsharesError/ValueError
+    that stopped it; a failed density fails every ME outcome of its
+    tabulation and no other. Other methods than "PI" and "ME" raise first.
     """
     _check_methods(methods)
     me = pi = [[None] * len(fractiles)] * len(stats)
-    if "ME" in methods:
-        densities = _densities(stats, [s.thresholds for s in stats])
-        answers = iter(_me_shares([d for d in densities
-                                   if isinstance(d, MaxEntDensity)], fractiles))
-        me = [next(answers) if isinstance(d, MaxEntDensity) else [d] * len(fractiles)
-              for d in densities]
+    if "ME" in methods and stats:
+        stack, errors = _densities(stats, [s.thresholds for s in stats])
+        me = [row if error is None else [error] * len(fractiles)
+              for error, row in zip(errors, _me_shares(stack, stats, fractiles))]
     if "PI" in methods:
         pi = pi_shares(stats, fractiles)
     return [[(p, method, me_outcome if method == "ME" else pi_outcome)

@@ -192,6 +192,18 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     )
 
 
+def _check_ladder(classes: int, top_fraction: float, scheme: str) -> None:
+    """Raise ValueError unless ``quantile_thresholds`` can lay ``classes``
+    brackets by ``scheme``; a BenchmarkSpec checks its ladders by it too."""
+    if classes < 2:
+        raise ValueError("need at least 2 classes")
+    if scheme not in ("geometric", "equal_mass"):
+        raise ValueError(f"unknown threshold scheme {scheme!r}")
+    if scheme == "geometric" and not 0.0 < top_fraction < 1.0:
+        raise ValueError(f"top_fraction must lie strictly between 0 and 1, "
+                         f"got {top_fraction}")
+
+
 def quantile_thresholds(sample: MicroSample, classes: int,
                         top_fraction: float = 1e-3,
                         scheme: str = "geometric") -> np.ndarray:
@@ -204,17 +216,9 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     bracket keeps at least two units so its mean sits strictly above its
     threshold. Duplicate thresholds from tied order statistics collapse.
     """
-    if classes < 2:
-        raise ValueError("need at least 2 classes")
-    if scheme == "geometric":
-        if not 0.0 < top_fraction < 1.0:
-            raise ValueError(f"top_fraction must lie strictly between 0 and 1, "
-                             f"got {top_fraction}")
-        fractions = top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
-    elif scheme == "equal_mass":
-        fractions = np.arange(1, classes + 1) / classes
-    else:
-        raise ValueError(f"unknown threshold scheme {scheme!r}")
+    _check_ladder(classes, top_fraction, scheme)
+    fractions = (top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
+                 if scheme == "geometric" else np.arange(1, classes + 1) / classes)
 
     incomes, _, above, _ = sample._ranked
     # integer ranks, clipped exactly, for the exact search oracle_share makes
@@ -458,6 +462,8 @@ class BenchmarkSpec:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         maxent._check_methods(self.methods)
+        for classes in self.classes:
+            _check_ladder(classes, self.top_fraction, self.scheme)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
@@ -627,7 +633,7 @@ def load_micro_csv(raw) -> MicroSample:
     and its line.
     """
     text = _text(raw)
-    columns = _columns(text, _MICRO_COLUMNS, None, "micro CSV")
+    columns = _columns(text, _MICRO_COLUMNS, "micro CSV")
     if columns is not None:
         try:
             return MicroSample(columns["income"], columns["weight"])
@@ -638,7 +644,7 @@ def load_micro_csv(raw) -> MicroSample:
 
 def _micro_rows(text: str) -> MicroSample:
     """``load_micro_csv`` row by row: a ParseError at the first bad line."""
-    idx, rows = _records(text, _MICRO_COLUMNS, None, "micro CSV")
+    idx, rows = _records(text, _MICRO_COLUMNS, "micro CSV")
     incomes, weights = [], []
     for lineno, fields in rows:
         income = _parse_float(fields[idx["income"]], "income", lineno)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FractileNotCoveredError, ParetoFitError
-from .tabulation import CumulativeStats, Tabulation, cumulate
+from .tabulation import CumulativeStats, Tabulation, _stack, cumulate
 
 __all__ = [
     "ParetoBracketFit",
@@ -70,11 +70,9 @@ def _fits(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
     array pass over their stacked brackets."""
     if not stats:
         return []
-    sizes = np.array([s.num_brackets for s in stats])
-    starts = np.cumsum(sizes) - sizes
-    fraction, threshold, coef, expo = (np.concatenate(c) for c in zip(*(
-        (s.top_fraction, s.thresholds, s.pareto_coefficient, s.pareto_exponent)
-        for s in stats)))
+    (threshold, _, fraction, coef, expo), starts, sizes = _stack(
+        [(s.thresholds, s.top_fraction, s.pareto_coefficient, s.pareto_exponent)
+         for s in stats])
     distance = np.abs(fraction - np.array(fractiles, dtype=float)[:, None])
     nearest = np.repeat(np.minimum.reduceat(distance, starts, axis=1), sizes, axis=1)
     best = np.maximum.reduceat(  # the last bracket at that distance: larger p_k wins ties

@@ -22,7 +22,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -167,6 +167,18 @@ def _series(tabs: list[Tabulation]) -> tuple:
                                  ("income_sum", float))), tabs)
 
 
+def _stack(columns: Sequence[tuple[np.ndarray, ...]]) -> tuple:
+    """Years' bracket columns, thresholds first, laid end to end as floats:
+    ((lower, upper, *rest), starts, sizes), upper being the next threshold
+    up (inf at each year's top) and year i rows starts[i] + range(sizes[i])."""
+    sizes = np.array([len(c[0]) for c in columns])
+    starts = np.cumsum(sizes) - sizes
+    lower, *rest = (np.concatenate(c, dtype=float) for c in zip(*columns))
+    upper = np.append(math.inf, lower[:-1])
+    upper[starts] = math.inf
+    return (lower, upper, *rest), starts, sizes
+
+
 def _violations(series: tuple) -> list[list[Violation]]:
     """``validate`` of every year of a series: each check flags all years or
     all brackets at once, and the flags become each year's violations in
@@ -245,44 +257,49 @@ def validate(tab: Tabulation) -> list[Violation]:
 
 
 def _cumulate(series: tuple) -> list[CumulativeStats | ValueError]:
-    """``cumulate`` of every year of a series in one array pass; a year with
-    an empty top bracket gets that ValueError in place of its statistics."""
+    """``cumulate`` of every year of a series in one array pass; a year whose
+    top bracket is empty, or whose total income or income above the lowest
+    threshold is not finite in threshold units, gets a ValueError instead."""
     sizes, t, counts, sums, denominators = series
     starts = np.cumsum(sizes) - sizes
     n, unit = (np.repeat(np.array([getattr(d, name) for d in denominators], dtype=float),
                          sizes) for name in ("population", "income_unit"))
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sums = sums * unit
-    # running sums bit for bit np.cumsum's on each year alone: one 2-D cumsum
-    # per run of positions the same years reach, from the sum before the run
-    # (padding every year to the longest lets one long year inflate memory)
-    count_above, income_above, done = counts.copy(), sums.copy(), 0
-    for depth in sorted(set(sizes.tolist()) - {0}):
-        at = starts[sizes >= depth, None] + np.arange(max(done - 1, 0), depth)
-        count_above[at], income_above[at], done = (
-            np.cumsum(count_above[at], axis=1), np.cumsum(income_above[at], axis=1), depth)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # running sums bit for bit np.cumsum's on each year alone: one 2-D
+        # cumsum per run of positions the same years reach, from the sum
+        # before the run (padding every year to the longest inflates memory)
+        count_above, income_above, done = counts.copy(), sums.copy(), 0
+        for depth in sorted(set(sizes.tolist()) - {0}):
+            at = starts[sizes >= depth, None] + np.arange(max(done - 1, 0), depth)
+            count_above[at], income_above[at], done = (np.cumsum(
+                count_above[at], axis=1), np.cumsum(income_above[at], axis=1), depth)
         mean_above = income_above / count_above
         coef = np.where(t > 0, mean_above / t, np.nan)
         expo = np.where(coef > 1, coef / (coef - 1), np.nan)
         bracket_mean = np.where(counts > 0, sums / np.where(counts > 0, counts, 1), np.nan)
         columns = (t, counts, count_above, income_above, count_above / n, mean_above,
                    coef, expo, counts / n, bracket_mean)
-    return [CumulativeStats(*(column[a:a + k] for column in columns), d.population,
-                            float(d.total_income) * float(d.income_unit))
-            if k and count_above[a] > 0 else
-            ValueError("top bracket is empty: conditional means above the "
-                       "highest threshold are undefined")
-            for a, k, d in zip(starts.tolist(), sizes.tolist(), denominators)]
+
+    def year(a: int, k: int, d) -> CumulativeStats | ValueError:
+        total = float(d.total_income) * float(d.income_unit)
+        if not (k and count_above[a] > 0):
+            return ValueError("top bracket is empty: conditional means above the "
+                              "highest threshold are undefined")
+        if not (math.isfinite(total) and math.isfinite(income_above[a + k - 1])):
+            return ValueError(f"total income {total} and income above the lowest threshold "
+                              f"{income_above[a + k - 1]} must be finite in threshold units")
+        return CumulativeStats(*(column[a:a + k] for column in columns), d.population, total)
+    return [year(a, k, d) for a, k, d in zip(starts.tolist(), sizes.tolist(), denominators)]
 
 
 def cumulate(tab: Tabulation) -> CumulativeStats:
     """Compute all cumulative statistics of a tabulation, top-down.
 
-    Requires a cumulative count above every threshold (the top bracket must
-    be occupied). Brackets with a zero threshold get NaN Pareto fields; empty
-    brackets get a NaN bracket mean. Recomputing from the same tabulation is
-    bit-identical.
+    Requires an occupied top bracket, and a total income and an income above
+    the lowest threshold that are finite in threshold units. Brackets with a
+    zero threshold get NaN Pareto fields; empty brackets get a NaN bracket
+    mean. Recomputing from the same tabulation is bit-identical.
     """
     [stats] = _cumulate(_series([tab]))
     if isinstance(stats, ValueError):
@@ -325,32 +342,27 @@ def _reader(raw) -> Iterable[tuple[int, list[str]]]:
 
 
 def _header(rows: Iterator[tuple[int, list[str]]], required: tuple[str, ...],
-            columns: Mapping[str, str] | None, what: str,
-            ) -> tuple[int, int, dict[str, int]]:
+            what: str) -> tuple[int, int, dict[str, int]]:
     """The header, the first non-blank line: its line number, its field
     count and the position of each required column."""
     try:
         lineno, fields = next(rows)
     except StopIteration:
         raise ParseError(f"empty {what} file") from None
-    names = {}
-    for canonical in required:
-        actual = (columns or {}).get(canonical, canonical)
-        try:
-            names[canonical] = fields.index(actual)
-        except ValueError:
-            raise ParseError(f"missing required column {actual!r} in header "
-                             f"{fields!r}", line=lineno) from None
-    return lineno, len(fields), names
+    for name in required:
+        if name not in fields:
+            raise ParseError(f"missing required column {name!r} in header "
+                             f"{fields!r}", line=lineno)
+    return lineno, len(fields), {name: fields.index(name) for name in required}
 
 
-def _records(raw, required: tuple[str, ...], columns: Mapping[str, str] | None,
-             what: str) -> tuple[dict[str, int], Iterable[tuple[int, list[str]]]]:
+def _records(raw, required: tuple[str, ...], what: str,
+             ) -> tuple[dict[str, int], Iterable[tuple[int, list[str]]]]:
     """Column positions named by the header line, and the data rows after it
     as (line number, fields), each with at least as many fields as the
     header."""
     rows = _reader(raw)
-    _, width, idx = _header(rows, required, columns, what)
+    _, width, idx = _header(rows, required, what)
 
     def checked():
         for lineno, fields in rows:
@@ -361,8 +373,7 @@ def _records(raw, required: tuple[str, ...], columns: Mapping[str, str] | None,
     return idx, checked()
 
 
-def _columns(text: str, required: tuple[str, ...],
-             columns: Mapping[str, str] | None, what: str,
+def _columns(text: str, required: tuple[str, ...], what: str,
              integers: tuple[str, ...] = ()) -> dict[str, np.ndarray] | None:
     """The required columns of a CSV text as contiguous arrays, read in one
     call to numpy's C parser: int64 for the ``integers`` columns, float64 for
@@ -377,7 +388,7 @@ def _columns(text: str, required: tuple[str, ...],
     """
     # lineno counts CSV records: if a quoted field spans lines, loadtxt
     # reads a quote or the header itself, and fails
-    lineno, width, idx = _header(_reader(text), required, columns, what)
+    lineno, width, idx = _header(_reader(text), required, what)
     # a field over the limit fills some block of limit // 2 + 1 characters
     # with no comma or line break; the row path judges any text with one
     block = csv.field_size_limit() // 2 + 1
@@ -419,7 +430,7 @@ def _parse_float(text: str, what: str, lineno: int) -> float:
 
 def parse_denominators(raw) -> dict[int, Denominator]:
     """Parse the sidecar denominator CSV. Duplicate years are an error."""
-    idx, rows = _records(raw, _DENOM_COLUMNS, None, "denominator")
+    idx, rows = _records(raw, _DENOM_COLUMNS, "denominator")
     out: dict[int, Denominator] = {}
     for lineno, fields in rows:
         year = _parse_int(fields[idx["year"]], "year", lineno)
@@ -439,10 +450,10 @@ def parse_denominators(raw) -> dict[int, Denominator]:
     return out
 
 
-def _bracket_rows(text: str, columns: Mapping[str, str] | None):
+def _bracket_rows(text: str):
     """``_columns`` of a tabulation text, read row by row: a ParseError at
     the first bad line."""
-    idx, rows = _records(text, _TAB_COLUMNS, columns, "tabulation")
+    idx, rows = _records(text, _TAB_COLUMNS, "tabulation")
     seen: dict[tuple[int, float], tuple[int, int, float]] = {}
     for lineno, fields in rows:
         year = _parse_int(fields[idx["year"]], "year", lineno)
@@ -462,17 +473,15 @@ def _bracket_rows(text: str, columns: Mapping[str, str] | None):
             in enumerate(zip(_TAB_COLUMNS, (np.int64, float, np.int64, float)))}
 
 
-def _read_series(raw, denominators: Mapping[int, Denominator],
-                 columns: Mapping[str, str] | None = None) -> tuple:
+def _read_series(raw, denominators: Mapping[int, Denominator]) -> tuple:
     """``parse_tabulations`` as a series (see ``_series``), no bracket objects
     built. A plain file, one the row path reads with the same numbers, is
     read in one pass; any other file is read row by row, which rejects it at
     its first bad line or reads it. Either way one sort groups the rows."""
     text = _text(raw)
-    for grid in (_columns(text, _TAB_COLUMNS, columns, "tabulation",
-                          ("year", "returns")), None):
+    for grid in (_columns(text, _TAB_COLUMNS, "tabulation", ("year", "returns")), None):
         if grid is None:
-            grid = _bracket_rows(text, columns)
+            grid = _bracket_rows(text)
         order = np.lexsort((-grid["lower_threshold"], grid["year"]))
         year, t, c, s = (grid[name][order] for name in _TAB_COLUMNS)
         same_year = year[1:] == year[:-1]
@@ -492,9 +501,7 @@ def _read_series(raw, denominators: Mapping[int, Denominator],
     return series
 
 
-def parse_tabulations(raw, denominators: Mapping[int, Denominator],
-                      columns: Mapping[str, str] | None = None,
-                      ) -> list[Tabulation]:
+def parse_tabulations(raw, denominators: Mapping[int, Denominator]) -> list[Tabulation]:
     """Parse a (possibly multi-year) tabulation CSV into validated tabulations.
 
     Rows may appear in any order; brackets are normalized to descending
@@ -502,7 +509,7 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator],
     is sorted by year. Raises ParseError with a line number on bad rows and
     on validation failures.
     """
-    sizes, *arrays, years = _read_series(raw, denominators, columns)
+    sizes, *arrays, years = _read_series(raw, denominators)
     brackets = list(map(IncomeBracket, *(array.tolist() for array in arrays)))
     return [Tabulation(d.year, tuple(brackets[a:a + n]), d.population, d.total_income,
                        d.income_unit)
@@ -510,10 +517,9 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator],
 
 
 def parse_tabulation(raw, denominators: Mapping[int, Denominator],
-                     year: int | None = None,
-                     columns: Mapping[str, str] | None = None) -> Tabulation:
+                     year: int | None = None) -> Tabulation:
     """Parse a single year. If ``year`` is None the file must hold one year."""
-    tabs = parse_tabulations(raw, denominators, columns=columns)
+    tabs = parse_tabulations(raw, denominators)
     if year is not None:
         for tab in tabs:
             if tab.year == year:

@@ -182,6 +182,18 @@ class TestEstimate:
         assert "ok" in status["1901"]
         assert not any(s.startswith("error:") for s in status["1901"])
 
+    def test_income_past_the_float_range_fails_its_year(self, tmp_path, capsys):
+        # a valid year whose income sums add up to inf once warned of the
+        # overflow and printed shares near 3.4e306 percent with status ok
+        tab, den, out = tmp_path / "tab.csv", tmp_path / "den.csv", tmp_path / "out.csv"
+        tab.write_text("year,lower_threshold,returns,income_sum\n"
+                       "1950,1.5e308,1,1.7e308\n1950,1e308,1,1.2e308\n")
+        den.write_text("year,population,total_income,income_unit\n1950,2,5000,1\n")
+        assert main(["estimate", "--input", str(tab), "--denominators", str(den),
+                     "--fractiles", "0.5", "--out", str(out)]) == 2
+        assert [r["status"] for r in read_rows(out)] == ["error:ValueError"] * 2
+        assert capsys.readouterr().err == ""
+
     def test_empty_or_invalid_fractiles_exit_one(self, inputs, capsys):
         tab, den = inputs
         assert main(["estimate", "--input", str(tab), "--denominators",
@@ -372,8 +384,9 @@ def test_series_bytes_pinned(tmp_path, command, layout, fmt, extrapolate):
 
 
 def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
-    # one read, one rate solve, and no per-year or per-cell calls into the
-    # scalar validate, cumulate and PI selection
+    # one read, one rate solve, one column layout per method, no density
+    # object, and no per-year or per-cell calls into the scalar validate,
+    # cumulate and PI selection
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -385,9 +398,11 @@ def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", counting("loadtxt", np.loadtxt))
     monkeypatch.setattr(maxent, "_solve_rates", counting("_solve_rates",
                                                          maxent._solve_rates))
+    monkeypatch.setattr(maxent.MaxEntDensity, "__post_init__", counting(
+        "MaxEntDensity", maxent.MaxEntDensity.__post_init__))
     for module, name in ((tabulation, "validate"), (tabulation, "cumulate"),
-                         (tabulation, "_bracket_rows"), (pareto, "select_bracket"),
-                         (pareto, "pi_share_from_stats")):
+                         (tabulation, "_bracket_rows"), (tabulation, "_stack"),
+                         (pareto, "select_bracket"), (pareto, "pi_share_from_stats")):
         original = getattr(module, name)
         for namespace in (tabulation, pareto, maxent, microbench, cli):
             if getattr(namespace, name, None) is original:
@@ -398,7 +413,7 @@ def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
     den.write_text(den_text)
     assert main(["estimate", "--input", str(tab), "--denominators", str(den),
                  "--out", str(tmp_path / "out.csv")]) == 2
-    assert calls == {"loadtxt": 1, "_solve_rates": 1}
+    assert calls == {"loadtxt": 1, "_solve_rates": 1, "_stack": 2}
 
 
 @pytest.mark.parametrize("rows,population,message", [
@@ -672,6 +687,28 @@ class TestSynthAndCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'XX'" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ladder,message", [
+        ({"top_fraction": 0}, "top_fraction must lie strictly between 0 and 1, got 0.0"),
+        ({"scheme": "zigzag"}, "unknown threshold scheme 'zigzag'"),
+        ({"classes": [8, 1]}, "need at least 2 classes"),
+    ], ids=["top_fraction", "scheme", "classes"])
+    def test_synth_bad_ladder_exits_one_before_sampling(self, tmp_path, capsys,
+                                                        monkeypatch, ladder, message):
+        # once rejected only after the first sample was drawn and ranked
+        def generate(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+        monkeypatch.setattr(microbench, "generate", generate)
+        spec = {"distribution": {"kind": "pareto", "exponent": 2.0},
+                "size": 4000, "classes": [8], "fractiles": [0.1],
+                "trials": 1, "seed": 5, **ladder}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_compare_huge_weight_exits_one(self, tmp_path, capsys):

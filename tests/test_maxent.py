@@ -5,6 +5,7 @@ evaluation for the kernels, scipy quadrature for integrals, and a raw
 golden-section/Brent maximization of the auxiliary objective for the rates.
 """
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -943,18 +944,27 @@ def test_stacked_density_build_matches_each_year_alone(table_1920):
     stats = [ts.cumulate(table_1920)]
     stats += [ts.cumulate(random_tabulation(rng)) for _ in range(40)]
     stats.insert(20, stats_from_masses([0.2, 0.3], [5.0, 2.0], thresholds=[4.0, 2.0]))
-    stacked = maxent._densities(stats, [s.thresholds for s in stats])
-    for i, (one, density) in enumerate(zip(stats, stacked)):
-        if i == 20:
-            assert isinstance(density, MeanOnBoundaryError)
-            assert density.bracket == 1
+    # a failed year's rows are queried with the rest, so a mean of -inf in
+    # the year of a +inf top mean must not stop the batch
+    stats.append(dataclasses.replace(stats[0], bracket_mean=np.array(
+        [math.inf, -math.inf, *stats[0].bracket_mean[2:]])))
+    ((lower, _, mass, rate, mean, above), starts, sizes), errors = maxent._densities(
+        stats, [s.thresholds for s in stats])
+    for i, (one, a, n, error) in enumerate(zip(stats, starts, sizes, errors)):
+        if i in (20, len(stats) - 1):
+            assert isinstance(error, MeanOnBoundaryError)
+            assert error.bracket == 1
             with pytest.raises(MeanOnBoundaryError) as err:
                 build_density(one)
-            assert str(err.value) == str(density)
+            assert str(err.value) == str(error)
             continue
+        assert error is None
         alone = build_density(one)
-        assert piece_bits(density) == piece_bits(alone)
-        assert density.thresholds.tobytes() == alone.thresholds.tobytes()
+        rows = slice(a, a + n)
+        assert np.array([lower[rows], mass[rows], rate[rows], mean[rows]]).tobytes() \
+            == piece_bits(alone)
+        assert lower[rows].tobytes() == alone.thresholds.tobytes()
+        assert above[rows].tobytes() == alone.mass_above.tobytes()
     fractiles = (0.5, 0.1, 0.01, 1e-5)
     for one, outcomes in zip(stats, maxent.estimate_shares(stats, fractiles)):
         [alone] = maxent.estimate_shares([one], fractiles)

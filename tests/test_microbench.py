@@ -148,13 +148,18 @@ class TestTabulate:
     def test_geometric_top_fraction_outside_unit_interval_rejected(self, top_fraction):
         # 0 once turned K = 8 into 2 thresholds, 1 and 2 into one; -0.5 and
         # NaN warned and failed converting NaN ranks to integers
+        # a spec says so when it is built, before any sample is drawn
         sample = mb.generate(mb.ParetoDist(2.0), 1_000, seed=1)
+        message = f"top_fraction must lie strictly between 0 and 1, got {top_fraction}"
         with pytest.raises(ValueError) as err:
             mb.quantile_thresholds(sample, 8, top_fraction=top_fraction)
-        assert str(err.value) == ("top_fraction must lie strictly between 0 and 1, "
-                                  f"got {top_fraction}")
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            mb.BenchmarkSpec(mb.ParetoDist(2.0), top_fraction=top_fraction)
+        assert str(err.value) == message
         assert len(mb.quantile_thresholds(sample, 8, top_fraction=top_fraction,
                                           scheme="equal_mass")) == 8
+        mb.BenchmarkSpec(mb.ParetoDist(2.0), top_fraction=top_fraction, scheme="equal_mass")
 
     def test_nonincreasing_thresholds_rejected(self):
         sample = mb.MicroSample.from_incomes([5.0, 15.0])
