@@ -4,100 +4,49 @@ Two interchangeable estimators over the same grouped-data model: local
 Pareto interpolation and maximum-entropy (piecewise exponential) density
 estimation, plus a micro-sample benchmark harness that scores both against
 direct oracle shares.
+
+The namespace is lazy (PEP 562): ``import topshares`` runs none of the
+submodules, and each exported name or submodule is imported on first
+access, so a command line run loads only the modules it uses.
 """
 
-from .errors import (
-    FractileNotCoveredError,
-    InfeasibleOrderingError,
-    MeanOnBoundaryError,
-    ParetoFitError,
-    ParseError,
-    TopsharesError,
-)
-from .maxent import (
-    MaxEntDensity,
-    ThresholdSolution,
-    build_density,
-    estimate_share_me,
-    estimate_shares,
-    recover_thresholds,
-    solve_rate,
-)
-from .microbench import (
-    BenchmarkSpec,
-    ErrorReport,
-    LognormalDist,
-    MicroSample,
-    MixtureDist,
-    ParetoDist,
-    generate,
-    oracle_share,
-    run_protocol,
-    tabulate,
-)
-from .pareto import (
-    ParetoBracketFit,
-    ShareEstimate,
-    estimate_share_pi,
-    select_bracket,
-    threshold_at,
-    top_income_at,
-)
-from .tabulation import (
-    CumulativeStats,
-    Denominator,
-    IncomeBracket,
-    Tabulation,
-    Violation,
-    cumulate,
-    parse_denominators,
-    parse_tabulation,
-    parse_tabulations,
-    serialize_tabulations,
-    validate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkSpec",
-    "CumulativeStats",
-    "Denominator",
-    "ErrorReport",
-    "FractileNotCoveredError",
-    "IncomeBracket",
-    "InfeasibleOrderingError",
-    "LognormalDist",
-    "MaxEntDensity",
-    "MeanOnBoundaryError",
-    "MicroSample",
-    "MixtureDist",
-    "ParetoBracketFit",
-    "ParetoDist",
-    "ParetoFitError",
-    "ParseError",
-    "ShareEstimate",
-    "Tabulation",
-    "ThresholdSolution",
-    "TopsharesError",
-    "Violation",
-    "build_density",
-    "cumulate",
-    "estimate_share_me",
-    "estimate_share_pi",
-    "estimate_shares",
-    "generate",
-    "oracle_share",
-    "parse_denominators",
-    "parse_tabulation",
-    "parse_tabulations",
-    "recover_thresholds",
-    "run_protocol",
-    "select_bracket",
-    "serialize_tabulations",
-    "solve_rate",
-    "tabulate",
-    "threshold_at",
-    "top_income_at",
-    "validate",
-]
+# each exported name, under the submodule that defines it
+_EXPORTS = {
+    "errors": ("FractileNotCoveredError", "InfeasibleOrderingError",
+               "MeanOnBoundaryError", "ParetoFitError", "ParseError",
+               "TopsharesError"),
+    "maxent": ("MaxEntDensity", "ThresholdSolution", "build_density",
+               "estimate_share_me", "estimate_shares", "recover_thresholds",
+               "solve_rate"),
+    "microbench": ("BenchmarkSpec", "ErrorReport", "LognormalDist", "MicroSample",
+                   "MixtureDist", "ParetoDist", "generate", "oracle_share",
+                   "run_protocol", "tabulate"),
+    "pareto": ("ParetoBracketFit", "ShareEstimate", "estimate_share_pi",
+               "select_bracket", "threshold_at", "top_income_at"),
+    "tabulation": ("CumulativeStats", "Denominator", "IncomeBracket", "Tabulation",
+                   "Violation", "cumulate", "parse_denominators", "parse_tabulation",
+                   "parse_tabulations", "serialize_tabulations", "validate"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups bypass this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

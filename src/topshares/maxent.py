@@ -346,10 +346,11 @@ class MaxEntDensity:
     def pdf(self, y):
         """Density at y; 0 below the support."""
         y = np.asarray(y, dtype=float)
-        (lower, upper, mass, rate, _, _), _, _ = _stack([self._columns])
-        k = _piece_index(self.thresholds, y)
-        value = _density_at(lower[k], upper[k], mass[k], rate[k], y)
-        return _like(y, np.where(y < self.support_bottom, 0.0, value))
+        row, stack = y.reshape(1, -1), _stack([self._columns])
+        (lower, upper, mass, rate, _, _), _, _ = stack
+        k = _piece_index(stack, row)
+        value = _density_at(lower[k], upper[k], mass[k], rate[k], row)
+        return _like(y, np.where(row < self.support_bottom, 0.0, value))
 
     def cdf(self, y):
         """Probability mass between the bottom threshold and y."""
@@ -358,9 +359,10 @@ class MaxEntDensity:
         if below.any():
             raise ValueError(f"{float(y[below][0])} lies below the support "
                              f"bottom {self.support_bottom}")
-        (lower, upper, mass, rate, _, above), _, _ = _stack([self._columns])
-        k = _piece_index(self.thresholds, y)
-        inside = mass[k] * _cdf_frac(lower[k], upper[k], rate[k], y)
+        row, stack = y.reshape(1, -1), _stack([self._columns])
+        (lower, upper, mass, rate, _, above), _, _ = stack
+        k = _piece_index(stack, row)
+        inside = mass[k] * _cdf_frac(lower[k], upper[k], rate[k], row)
         return _like(y, self.covered_fraction - above[k] + inside)
 
     def quantile_top(self, p):
@@ -389,10 +391,24 @@ def _like(x: np.ndarray, value: np.ndarray):
     return value.item() if x.ndim == 0 else value.reshape(x.shape)
 
 
-def _piece_index(thresholds: np.ndarray, y):
-    """Index of the piece holding y: the highest whose lower threshold is
-    at or below y; the bottom piece for y below the bottom or NaN."""
-    return np.minimum(np.searchsorted(-thresholds, -y), len(thresholds) - 1)
+def _below(column: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+           values: np.ndarray) -> np.ndarray:
+    """For each value in row r of an (n, m) array, how many of year r's
+    entries in a stacked column, ascending within each year, lie below it,
+    as ``np.searchsorted`` counts them: a NaN value lies above every entry.
+    All years are compared at once, through K-by-m arrays for K stacked
+    entries."""
+    below = ~(column[:, None] >= np.repeat(values, sizes, axis=0))
+    return np.add.reduceat(below, starts, axis=0, dtype=np.intp)
+
+
+def _piece_index(stack, y: np.ndarray) -> np.ndarray:
+    """Stack row of the piece holding each y of an (n, m) array, row r
+    read on the r-th density: the highest piece whose lower threshold is at
+    or below y; the bottom piece for y below the bottom or NaN."""
+    (lower, *_), starts, sizes = stack
+    k = _below(-lower, starts, sizes, -y)
+    return starts[:, None] + np.minimum(k, sizes[:, None] - 1)
 
 
 @_quiet
@@ -401,8 +417,7 @@ def _quantiles(stack, p: np.ndarray):
     fractile array, and the mask of the fractiles it serves: positive and
     covered. Entries off the mask are meaningless."""
     (lower, upper, mass, rate, _, above), starts, sizes = stack
-    k = np.array([np.searchsorted(above[a:a + n], row)
-                  for a, n, row in zip(starts, sizes, p)]).reshape(p.shape)
+    k = _below(above, starts, sizes, p)
     i = starts[:, None] + np.minimum(k, sizes[:, None] - 1)
     higher = np.where(k > 0, above[i - 1], 0.0)
     inside = _quantile_upper(lower[i], upper[i], rate[i], (p - higher) / mass[i])
@@ -414,9 +429,8 @@ def _partial_expectations(stack, y: np.ndarray) -> np.ndarray:
     """``partial_expectation_above`` of each stacked density at its row of
     an (n, m) array of income levels: the whole pieces above y, summed
     exactly rounded, plus the part of the piece holding y."""
-    (lower, upper, mass, rate, mean, _), starts, sizes = stack
-    i = starts[:, None] + np.array([_piece_index(lower[a:a + n], row) for a, n, row
-                                    in zip(starts, sizes, y)]).reshape(y.shape)
+    (lower, upper, mass, rate, mean, _), starts, _ = stack
+    i = _piece_index(stack, y)
     terms = np.where(mass > 0.0, mass * mean, 0.0).tolist()
     whole = [[math.fsum(terms[a:j]) for j in row]
              for a, row in zip(starts.tolist(), i.tolist())]

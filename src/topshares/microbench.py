@@ -461,6 +461,14 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("classes", "fractiles"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for p in self.fractiles:
+            if not 0.0 < p <= 1.0:  # as oracle_share requires
+                raise ValueError(f"fractiles must lie in (0, 1], got {p}")
         maxent._check_methods(self.methods)
         for classes in self.classes:
             _check_ladder(classes, self.top_fraction, self.scheme)

@@ -1,8 +1,13 @@
-"""Shared fixtures: published 1920 table rows, synthetic population builders."""
+"""Shared fixtures: published 1920 table rows, synthetic population builders,
+a fresh interpreter."""
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +222,13 @@ def random_tabulation(rng: np.random.Generator) -> ts.Tabulation:
     return ts.Tabulation(year=int(rng.integers(1900, 2000)),
                          brackets=tuple(brackets), population=population,
                          total_income=float(s_total), income_unit=unit)
+
+
+def fresh_python(code: str) -> str:
+    """What ``code`` prints when a fresh interpreter runs it on this package,
+    so that modules the test suite imported do not count."""
+    src = str(Path(ts.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True, check=True).stdout

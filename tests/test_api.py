@@ -1,15 +1,19 @@
-"""Public names: every exported name resolves, and every function the
-benchmark's per-layer trace names still exists."""
+"""Public names: every exported name resolves, lazily and to its defining
+module's object, and every function the benchmark's per-layer trace names
+still exists."""
 
 import importlib
 import inspect
 import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import topshares
+
+from conftest import fresh_python
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(topshares.__path__))
 
@@ -19,6 +23,45 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_bare_import_loads_no_submodule():
+    # each submodule still resolves as an attribute of the package
+    code = ("import sys, topshares; "
+            "print(sorted(m for m in sys.modules if m.startswith('topshares.'))); "
+            "print(topshares.maxent.solve_rate.__module__)")
+    assert fresh_python(code).split() == ["[]", "topshares.maxent"]
+
+
+def test_exported_names_are_their_defining_modules_objects():
+    for name in topshares.__all__:
+        value = getattr(topshares, name)
+        assert value.__module__.startswith("topshares."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(topshares.__all__) <= set(dir(topshares))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        topshares.no_such_name
+
+
+def test_tracer_wraps_the_lazily_loaded_harness():
+    # bench/tracer.py wraps the functions of the topshares modules in
+    # sys.modules when it is installed, right after `import topshares.cli`;
+    # microbench, whose body runs only for synth and compare, must be among
+    # them, together with the names it imports from other modules
+    bench = Path(__file__).parents[1] / "bench"
+    code = f"""
+import sys
+sys.path.insert(0, {str(bench)!r})
+import topshares.cli as cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+wrapped = [hasattr(cli.microbench.run_protocol, "__wrapped__"),
+           hasattr(cli.microbench.cumulate, "__wrapped__")]
+tracer.uninstall()
+print(wrapped, hasattr(cli.microbench.run_protocol, "__wrapped__"))
+"""
+    assert fresh_python(code).split() == ["[True,", "True]", "False"]
 
 
 def test_traced_functions_are_public():

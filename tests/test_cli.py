@@ -5,17 +5,14 @@ import csv
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import topshares
 from topshares import cli, maxent, microbench, pareto, tabulation
 from topshares.cli import main
+
+from conftest import fresh_python
 
 TAB_CSV = """year,lower_threshold,returns,income_sum
 1950,10000,50,750000
@@ -693,10 +690,17 @@ class TestSynthAndCompare:
         ({"top_fraction": 0}, "top_fraction must lie strictly between 0 and 1, got 0.0"),
         ({"scheme": "zigzag"}, "unknown threshold scheme 'zigzag'"),
         ({"classes": [8, 1]}, "need at least 2 classes"),
-    ], ids=["top_fraction", "scheme", "classes"])
+        ({"classes": []}, "classes must not be empty"),
+        ({"fractiles": []}, "fractiles must not be empty"),
+        ({"fractiles": [0.1, 1.5]}, "fractiles must lie in (0, 1], got 1.5"),
+        ({"fractiles": [0.0]}, "fractiles must lie in (0, 1], got 0.0"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["top_fraction", "scheme", "classes", "no_classes", "no_fractiles",
+            "fractile_above_one", "fractile_zero", "seed"])
     def test_synth_bad_ladder_exits_one_before_sampling(self, tmp_path, capsys,
                                                         monkeypatch, ladder, message):
-        # once rejected only after the first sample was drawn and ranked
+        # once rejected only after the first sample was drawn and ranked, or
+        # for an empty list, not at all (an empty report and exit 0)
         def generate(*args, **kwargs):
             raise AssertionError("a sample was drawn")
         monkeypatch.setattr(microbench, "generate", generate)
@@ -756,12 +760,45 @@ class TestSynthAndCompare:
 
 
 def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, so modules the test suite imported do not count
-    src = str(Path(topshares.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
     code = ("import sys, topshares, topshares.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_cli_shares_a_harness_imported_before_it():
+    # cli registers its lazy microbench only when none is loaded; a second
+    # module object would hold classes and functions of its own
+    code = "import topshares.microbench as m, topshares.cli as c; print(c.microbench is m)"
+    assert fresh_python(code).strip() == "True"
+
+
+@pytest.mark.parametrize("harness", ["synth", "compare"])
+def test_each_command_loads_only_the_modules_it_runs(inputs, tmp_path, harness):
+    # estimate and diagnostics never run the micro-sample harness's body,
+    # which synth and compare run when they first read from it; the harness
+    # is registered in sys.modules from the import of cli on
+    tab, den = inputs
+    micro = tmp_path / "micro.csv"
+    micro.write_text("income,weight\n" + "".join(f"{i},1\n" for i in range(1, 201)))
+    io_flags = ["--input", str(tab), "--denominators", str(den)]
+    runs = [["estimate", *io_flags], ["diagnostics", *io_flags],
+            {"synth": ["synth", "--size", "2000", "--trials", "1", "--classes", "8"],
+             "compare": ["compare", "--micro", str(micro), "--classes", "8"]}[harness]]
+    out = ["--out", str(tmp_path / "out.csv")]
+    code = f"""
+import json, sys, types
+import topshares.cli
+def loaded():
+    # a lazily loaded module becomes a plain module when its body runs
+    return sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "topshares"
+                  and type(module) is types.ModuleType)
+seen = ["topshares.microbench" in sys.modules, loaded()]
+for argv in {[argv + out for argv in runs]!r}:
+    seen.append([topshares.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+    estimate = ["topshares", "topshares.cli", "topshares.errors", "topshares.maxent",
+                "topshares.pareto", "topshares.tabulation"]
+    assert json.loads(fresh_python(code)) == [
+        True, estimate, [0, estimate], [0, estimate],
+        [0, sorted([*estimate, "topshares.microbench"])]]

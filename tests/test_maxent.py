@@ -1094,8 +1094,31 @@ def test_piece_index_matches_interval_definition():
             probes += [edge, math.nextafter(edge, -math.inf),
                        math.nextafter(edge, math.inf)]
         probes += list(rng.uniform(t[-1] / 2, 2 * t[0], 20))
-        for y in probes:
-            assert maxent._piece_index(t, y) == piece_by_interval(t, y), (t, y)
+        index = maxent._piece_index(ts.tabulation._stack([density._columns]),
+                                    np.array([probes]))
+        assert index.tolist() == [[piece_by_interval(t, y) for y in probes]], t
+
+
+def test_segmented_counts_match_per_year_searchsorted(table_1920):
+    # one comparison and one np.add.reduceat over a stack of years count as
+    # each year's own np.searchsorted did: on and beside every threshold and
+    # every mass_above (repeated by an empty bracket), below the bottom, at
+    # +-inf and at NaN
+    stats = batch_of_years(table_1920)
+    stack, _ = maxent._densities(stats, [s.thresholds for s in stats])
+    (lower, *_, above), starts, sizes = stack
+    assert above[starts[-1] + 1] == above[starts[-1]]  # the empty bracket
+    edges = np.concatenate([lower, above, [0.0, -0.0, -1.0, math.inf, -math.inf,
+                                           math.nan]])
+    probes = np.concatenate([edges, np.nextafter(edges, -math.inf),
+                             np.nextafter(edges, math.inf)])
+    values = np.tile(probes, (len(stats), 1))
+    rows = [slice(a, a + n) for a, n in zip(starts, sizes)]
+    assert maxent._below(above, starts, sizes, values).tolist() == \
+        [np.searchsorted(above[r], probes).tolist() for r in rows]
+    assert maxent._piece_index(stack, values).tolist() == \
+        [(r.start + np.minimum(np.searchsorted(-lower[r], -probes), n - 1)).tolist()
+         for r, n in zip(rows, sizes)]
 
 
 @st.composite
