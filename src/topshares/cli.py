@@ -64,8 +64,6 @@ def _parse_fractiles(text: str) -> list[float]:
         if not 0.0 < p < 1.0:
             raise ValueError(f"fractile {p} must be in (0, 1)")
         out.append(p)
-    if not out:
-        raise ValueError("empty fractile list")
     if any(b >= a for a, b in zip(out, out[1:])):
         raise ValueError("fractiles must be strictly decreasing")
     return out

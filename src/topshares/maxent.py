@@ -37,7 +37,7 @@ from .errors import (
     InfeasibleOrderingError,
     MeanOnBoundaryError,
 )
-from .pareto import ShareEstimate, pi_shares
+from .pareto import ShareEstimate, _fractile_error, pi_shares
 from .tabulation import CumulativeStats, Tabulation, _stack, cumulate
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
 SERIES_SWITCH = 1e-6
 
 MEAN_RESIDUAL_TOL = 1e-12  # on the bracket mean, relative to bracket width
+GRAD_TOL = 1e-10  # recovery's stop on the gradient, relative to 1 + |objective|
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +371,8 @@ class MaxEntDensity:
 
         Exact at tabulated fractions: quantile_top(p_k) is the k-th
         threshold. p below the top bracket's mass is served by the unbounded
-        top piece; the first p of an array that is not positive or exceeds
-        the covered mass raises.
+        top piece; the first p of an array outside (0, 1] or above the
+        covered mass raises, as in PI.
         """
         p = np.asarray(p, dtype=float)
         [t], [served] = _quantiles(_stack([self._columns]), p.reshape(1, -1))
@@ -414,7 +415,7 @@ def _piece_index(stack, y: np.ndarray) -> np.ndarray:
 @_quiet
 def _quantiles(stack, p: np.ndarray):
     """``quantile_top`` of each stacked density at its row of an (n, m)
-    fractile array, and the mask of the fractiles it serves: positive and
+    fractile array, and the mask of the fractiles it serves: in (0, 1] and
     covered. Entries off the mask are meaningless."""
     (lower, upper, mass, rate, _, above), starts, sizes = stack
     k = _below(above, starts, sizes, p)
@@ -422,7 +423,7 @@ def _quantiles(stack, p: np.ndarray):
     higher = np.where(k > 0, above[i - 1], 0.0)
     inside = _quantile_upper(lower[i], upper[i], rate[i], (p - higher) / mass[i])
     return (np.where(p == above[i], lower[i], inside),
-            (p > 0.0) & (k < sizes[:, None]))
+            (p > 0.0) & (p <= 1.0) & (k < sizes[:, None]))
 
 
 def _partial_expectations(stack, y: np.ndarray) -> np.ndarray:
@@ -436,13 +437,6 @@ def _partial_expectations(stack, y: np.ndarray) -> np.ndarray:
              for a, row in zip(starts.tolist(), i.tolist())]
     return whole + _partial_expectation(lower[i], upper[i], mass[i], rate[i],
                                         mean[i], y)
-
-
-def _fractile_error(p: float, covered: float) -> ValueError:
-    """The error for a fractile that a density does not serve."""
-    if not p > 0.0:
-        return ValueError(f"fractile must be positive, got {p}")
-    return FractileNotCoveredError(p, covered)
 
 
 def _me_shares(stack, tabs: Sequence, fractiles: Sequence[float],
@@ -636,8 +630,7 @@ def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
 
 
 def recover_thresholds(stats: CumulativeStats, t_bottom: float,
-                       max_iterations: int = 500,
-                       grad_tol: float = 1e-10) -> ThresholdSolution:
+                       max_iterations: int = 500) -> ThresholdSolution:
     """Recover interior thresholds from cumulative counts and incomes.
 
     Holds the bottom threshold fixed and minimizes the attained divergence
@@ -654,7 +647,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     step can cut the gradient by orders of magnitude while moving the
     objective by an ulp either way, so a step that leaves the objective flat
     at float resolution is accepted when it lowers the gradient. The
-    iteration stops when the gradient meets ``grad_tol * (1 + |objective|)``,
+    iteration stops when the gradient meets ``GRAD_TOL * (1 + |objective|)``,
     when no step lowers the objective or the gradient, or after
     ``max_iterations`` Newton steps.
     """
@@ -701,7 +694,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     flat = 4.0 * np.finfo(float).eps
     while iterations < max_iterations:
         grad_max = np.max(np.abs(grad))
-        if grad_max <= grad_tol * (1.0 + abs(value)):
+        if grad_max <= GRAD_TOL * (1.0 + abs(value)):
             break
 
         try:
@@ -735,5 +728,5 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         objective=float(value),
         iterations=iterations,
         grad_norm=grad_norm,
-        converged=grad_norm <= grad_tol * (1.0 + abs(value)),
+        converged=grad_norm <= GRAD_TOL * (1.0 + abs(value)),
     )

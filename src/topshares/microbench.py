@@ -23,8 +23,7 @@ import numpy as np
 
 from . import maxent
 from .errors import ParseError
-from .tabulation import (IncomeBracket, Tabulation, _columns, _parse_float,
-                         _records, _text, cumulate)
+from .tabulation import _MICRO, IncomeBracket, Tabulation, _read, cumulate
 
 __all__ = [
     "MicroSample",
@@ -626,47 +625,15 @@ def run_protocol(spec: BenchmarkSpec) -> ErrorReport:
     return ErrorReport.from_cells(cells)
 
 
-_MICRO_COLUMNS = ("income", "weight")
-
-
 def load_micro_csv(raw) -> MicroSample:
     """Parse a micro-sample CSV with header ``income,weight``.
 
     ``raw`` is the text, its UTF-8 bytes or a file handle. Weights are
     positive integer replication factors up to 2**53 whose total fits in an
-    int64. Read by the same CSV reader as the tabulation files: blank lines
-    skipped, fields stripped, errors carry the line number. A plain numeric
-    file is read in bulk and checked by ``MicroSample``; any other file, and
-    any file that check rejects, is read row by row, which gives the error
-    and its line.
+    int64. Read by ``tabulation._read``, the reader of the tabulation and
+    denominator files: a ParseError names the first bad line.
     """
-    text = _text(raw)
-    columns = _columns(text, _MICRO_COLUMNS, "micro CSV")
-    if columns is not None:
-        try:
-            return MicroSample(columns["income"], columns["weight"])
-        except ValueError:
-            pass  # the row path names the offending line
-    return _micro_rows(text)
-
-
-def _micro_rows(text: str) -> MicroSample:
-    """``load_micro_csv`` row by row: a ParseError at the first bad line."""
-    idx, rows = _records(text, _MICRO_COLUMNS, "micro CSV")
-    incomes, weights = [], []
-    for lineno, fields in rows:
-        income = _parse_float(fields[idx["income"]], "income", lineno)
-        if income < 0:
-            raise ParseError(f"income {income} must be >= 0", line=lineno)
-        weight = _parse_float(fields[idx["weight"]], "weight", lineno)
-        if weight <= 0 or weight != int(weight):
-            raise ParseError(f"weight {fields[idx['weight']]!r} must be a "
-                             f"positive integer replication factor", line=lineno)
-        if weight > 2**53:  # beyond it, floats no longer tell integers apart
-            raise ParseError(f"weight {fields[idx['weight']]!r} exceeds 2**53",
-                             line=lineno)
-        incomes.append(income)
-        weights.append(int(weight))
-    if not incomes:
+    columns = _read(raw, _MICRO)
+    if not len(columns["income"]):
         raise ParseError("micro CSV holds no data rows")
-    return MicroSample(np.array(incomes), np.array(weights, dtype=np.int64))
+    return MicroSample(columns["income"], columns["weight"])

@@ -83,13 +83,19 @@ def _fits(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
                 *(column[best].tolist() for column in (threshold, fraction, coef, expo)))]
 
 
+def _fractile_error(p: float, covered: float) -> ValueError:
+    """The error for a fractile outside (0, 1] or above the covered fraction,
+    for PI and ME alike."""
+    if not 0.0 < p <= 1.0:
+        return ValueError(f"fractile must be in (0, 1], got {p}")
+    return FractileNotCoveredError(p, covered)
+
+
 def _fit(p, covered, bracket, threshold, fraction, coefficient, exponent,
          ) -> ParetoBracketFit | ValueError:
     """The local law at the selected bracket, or the error that stops it."""
-    if not 0.0 < p <= 1.0:
-        return ValueError(f"fractile must be in (0, 1], got {p}")
-    if p > covered:
-        return FractileNotCoveredError(p, covered)
+    if not 0.0 < p <= 1.0 or p > covered:
+        return _fractile_error(p, covered)
     if threshold <= 0:
         return ParetoFitError("no Pareto law at a zero threshold", bracket=bracket)
     if not math.isfinite(coefficient) or coefficient <= 1.0:

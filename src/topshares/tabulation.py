@@ -312,12 +312,41 @@ def cumulate(tab: Tabulation) -> CumulativeStats:
 #
 # Tabulation CSV, UTF-8, header required:  year,lower_threshold,returns,income_sum
 # Denominator CSV:                         year,population,total_income,income_unit
+# Micro-sample CSV:                        income,weight
 # Decimal point '.', no thousands separators, blank lines ignored.
 # ---------------------------------------------------------------------------
 
-_TAB_COLUMNS = ("year", "lower_threshold", "returns", "income_sum")
 _INT64_MAX = 2**63 - 1
-_DENOM_COLUMNS = ("year", "population", "total_income", "income_unit")
+
+# Each input format, declared once: (name in messages, columns, key, message
+# for a row repeating the key of the row on {line}). ``columns`` maps each
+# required column, in the order a row is checked, to the type its values
+# parse to and the (numpy predicate, message) checks each value must pass,
+# {v} being the value and {text} its field.
+_TABULATION = ("tabulation", {
+    "year": (np.int64, ()),
+    "lower_threshold": (float, ()),
+    "returns": (np.int64, ((lambda v: v >= 0, "returns {v} is negative"),)),
+    "income_sum": (float, ((lambda v: v >= 0, "income_sum {v} is negative"),)),
+}, ("year", "lower_threshold"),
+    "duplicate bracket threshold {lower_threshold} for year {year} "
+    "(first seen on line {line})")
+_DENOMINATORS = ("denominator", {
+    "year": (np.int64, ()),
+    "population": (np.int64, ((lambda v: v > 0, "population {v} must be positive"),)),
+    "total_income": (float, ((lambda v: v > 0, "total_income {v} must be positive"),)),
+    "income_unit": (float, ((lambda v: v > 0, "income_unit {v} must be positive"),)),
+}, ("year",), "duplicate year {year} in denominator file")
+_MICRO = ("micro CSV", {
+    "income": (float, ((lambda v: v >= 0, "income {v} must be >= 0"),)),
+    "weight": (float, (
+        (lambda v: (v > 0) & (v == np.trunc(v)),
+         "weight {text!r} must be a positive integer replication factor"),
+        # beyond it, floats no longer tell integers apart
+        (lambda v: v <= 2**53, "weight {text!r} exceeds 2**53"))),
+}, (), "")
+_TAB_COLUMNS = tuple(_TABULATION[1])
+_DENOM_COLUMNS = tuple(_DENOMINATORS[1])
 
 
 def _text(raw) -> str:
@@ -382,9 +411,9 @@ def _columns(text: str, required: tuple[str, ...], what: str,
     None when the data rows are not a grid of plain numbers exactly as wide
     as the header (quoted fields, blank-looking cells, ragged or longer
     rows, a non-integer or beyond int64 in an integer column, no rows at
-    all, a field beyond the csv module's size limit); the caller then reads
-    the text with ``_records``, which names the first bad line. The header
-    is read by ``_header``, as there.
+    all, a field beyond the csv module's size limit); ``_read`` then reads
+    the text with ``_rows``, which names the first bad line. The header is
+    read by ``_header``, as there.
     """
     # lineno counts CSV records: if a quoted field spans lines, loadtxt
     # reads a quote or the header itself, and fails
@@ -428,67 +457,67 @@ def _parse_float(text: str, what: str, lineno: int) -> float:
     return value
 
 
+def _read(raw, form) -> dict[str, np.ndarray]:
+    """The required columns of an input in a declared format (see
+    ``_TABULATION``), as arrays of its rows in file order. A grid that
+    ``_columns`` reads in bulk is taken when every value is finite and
+    passes its checks and no two rows share a key; any other input is read
+    by ``_rows``, which raises a ParseError at its first bad line."""
+    what, columns, key, _ = form
+    text = _text(raw)
+    grid = _columns(text, tuple(columns), what,
+                    tuple(name for name, (kind, _) in columns.items() if kind is np.int64))
+    if (grid is None or not all(np.isfinite(values).all() for values in grid.values())
+            or not all(check(grid[name]).all()
+                       for name, (_, checks) in columns.items() for check, _ in checks)):
+        return _rows(text, form)
+    if key:
+        order = np.lexsort([grid[name] for name in key[::-1]])
+        keys = [grid[name][order] for name in key]
+        if np.logical_and.reduce([k[1:] == k[:-1] for k in keys]).any():
+            return _rows(text, form)
+    return grid
+
+
+def _rows(text: str, form) -> dict[str, np.ndarray]:
+    """``_read`` row by row: each row's fields parsed and checked in the
+    declared order, then its key; a ParseError at the first bad line."""
+    what, columns, key, duplicate = form
+    idx, records = _records(text, tuple(columns), what)
+    rows, seen = [], {}
+    for lineno, fields in records:
+        row = {}
+        for name, (kind, checks) in columns.items():
+            field = fields[idx[name]]
+            row[name] = value = (_parse_int if kind is np.int64 else _parse_float)(
+                field, name, lineno)
+            for check, message in checks:
+                if not check(value):
+                    raise ParseError(message.format(v=value, text=field), line=lineno)
+        values = tuple(row[name] for name in key)
+        if key and seen.setdefault(values, lineno) != lineno:
+            raise ParseError(duplicate.format(line=seen[values], **dict(zip(key, values))),
+                             line=lineno)
+        rows.append(row)
+    return {name: np.array([row[name] for row in rows], dtype=kind)
+            for name, (kind, _) in columns.items()}
+
+
 def parse_denominators(raw) -> dict[int, Denominator]:
     """Parse the sidecar denominator CSV. Duplicate years are an error."""
-    idx, rows = _records(raw, _DENOM_COLUMNS, "denominator")
-    out: dict[int, Denominator] = {}
-    for lineno, fields in rows:
-        year = _parse_int(fields[idx["year"]], "year", lineno)
-        if year in out:
-            raise ParseError(f"duplicate year {year} in denominator file",
-                             line=lineno)
-        population = _parse_int(fields[idx["population"]], "population", lineno)
-        if population <= 0:
-            raise ParseError(f"population {population} must be positive", line=lineno)
-        total_income = _parse_float(fields[idx["total_income"]], "total_income", lineno)
-        if total_income <= 0:
-            raise ParseError(f"total_income {total_income} must be positive", line=lineno)
-        income_unit = _parse_float(fields[idx["income_unit"]], "income_unit", lineno)
-        if income_unit <= 0:
-            raise ParseError(f"income_unit {income_unit} must be positive", line=lineno)
-        out[year] = Denominator(year, population, total_income, income_unit)
-    return out
-
-
-def _bracket_rows(text: str):
-    """``_columns`` of a tabulation text, read row by row: a ParseError at
-    the first bad line."""
-    idx, rows = _records(text, _TAB_COLUMNS, "tabulation")
-    seen: dict[tuple[int, float], tuple[int, int, float]] = {}
-    for lineno, fields in rows:
-        year = _parse_int(fields[idx["year"]], "year", lineno)
-        threshold = _parse_float(fields[idx["lower_threshold"]], "lower_threshold", lineno)
-        count = _parse_int(fields[idx["returns"]], "returns", lineno)
-        if count < 0:
-            raise ParseError(f"returns {count} is negative", line=lineno)
-        income_sum = _parse_float(fields[idx["income_sum"]], "income_sum", lineno)
-        if income_sum < 0:
-            raise ParseError(f"income_sum {income_sum} is negative", line=lineno)
-        if (year, threshold) in seen:
-            raise ParseError(f"duplicate bracket threshold {threshold} for year {year} "
-                             f"(first seen on line {seen[year, threshold][0]})", line=lineno)
-        seen[year, threshold] = lineno, count, income_sum
-    rows = [(*key, count, income_sum) for key, (_, count, income_sum) in seen.items()]
-    return {name: np.array([row[i] for row in rows], dtype=kind) for i, (name, kind)
-            in enumerate(zip(_TAB_COLUMNS, (np.int64, float, np.int64, float)))}
+    grid = _read(raw, _DENOMINATORS)
+    return {row[0]: Denominator(*row)
+            for row in zip(*(grid[name].tolist() for name in _DENOM_COLUMNS))}
 
 
 def _read_series(raw, denominators: Mapping[int, Denominator]) -> tuple:
     """``parse_tabulations`` as a series (see ``_series``), no bracket objects
-    built. A plain file, one the row path reads with the same numbers, is
-    read in one pass; any other file is read row by row, which rejects it at
-    its first bad line or reads it. Either way one sort groups the rows."""
-    text = _text(raw)
-    for grid in (_columns(text, _TAB_COLUMNS, "tabulation", ("year", "returns")), None):
-        if grid is None:
-            grid = _bracket_rows(text)
-        order = np.lexsort((-grid["lower_threshold"], grid["year"]))
-        year, t, c, s = (grid[name][order] for name in _TAB_COLUMNS)
-        same_year = year[1:] == year[:-1]
-        if (np.isfinite(t).all() and np.isfinite(s).all() and (s >= 0).all()
-                and (c >= 0).all() and not (same_year & (t[1:] == t[:-1])).any()):
-            break
-    first = np.flatnonzero(np.append(year.size > 0, ~same_year))
+    built: the rows ``_read`` gives, grouped by year and descending threshold
+    in one sort, then validated."""
+    grid = _read(raw, _TABULATION)
+    order = np.lexsort((-grid["lower_threshold"], grid["year"]))
+    year, t, c, s = (grid[name][order] for name in _TAB_COLUMNS)
+    first = np.flatnonzero(np.append(year.size > 0, year[1:] != year[:-1]))
     years = year[first].tolist()
     series = (np.diff(first, append=len(year)), t, c, s,
               [denominators.get(y, Denominator(y, 1, 1.0)) for y in years])
@@ -516,15 +545,10 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator]) -> list[Tabu
             for a, n, d in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist(), years)]
 
 
-def parse_tabulation(raw, denominators: Mapping[int, Denominator],
-                     year: int | None = None) -> Tabulation:
-    """Parse a single year. If ``year`` is None the file must hold one year."""
+def parse_tabulation(raw, denominators: Mapping[int, Denominator]) -> Tabulation:
+    """Parse a tabulation CSV that holds a single year, as ``parse_tabulations``
+    does; a file with more years or none raises a ParseError."""
     tabs = parse_tabulations(raw, denominators)
-    if year is not None:
-        for tab in tabs:
-            if tab.year == year:
-                return tab
-        raise ParseError(f"year {year} not present in tabulation file")
     if len(tabs) != 1:
         raise ParseError(f"expected a single year, found {len(tabs)}: "
                          f"{[t.year for t in tabs]}")

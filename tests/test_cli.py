@@ -11,6 +11,7 @@ import pytest
 
 from topshares import cli, maxent, microbench, pareto, tabulation
 from topshares.cli import main
+from topshares.errors import ParseError
 
 from conftest import fresh_python
 
@@ -398,7 +399,7 @@ def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(maxent.MaxEntDensity, "__post_init__", counting(
         "MaxEntDensity", maxent.MaxEntDensity.__post_init__))
     for module, name in ((tabulation, "validate"), (tabulation, "cumulate"),
-                         (tabulation, "_bracket_rows"), (tabulation, "_stack"),
+                         (tabulation, "_rows"), (tabulation, "_stack"),
                          (pareto, "select_bracket"), (pareto, "pi_share_from_stats")):
         original = getattr(module, name)
         for namespace in (tabulation, pareto, maxent, microbench, cli):
@@ -410,7 +411,7 @@ def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
     den.write_text(den_text)
     assert main(["estimate", "--input", str(tab), "--denominators", str(den),
                  "--out", str(tmp_path / "out.csv")]) == 2
-    assert calls == {"loadtxt": 1, "_solve_rates": 1, "_stack": 2}
+    assert calls == {"loadtxt": 2, "_solve_rates": 1, "_stack": 2}
 
 
 @pytest.mark.parametrize("rows,population,message", [
@@ -438,6 +439,28 @@ def test_counts_beyond_int64_exit_one(tmp_path, capsys, rows, population, messag
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1950,0,1e6,1", "population 0 must be positive"),
+    ("1950,-5,1e6,1", "population -5 must be positive"),
+    ("1950,100,0,1", "total_income 0.0 must be positive"),
+    ("1950,100,-1e6,1", "total_income -1000000.0 must be positive"),
+    ("1950,100,1e6,0", "income_unit 0.0 must be positive"),
+    ("1950,100,1e6,-0.001", "income_unit -0.001 must be positive"),
+])
+def test_non_positive_denominators_exit_one(tmp_path, capsys, row, message):
+    tab, den, out = tmp_path / "tab.csv", tmp_path / "den.csv", tmp_path / "out.csv"
+    tab.write_text("year,lower_threshold,returns,income_sum\n1950,10,5,75\n1950,5,10,75\n")
+    den.write_text(f"year,population,total_income,income_unit\n1949,100,1e6,1\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        tabulation.parse_denominators(den.read_text())
+    assert (err.value.line, str(err.value)) == (3, f"line 3: {message}")
+    for command in ("estimate", "diagnostics"):
+        assert main([command, "--input", str(tab), "--denominators", str(den),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("rows,total,message", [

@@ -821,6 +821,56 @@ def test_one_rate_solve_per_line_search_trial(monkeypatch, k):
     assert calls == {"divergence": 1 + sol.iterations, "solve": 1 + sol.iterations}
 
 
+def test_line_search_halves_a_step_and_converges(monkeypatch):
+    # draw 51 of random_tabulation on seed 0 (K = 12): one full Newton step
+    # is refused, so the recovery makes more _divergence calls than 1 +
+    # iterations (11 calls for 9 steps when this was pinned)
+    rng = np.random.default_rng(0)
+    for _ in range(51):
+        random_tabulation(rng)
+    stats = ts.cumulate(random_tabulation(rng))
+    calls = [0]
+    divergence = maxent._divergence
+
+    def counting_divergence(*args):
+        calls[0] += 1
+        return divergence(*args)
+
+    monkeypatch.setattr(maxent, "_divergence", counting_divergence)
+    sol = ts.recover_thresholds(stats, float(stats.thresholds[-1]))
+    assert stats.num_brackets == 12
+    assert sol.converged
+    assert calls[0] > 1 + sol.iterations
+    y = stats.bracket_mean
+    inner = sol.thresholds[:-1]
+    assert np.all((y[1:] < inner) & (inner < y[:-1]))
+
+
+def test_exhausted_line_search_returns_the_last_accepted_iterate(monkeypatch):
+    # past the first two Newton steps every trial reads an objective one
+    # higher, so no step lowers it and the search halves the step until it
+    # gives up: the recovery stops unconverged at the second iterate, as a
+    # run capped at two steps leaves it
+    stats = lognormal_ladder_stats(8)
+    t_bottom = float(stats.thresholds[-1])
+    capped = ts.recover_thresholds(stats, t_bottom, max_iterations=2)
+    assert capped.iterations == 2 and not capped.converged
+    calls = [0]
+    divergence = maxent._divergence
+
+    def raised_divergence(*args):
+        calls[0] += 1
+        value, grad, hess = divergence(*args)
+        return value + (1.0 if calls[0] > 3 else 0.0), grad, hess
+
+    monkeypatch.setattr(maxent, "_divergence", raised_divergence)
+    sol = ts.recover_thresholds(stats, t_bottom)
+    assert not sol.converged and sol.iterations == 2
+    assert calls[0] == 3 + 60  # the start, two accepted steps, 60 refused trials
+    np.testing.assert_array_equal(sol.thresholds, capped.thresholds)
+    assert (sol.objective, sol.grad_norm) == (capped.objective, capped.grad_norm)
+
+
 @pytest.mark.parametrize("k", [8, 20, 40, 60])
 def test_ladder_rate_solves_take_at_most_four_mean_evaluations(monkeypatch, k):
     # on a ladder's brackets the initial guess lies close to the root and
@@ -1025,7 +1075,7 @@ def test_batched_me_cells_equal_scalar_queries(table_1920):
                     assert (err.fractile, err.covered) == (p, density.covered_fraction)
                     counts["uncovered"] += 1
                 else:
-                    assert str(err) == f"fractile must be positive, got {p}"
+                    assert str(err) == f"fractile must be in (0, 1], got {p}"
                     counts["not positive"] += 1
                 continue
             assert isinstance(est, ts.ShareEstimate), (i, p, est)
@@ -1036,6 +1086,21 @@ def test_batched_me_cells_equal_scalar_queries(table_1920):
             assert same_bits(est.share, top / density.total_income)
             counts["estimate"] += 1
     assert min(counts.values()) > 0, counts
+
+
+@pytest.mark.parametrize("p", [1.5, 0.0, -0.1, math.nan])
+def test_pi_and_me_reject_a_fractile_alike(table_1920, p):
+    # one fractile rule: PI, ME and a density's quantile query give the
+    # same error type and message for a fractile outside (0, 1], also where
+    # returns exceed the population, so that the brackets cover about 2
+    total = sum(b.count for b in table_1920.brackets)
+    for tab in (table_1920, dataclasses.replace(table_1920, population=total // 2)):
+        stats = ts.cumulate(tab)
+        [[(_, _, pi), (_, _, me)]] = maxent.estimate_shares([stats], [p], ("PI", "ME"))
+        with pytest.raises(ValueError) as err:
+            build_density(stats).quantile_top(p)
+        assert {(type(e), str(e)) for e in (pi, me, err.value)} == \
+            {(ValueError, f"fractile must be in (0, 1], got {p}")}, stats.covered_fraction
 
 
 def test_array_queries_equal_scalar_queries(table_1920):

@@ -303,6 +303,20 @@ class TestParsing:
         with pytest.raises(ParseError, match="mean_below_bracket"):
             parse_tabulations(bad, parse_denominators(DENOM_CSV))
 
+    def test_repeated_year_with_a_bad_value_reports_the_value(self):
+        # a row's values are checked before its year is checked for a repeat
+        dup = DENOM_CSV + "1950,0,9000,1\n"
+        with pytest.raises(ParseError, match="^line 3: population 0 must be positive$"):
+            parse_denominators(dup)
+
+    def test_parse_single_year_refuses_two_years(self):
+        two = TAB_CSV + TAB_CSV.split("\n", 1)[1].replace("1950,", "1951,")
+        den = DENOM_CSV + "1951,100,5000,1\n"
+        assert len(parse_tabulations(two, parse_denominators(den))) == 2
+        with pytest.raises(ParseError, match=r"^expected a single year, found 2: "
+                                             r"\[1950, 1951\]$"):
+            ts.parse_tabulation(two, parse_denominators(den))
+
     def test_header_only_file_holds_no_tabulation(self):
         for text in (TAB_CSV.splitlines()[0], TAB_CSV.splitlines()[0] + "\n\n"):
             assert parse_tabulations(text, parse_denominators(DENOM_CSV)) == []
@@ -694,3 +708,130 @@ def test_one_pass_reader_matches_row_path(text):
     # the same tabulations, value for value, or the same error at the same
     # line; the examples are fixed so that every run checks the same texts
     _assert_readers_agree(text)
+
+
+# ---------------------------------------------------------------------------
+# the denominator file: bulk reader against the row path
+# ---------------------------------------------------------------------------
+
+def reference_parse_denominators(text):
+    """The row loop parse_denominators replaced, a row's year checked for a
+    repeat after its values."""
+    idx, rows = tabulation._records(text, tabulation._DENOM_COLUMNS, "denominator")
+    out = {}
+    for lineno, fields in rows:
+        year = tabulation._parse_int(fields[idx["year"]], "year", lineno)
+        population = tabulation._parse_int(fields[idx["population"]], "population", lineno)
+        if population <= 0:
+            raise ParseError(f"population {population} must be positive", line=lineno)
+        total_income = tabulation._parse_float(fields[idx["total_income"]], "total_income",
+                                               lineno)
+        if total_income <= 0:
+            raise ParseError(f"total_income {total_income} must be positive", line=lineno)
+        income_unit = tabulation._parse_float(fields[idx["income_unit"]], "income_unit",
+                                              lineno)
+        if income_unit <= 0:
+            raise ParseError(f"income_unit {income_unit} must be positive", line=lineno)
+        if year in out:
+            raise ParseError(f"duplicate year {year} in denominator file", line=lineno)
+        out[year] = ts.Denominator(year, population, total_income, income_unit)
+    return out
+
+
+def _denominators(text, parse=parse_denominators, rows_only=False):
+    """What a parser makes of a denominator text: the repr of its dict (every
+    value and type, exactly), or the exception type, message and line."""
+    try:
+        with mock.patch.object(tabulation, "_columns", return_value=None) if rows_only \
+                else contextlib.nullcontext():
+            return repr(parse(text))
+    except Exception as err:  # compared, not hidden
+        return ("raised", type(err), str(err), getattr(err, "line", None))
+
+
+def _assert_denominator_readers_agree(text):
+    """The bulk reader, the row path and the reference read the same."""
+    assert _denominators(text) == _denominators(text, rows_only=True) \
+        == _denominators(text, reference_parse_denominators), text
+
+
+_POPULATION_CELLS = st.one_of(
+    st.integers(1, 10**9).map(str),
+    st.sampled_from(["0", "-5", "1e3", "100.0", "+7", " 8 ", "1_000", "007",
+                     str(2**63 - 1), str(2**63), str(-2**63 - 1), "nan", "inf", '"9"', ""]))
+_DENOMINATOR_INCOME_CELLS = st.one_of(
+    st.floats(1e-3, 1e15).map(repr), st.integers(1, 10**12).map(str),
+    st.sampled_from(["0", "-0", "-1", "-1e300", "inf", "-inf", "nan", "1e400", "4.9e-324",
+                     "1_0", "+3.5", '"2"', "x", ""]))
+
+
+@st.composite
+def denominator_texts(draw):
+    """Denominator texts: plausible rows (so that some files read), with
+    tricky values, repeated years, blank and quoted lines, a byte-order mark,
+    CRLF or LF."""
+    header = draw(st.sampled_from([
+        "year,population,total_income,income_unit",
+        "year,population,total_income,income_unit",
+        "income_unit,total_income,population,year",
+        "year,population,total_income,income_unit,note",
+        "year,population,total_income"]))
+    names = header.split(",")
+    traps = {"year": _YEAR_CELLS, "population": _POPULATION_CELLS,
+             "total_income": _DENOMINATOR_INCOME_CELLS,
+             "income_unit": _DENOMINATOR_INCOME_CELLS}
+    lines = []
+    for year in draw(st.lists(st.sampled_from([1950, 1951, 1952, 1953]), max_size=4,
+                              unique=True)):
+        cells = {"year": str(year), "population": str(draw(st.integers(1, 10**9))),
+                 "total_income": repr(draw(st.floats(1.0, 1e15))),
+                 "income_unit": draw(st.sampled_from(["1", "1000", "1e-3", "1.0"])),
+                 "note": "x"}
+        if draw(st.integers(0, 4)) == 0:
+            name = draw(st.sampled_from(sorted(traps)))
+            cells[name] = draw(traps[name])
+        lines.append(",".join(cells[name] for name in names))
+    if lines and draw(st.integers(0, 4)) == 0:
+        lines.append(draw(st.sampled_from(lines)))  # a repeated year
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 4)) // 3):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "  ", ",,,", '"1950",1,1,1', "1950,1"])))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + eol.join([header, *lines]) + draw(st.sampled_from(["", eol]))
+
+
+TRAP_DENOMINATORS = [
+    "year,population,total_income,income_unit\n1950,100,5000,1\n1950,100,5000,1\n",
+    "year,population,total_income,income_unit\n1950,100,5000,1\n1950,0,5000,1\n",
+    "year,population,total_income,income_unit\n1950,-3,5000,1\n",
+    "year,population,total_income,income_unit\n1950,100,0,1\n",
+    "year,population,total_income,income_unit\n1950,100,-0,1\n",
+    "year,population,total_income,income_unit\n1950,100,5000,0\n",
+    "year,population,total_income,income_unit\n1950,100,inf,1\n",
+    "year,population,total_income,income_unit\n1950,100,5000,nan\n",
+    "year,population,total_income,income_unit\n1950,1e3,5000,1\n",
+    "year,population,total_income,income_unit\n1950,100.0,5000,1\n",
+    f"year,population,total_income,income_unit\n1950,{2**63},5000,1\n",
+    f"year,population,total_income,income_unit\n{2**63},100,5000,1\n",
+    "year,population,total_income,income_unit\n\n  \n1950,100,5000,1\n",
+    'year,population,total_income,income_unit\n"1950",100,5000,1\n',
+    "\ufeffyear,population,total_income,income_unit\n1950,100,5000,1\n",
+    "year,population,total_income,income_unit\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", TRAP_DENOMINATORS)
+def test_trap_denominators_read_as_the_row_path_does(text):
+    _assert_denominator_readers_agree(text)
+    _assert_denominator_readers_agree(text.encode("utf-8"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(denominator_texts())
+def test_bulk_denominator_reader_matches_row_path(text):
+    # the same denominators, value for value, or the same error at the same
+    # line; the examples are fixed so that every run checks the same texts
+    _assert_denominator_readers_agree(text)
