@@ -45,6 +45,16 @@ __all__ = [
 ]
 
 
+def _frozen(array: np.ndarray, source) -> np.ndarray:
+    """``array``, which ``np.asarray`` made from ``source``, made read-only
+    where no caller can write to it: copied when it is ``source`` itself or a
+    view of writeable memory, kept when fresh or already read-only."""
+    if array.flags.writeable and (array is source or not array.flags.owndata):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class MicroSample:
     """Individual incomes with integer replication weights.
@@ -52,7 +62,8 @@ class MicroSample:
     ``population`` counts every tax unit including non-filers; non-filers
     carry zero income and rank below every filer. ``total_income`` defaults
     to the weighted sum of incomes but can be overridden with an external
-    denominator.
+    denominator. Both arrays are held read-only; a writeable array passed in
+    is copied, so the caller's stays writeable.
     """
 
     incomes: np.ndarray
@@ -61,7 +72,7 @@ class MicroSample:
     total_income_override: float | None = None
 
     def __post_init__(self):
-        incomes = np.asarray(self.incomes, dtype=float)
+        incomes = _frozen(np.asarray(self.incomes, dtype=float), self.incomes)
         object.__setattr__(self, "incomes", incomes)
         weights = np.asarray(self.weights)
         if weights.dtype.kind not in "iu":
@@ -71,7 +82,7 @@ class MicroSample:
             # beyond it, floats no longer tell integers apart
             if np.any(weights > 2**53):
                 raise ValueError("float weights must not exceed 2**53")
-        weights = weights.astype(np.int64)
+        weights = _frozen(weights.astype(np.int64, copy=False), self.weights)
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(incomes):
             raise ValueError("incomes and weights must have equal length")
@@ -87,15 +98,14 @@ class MicroSample:
                 raise ValueError(f"weights sum to {total}, more than 2**63 - 1")
         if self.nonfiler_count < 0:
             raise ValueError("nonfiler_count must be nonnegative")
-        incomes.flags.writeable = False
-        weights.flags.writeable = False
 
     @classmethod
     def from_incomes(cls, incomes, nonfiler_count: int = 0,
                      total_income: float | None = None) -> "MicroSample":
-        incomes = np.asarray(incomes, dtype=float)
-        return cls(incomes, np.ones(len(incomes), dtype=np.int64),
-                   nonfiler_count, total_income)
+        incomes = _frozen(np.asarray(incomes, dtype=float), incomes)
+        ones = np.ones(len(incomes), dtype=np.int64)
+        ones.flags.writeable = False
+        return cls(incomes, ones, nonfiler_count, total_income)
 
     # the arrays are read-only, so each total is computed once
     @cached_property
@@ -119,19 +129,22 @@ class MicroSample:
         count last) and the weighted income of the i lowest rows at index i,
         summed bottom-up (0.0 first). Read-only."""
         n = len(self.incomes)
+        below = np.zeros(n + 1)
         if self.filer_count == n:
             # weights are at least 1, so every one is 1: tied incomes are
             # equal floats, sorting the values alone gives the same arrays,
             # and x * 1 is exact
             ascending = np.sort(self.incomes)
             incomes, weights = ascending[::-1], self.weights
-            above, below = np.arange(n + 1, dtype=np.int64), np.cumsum(ascending)
+            above = np.arange(n + 1, dtype=np.int64)
+            np.cumsum(ascending, out=below[1:])
         else:
             order = np.argsort(self.incomes)[::-1]
             incomes, weights = self.incomes[order], self.weights[order]
-            above = np.concatenate(([0], np.cumsum(weights)))
-            below = np.cumsum(incomes[::-1] * weights[::-1])
-        ranked = (incomes, weights, above, np.concatenate(([0.0], below)))
+            above = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(weights, out=above[1:])
+            np.cumsum(incomes[::-1] * weights[::-1], out=below[1:])
+        ranked = (incomes, weights, above, below)
         for array in ranked:
             array.flags.writeable = False
         return ranked
@@ -419,21 +432,35 @@ def dist_from_dict(spec: Mapping) -> ParetoDist | LognormalDist | MixtureDist:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
+# draws per block of ``generate``: one block's uniforms and inversion
+# temporaries, about 80 bytes a draw for a mixture (5 MiB), are all that
+# generation holds beside the sample; 2**15 to 2**17 time alike
+_BLOCK = 2**16
+
+
 def generate(dist, size: int, seed: int) -> MicroSample:
     """Draw a sample by inversion from a seeded PCG64 uniform stream.
 
     One uniform per draw for simple laws; mixtures consume a second,
     interleaved stream for the component choice. Identical (dist, size,
-    seed) yield bit-identical samples.
+    seed) yield bit-identical samples. The stream is drawn and inverted
+    ``_BLOCK`` draws at a time, which bounds the temporaries; the generator
+    hands out the same doubles in the same order whatever the block, and
+    every quantile is elementwise, so the sample's bits do not depend on the
+    block size.
     """
     if size < 1:
         raise ValueError("size must be at least 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if isinstance(dist, MixtureDist):
-        u = rng.random((size, 2))
-        incomes = dist.draw(u[:, 0], u[:, 1])
-    else:
-        incomes = dist.quantile(rng.random(size))
+    incomes = np.empty(size)
+    for start in range(0, size, _BLOCK):
+        block = incomes[start:start + _BLOCK]
+        if isinstance(dist, MixtureDist):
+            u = rng.random((len(block), 2))
+            block[:] = dist.draw(u[:, 0], u[:, 1])
+        else:
+            block[:] = dist.quantile(rng.random(len(block)))
+    incomes.flags.writeable = False
     return MicroSample.from_incomes(incomes)
 
 
@@ -633,7 +660,9 @@ def load_micro_csv(raw) -> MicroSample:
     int64. Read by ``tabulation._read``, the reader of the tabulation and
     denominator files: a ParseError names the first bad line.
     """
-    columns = _read(raw, _MICRO)
+    columns, _ = _read(raw, _MICRO)
     if not len(columns["income"]):
         raise ParseError("micro CSV holds no data rows")
+    for values in columns.values():  # the sample's own, so it keeps them
+        values.flags.writeable = False
     return MicroSample(columns["income"], columns["weight"])

@@ -457,26 +457,30 @@ def _parse_float(text: str, what: str, lineno: int) -> float:
     return value
 
 
-def _read(raw, form) -> dict[str, np.ndarray]:
+def _read(raw, form) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """The required columns of an input in a declared format (see
-    ``_TABULATION``), as arrays of its rows in file order. A grid that
-    ``_columns`` reads in bulk is taken when every value is finite and
-    passes its checks and no two rows share a key; any other input is read
-    by ``_rows``, which raises a ParseError at its first bad line."""
+    ``_TABULATION``), as arrays of its rows in file order, and the order
+    that sorts the rows by the format's key (None for a format without
+    one). A grid that ``_columns`` reads in bulk is taken when every value
+    is finite and passes its checks and no two rows share a key; any other
+    input is read by ``_rows``, which raises a ParseError at its first bad
+    line."""
     what, columns, key, _ = form
     text = _text(raw)
     grid = _columns(text, tuple(columns), what,
                     tuple(name for name, (kind, _) in columns.items() if kind is np.int64))
-    if (grid is None or not all(np.isfinite(values).all() for values in grid.values())
-            or not all(check(grid[name]).all()
-                       for name, (_, checks) in columns.items() for check, _ in checks)):
-        return _rows(text, form)
-    if key:
-        order = np.lexsort([grid[name] for name in key[::-1]])
-        keys = [grid[name][order] for name in key]
-        if np.logical_and.reduce([k[1:] == k[:-1] for k in keys]).any():
-            return _rows(text, form)
-    return grid
+    bulk = (grid is not None and all(np.isfinite(values).all() for values in grid.values())
+            and all(check(grid[name]).all()
+                    for name, (_, checks) in columns.items() for check, _ in checks))
+    if not bulk:
+        grid = _rows(text, form)
+    if not key:
+        return grid, None
+    order = np.lexsort([grid[name] for name in key[::-1]])
+    keys = [grid[name][order] for name in key]
+    if bulk and np.logical_and.reduce([k[1:] == k[:-1] for k in keys]).any():
+        _rows(text, form)  # raises at the line of the first repeat
+    return grid, order
 
 
 def _rows(text: str, form) -> dict[str, np.ndarray]:
@@ -505,7 +509,7 @@ def _rows(text: str, form) -> dict[str, np.ndarray]:
 
 def parse_denominators(raw) -> dict[int, Denominator]:
     """Parse the sidecar denominator CSV. Duplicate years are an error."""
-    grid = _read(raw, _DENOMINATORS)
+    grid, _ = _read(raw, _DENOMINATORS)
     return {row[0]: Denominator(*row)
             for row in zip(*(grid[name].tolist() for name in _DENOM_COLUMNS))}
 
@@ -513,13 +517,17 @@ def parse_denominators(raw) -> dict[int, Denominator]:
 def _read_series(raw, denominators: Mapping[int, Denominator]) -> tuple:
     """``parse_tabulations`` as a series (see ``_series``), no bracket objects
     built: the rows ``_read`` gives, grouped by year and descending threshold
-    in one sort, then validated."""
-    grid = _read(raw, _TABULATION)
-    order = np.lexsort((-grid["lower_threshold"], grid["year"]))
-    year, t, c, s = (grid[name][order] for name in _TAB_COLUMNS)
+    by the key order ``_read`` sorted them in, then validated."""
+    grid, order = _read(raw, _TABULATION)
+    year = grid["year"][order]
     first = np.flatnonzero(np.append(year.size > 0, year[1:] != year[:-1]))
+    sizes = np.diff(first, append=len(year))
+    # the key order runs by year, then ascending threshold: each year's run
+    # reversed puts its highest threshold first
+    order = order[np.repeat(2 * first + sizes - 1, sizes) - np.arange(len(year))]
+    t, c, s = (grid[name][order] for name in _TAB_COLUMNS[1:])
     years = year[first].tolist()
-    series = (np.diff(first, append=len(year)), t, c, s,
+    series = (sizes, t, c, s,
               [denominators.get(y, Denominator(y, 1, 1.0)) for y in years])
     for y, problems in zip(years, _violations(series)):
         if y not in denominators:

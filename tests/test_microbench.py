@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import statistics
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -17,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 import topshares as ts
 from topshares import microbench as mb, tabulation
 from topshares.errors import ParseError
+
+from test_cli import PINNED_SPEC
 
 
 class TestOracleShare:
@@ -100,6 +103,23 @@ class TestOracleShare:
         ranks = [round(1e-3 * sample.population), totals[-1]]
         assert mb.quantile_thresholds(sample, 2).tolist() == sorted(
             {incomes[row_reaching(rank)] for rank in ranks}, reverse=True)
+
+    def test_caller_arrays_stay_writeable(self):
+        incomes = np.array([3.0, 1.0, 2.0])
+        weights = np.array([1, 2, 3], dtype=np.int64)
+        samples = (mb.MicroSample(incomes, weights), mb.MicroSample.from_incomes(incomes),
+                   mb.MicroSample(incomes[::2], weights[::2]),
+                   mb.MicroSample(memoryview(incomes), memoryview(weights)))
+        incomes[0], weights[0] = 9.0, 9  # raised while the samples held them
+        for sample in samples:
+            assert 9.0 not in sample.incomes and 9 not in sample.weights
+            assert not (sample.incomes.flags.writeable or sample.weights.flags.writeable)
+        # a read-only array is the sample's as it is, fresh conversions too
+        incomes.flags.writeable = weights.flags.writeable = False
+        sample = mb.MicroSample(incomes, weights)
+        assert sample.incomes is incomes and sample.weights is weights
+        assert mb.MicroSample.from_incomes(incomes).incomes is incomes
+        assert mb.MicroSample([1.0, 2.0], [1.0, 2.0]).weights.flags.owndata
 
 
 class TestTabulate:
@@ -242,6 +262,23 @@ class TestGenerate:
         c = mb.generate(mb.ParetoDist(2.0), 1000, seed=8)
         assert not np.array_equal(a.incomes, c.incomes)
 
+    @pytest.mark.parametrize("dist", [
+        mb.ParetoDist(2.0, 1.0), mb.LognormalDist(10.2, 0.75),
+        mb.dist_from_dict(PINNED_SPEC["distribution"])], ids=type)
+    @pytest.mark.parametrize("size", [mb._BLOCK - 1, mb._BLOCK, mb._BLOCK + 1,
+                                      3 * mb._BLOCK + 7])
+    def test_blocks_draw_the_one_call_sample(self, dist, size):
+        # block by block, the same doubles in the same order as one call,
+        # and the same elementwise inversion of each
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        if isinstance(dist, mb.MixtureDist):
+            u = rng.random((size, 2))
+            want = dist.draw(u[:, 0], u[:, 1])
+        else:
+            want = dist.quantile(rng.random(size))
+        got = mb.generate(dist, size, seed=5).incomes
+        assert got.tobytes() == want.tobytes()
+
     def test_pareto_top_share_approaches_closed_form(self):
         # top-p share of a Pareto(a) population is p^((a-1)/a)
         dist = mb.ParetoDist(2.0, 1.0)
@@ -301,6 +338,33 @@ class TestGenerate:
                               components=(mb.ParetoDist(2.5, 2.0),
                                           mb.LognormalDist(1.0, 0.7)))
         assert mb.dist_from_dict(dist.to_dict()) == dist
+
+
+def _peak_bytes(call):
+    """The call's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_memory_per_draw():
+    # generation holds the sample (incomes and unit weights, 16 bytes a
+    # draw) and one block's temporaries, not whole-sample uniforms and
+    # inversion temporaries (78 bytes a draw for a mixture); handing a
+    # read-only array to from_incomes copies nothing but makes the weights;
+    # the ranking holds its sorted incomes, ranks and prefix sums alone
+    n = 2**20
+    for dist in (mb.ParetoDist(2.0, 1.0), mb.LognormalDist(10.2, 0.75),
+                 mb.dist_from_dict(PINNED_SPEC["distribution"])):
+        sample, peak = _peak_bytes(lambda: mb.generate(dist, n, seed=9))
+        assert peak <= 28 * n, (dist, peak / n)
+    _, peak = _peak_bytes(lambda: mb.MicroSample.from_incomes(sample.incomes))
+    assert peak <= 12 * n, peak / n
+    _, peak = _peak_bytes(lambda: sample._ranked)
+    assert peak <= 24 * n + 2**20, peak / n
 
 
 def _tied_weighted(n):

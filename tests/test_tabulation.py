@@ -290,8 +290,38 @@ class TestParsing:
 
     def test_duplicate_bracket_row(self):
         dup = TAB_CSV + "1950,100,5,800\n"
-        with pytest.raises(ParseError, match="duplicate bracket"):
+        with pytest.raises(ParseError, match="duplicate bracket") as err:
             parse_tabulations(dup, parse_denominators(DENOM_CSV))
+        assert (err.value.line, str(err.value)) == (5, (
+            "line 5: duplicate bracket threshold 100.0 for year 1950 "
+            "(first seen on line 2)"))
+
+    def test_rows_sorted_once(self, monkeypatch):
+        # the key order that finds a repeated threshold also groups the
+        # rows by year, highest threshold first
+        years = range(1950, 1954)
+        denominators = parse_denominators("year,population,total_income,income_unit\n"
+                                          + "".join(f"{y},1000,1e6,1\n" for y in years))
+        rows = [f"{y},{t},{c},{c * t * 1.5}" for y in years
+                for t, c in ((100, 5), (50, 10), (10, 35))]
+        text = "\n".join(["year,lower_threshold,returns,income_sum"]
+                         + rows[5::-1] + rows[6:]) + "\n"
+        sorts = []
+
+        def counting(name):
+            sort = getattr(np, name)
+
+            def counted(a, *args, **kwargs):
+                if np.shape(a)[-1:] == (len(rows),):
+                    sorts.append(name)
+                return sort(a, *args, **kwargs)
+            return counted
+        for name in ("sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, counting(name))
+        tabs = parse_tabulations(text, denominators)
+        assert sorts == ["lexsort"]
+        assert [(t.year, [b.lower_threshold for b in t.brackets]) for t in tabs] == [
+            (y, [100.0, 50.0, 10.0]) for y in years]
 
     def test_malformed_number_names_line(self):
         bad = TAB_CSV.replace("1950,10,35,875", "1950,10,thirty,875")
