@@ -20,16 +20,14 @@ _EXPORTS = {
                "MeanOnBoundaryError", "ParetoFitError", "ParseError",
                "TopsharesError"),
     "maxent": ("MaxEntDensity", "ThresholdSolution", "build_density",
-               "estimate_share_me", "estimate_shares", "recover_thresholds",
-               "solve_rate"),
+               "estimate_shares", "recover_thresholds", "solve_rate"),
     "microbench": ("BenchmarkSpec", "ErrorReport", "LognormalDist", "MicroSample",
                    "MixtureDist", "ParetoDist", "generate", "oracle_share",
                    "run_protocol", "tabulate"),
-    "pareto": ("ParetoBracketFit", "ShareEstimate", "estimate_share_pi",
-               "select_bracket", "threshold_at", "top_income_at"),
+    "pareto": ("ParetoBracketFit", "ShareEstimate", "select_bracket"),
     "tabulation": ("CumulativeStats", "Denominator", "IncomeBracket", "Tabulation",
-                   "Violation", "cumulate", "parse_denominators", "parse_tabulation",
-                   "parse_tabulations", "serialize_tabulations", "validate"),
+                   "Violation", "cumulate", "parse_denominators", "parse_tabulations",
+                   "validate"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "cli"}

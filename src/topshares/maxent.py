@@ -32,20 +32,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    FractileNotCoveredError,
-    InfeasibleOrderingError,
-    MeanOnBoundaryError,
-)
+from .errors import InfeasibleOrderingError, MeanOnBoundaryError
 from .pareto import ShareEstimate, _fractile_error, pi_shares
-from .tabulation import CumulativeStats, Tabulation, _stack, cumulate
+from .tabulation import CumulativeStats, _stack
 
 __all__ = [
     "MaxEntDensity",
     "ThresholdSolution",
     "solve_rate",
     "build_density",
-    "estimate_share_me",
     "me_share_from_density",
     "estimate_shares",
     "recover_thresholds",
@@ -397,10 +392,13 @@ def _below(column: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     """For each value in row r of an (n, m) array, how many of year r's
     entries in a stacked column, ascending within each year, lie below it,
     as ``np.searchsorted`` counts them: a NaN value lies above every entry.
-    All years are compared at once, through K-by-m arrays for K stacked
-    entries."""
-    below = ~(column[:, None] >= np.repeat(values, sizes, axis=0))
-    return np.add.reduceat(below, starts, axis=0, dtype=np.intp)
+    One search serves all years, over keys that sort by year, then by value:
+    complex numbers with the year as real part and the value as imaginary."""
+    keys, queries = np.empty(len(column), complex), np.empty(values.shape, complex)
+    keys.real, keys.imag = np.repeat(np.arange(len(sizes)), sizes), column
+    queries.real, queries.imag = np.arange(len(values))[:, None], values
+    return np.where(np.isnan(values), sizes[:, None],  # NaN sorts after every year
+                    np.searchsorted(keys, queries) - starts[:, None])
 
 
 def _piece_index(stack, y: np.ndarray) -> np.ndarray:
@@ -514,11 +512,6 @@ def me_share_from_density(density: MaxEntDensity, p: float) -> ShareEstimate:
     if isinstance(estimate, ValueError):
         raise estimate
     return estimate
-
-
-def estimate_share_me(tab: Tabulation, p: float) -> ShareEstimate:
-    """Estimate the top p income share of a tabulation by maximum entropy."""
-    return me_share_from_density(build_density(cumulate(tab)), p)
 
 
 def _check_methods(methods: Sequence[str]) -> None:

@@ -120,7 +120,8 @@ class MicroSample:
     def total_income(self) -> float:
         if self.total_income_override is not None:
             return float(self.total_income_override)
-        return float(np.dot(self.incomes, self.weights))
+        with np.errstate(over="ignore"):  # oracle_share reports an inf total
+            return float(np.dot(self.incomes, self.weights))
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,6 +165,8 @@ def oracle_share(sample: MicroSample, p: float) -> float:
     if target < 1.0:
         raise ValueError(
             f"top fractile {p} covers fewer than one of {sample.population} units")
+    if not 0.0 < sample.total_income < math.inf:
+        raise ValueError(f"total income {sample.total_income} must be positive and finite")
 
     incomes, weights, above, _ = sample._ranked
     # the row straddling the cut, the first whose running total reaches it,
@@ -416,19 +419,33 @@ class MixtureDist:
                 "components": [c.to_dict() for c in self.components]}
 
 
+def _value(spec, key: str, cast, what: str, *default):
+    """``cast`` of ``spec[key]``, or of the default where the key is absent; a
+    ValueError names a ``spec`` that is no object, a missing key or a bad value."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    if key not in spec and not default:
+        raise ValueError(f"{what} is missing required key {key!r}")
+    try:
+        return cast(spec.get(key, *default))
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"{what} key {key!r}: {err}") from None
+
+
 def dist_from_dict(spec: Mapping) -> ParetoDist | LognormalDist | MixtureDist:
-    """Build a distribution from its JSON form."""
-    kind = spec.get("kind")
+    """Build a distribution from its JSON form, read by ``_value``."""
+    kind = _value(spec, "kind", lambda v: v, "distribution", None)
+    what = f"{kind} distribution"
     if kind == "pareto":
-        return ParetoDist(exponent=float(spec["exponent"]),
-                          scale=float(spec.get("scale", 1.0)))
+        return ParetoDist(exponent=_value(spec, "exponent", float, what),
+                          scale=_value(spec, "scale", float, what, 1.0))
     if kind == "lognormal":
-        return LognormalDist(location=float(spec.get("location", 0.0)),
-                             shape=float(spec.get("shape", 1.0)))
+        return LognormalDist(location=_value(spec, "location", float, what, 0.0),
+                             shape=_value(spec, "shape", float, what, 1.0))
     if kind == "mixture":
-        comps = tuple(dist_from_dict(c) for c in spec["components"])
-        return MixtureDist(weights=tuple(float(w) for w in spec["weights"]),
-                           components=comps)
+        weights = _value(spec, "weights", lambda v: tuple(map(float, v)), what)
+        comps = _value(spec, "components", lambda v: tuple(map(dist_from_dict, v)), what)
+        return MixtureDist(weights, comps)
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -501,15 +518,15 @@ class BenchmarkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
-        """A spec from its JSON form; absent keys take the defaults."""
+        """A spec from its JSON form (see ``_value``); absent keys take defaults."""
         raw = json.loads(text)
         casts = {"size": int, "classes": lambda v: tuple(int(k) for k in v),
                  "fractiles": lambda v: tuple(float(p) for p in v),
                  "trials": int, "seed": int, "top_fraction": float,
                  "scheme": str, "methods": tuple}
-        return cls(dist=dist_from_dict(raw["distribution"]),
-                   **{key: cast(raw[key]) for key, cast in casts.items()
-                      if key in raw})
+        dist = dist_from_dict(_value(raw, "distribution", lambda v: v, "spec"))
+        return cls(dist=dist, **{key: _value(raw, key, cast, "spec")
+                                 for key, cast in casts.items() if key in raw})
 
     def to_dict(self) -> dict:
         return {

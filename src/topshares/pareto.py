@@ -15,15 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FractileNotCoveredError, ParetoFitError
-from .tabulation import CumulativeStats, Tabulation, _stack, cumulate
+from .tabulation import CumulativeStats, _stack
 
 __all__ = [
     "ParetoBracketFit",
     "ShareEstimate",
     "select_bracket",
-    "threshold_at",
-    "top_income_at",
-    "estimate_share_pi",
     "pi_share_from_stats",
     "pi_shares",
 ]
@@ -118,19 +115,6 @@ def select_bracket(stats: CumulativeStats, p: float) -> ParetoBracketFit:
     return fit
 
 
-def threshold_at(fit: ParetoBracketFit, p: float) -> float:
-    """Income level where the top p fractile starts under the fitted law."""
-    if p <= 0:
-        raise ValueError(f"fractile must be positive, got {p}")
-    return fit.threshold * (fit.top_fraction / p) ** (1.0 / fit.exponent)
-
-
-def top_income_at(fit: ParetoBracketFit, p: float, population: float) -> float:
-    """Total income of the top p fractile: returns times coefficient times
-    the fractile threshold. Exact at p equal to the fitted fraction."""
-    return population * p * fit.coefficient * threshold_at(fit, p)
-
-
 def pi_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
               ) -> list[list[ShareEstimate | ValueError]]:
     """The Pareto-interpolated estimate of every fractile on each tabulation's
@@ -144,10 +128,10 @@ def pi_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
 
 def _estimate(stats: CumulativeStats, fit: ParetoBracketFit, p: float,
               ) -> ShareEstimate | ParetoFitError:
-    """The fitted law's estimate at p; a ParetoFitError where its threshold,
-    top income or share is not finite."""
-    t_p = threshold_at(fit, p)
-    s_p = top_income_at(fit, p, stats.population)
+    """The fitted law's threshold t_p and top income (returns times coefficient
+    times t_p) at p; a ParetoFitError where either or the share is not finite."""
+    t_p = fit.threshold * (fit.top_fraction / p) ** (1.0 / fit.exponent)
+    s_p = stats.population * p * fit.coefficient * t_p
     share = s_p / stats.total_income
     if not math.isfinite(share):  # as it is when t_p or s_p is not
         return ParetoFitError(f"fitted threshold {t_p}, top income {s_p} and share "
@@ -162,8 +146,3 @@ def pi_share_from_stats(stats: CumulativeStats, p: float) -> ShareEstimate:
     if isinstance(estimate, ParetoFitError):
         raise estimate
     return estimate
-
-
-def estimate_share_pi(tab: Tabulation, p: float) -> ShareEstimate:
-    """Estimate the top p income share of a tabulation by Pareto interpolation."""
-    return pi_share_from_stats(cumulate(tab), p)

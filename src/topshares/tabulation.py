@@ -38,8 +38,6 @@ __all__ = [
     "cumulate",
     "parse_denominators",
     "parse_tabulations",
-    "parse_tabulation",
-    "serialize_tabulations",
 ]
 
 
@@ -308,7 +306,7 @@ def cumulate(tab: Tabulation) -> CumulativeStats:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion and serialization
+# CSV ingestion
 #
 # Tabulation CSV, UTF-8, header required:  year,lower_threshold,returns,income_sum
 # Denominator CSV:                         year,population,total_income,income_unit
@@ -345,8 +343,6 @@ _MICRO = ("micro CSV", {
         # beyond it, floats no longer tell integers apart
         (lambda v: v <= 2**53, "weight {text!r} exceeds 2**53"))),
 }, (), "")
-_TAB_COLUMNS = tuple(_TABULATION[1])
-_DENOM_COLUMNS = tuple(_DENOMINATORS[1])
 
 
 def _text(raw) -> str:
@@ -511,7 +507,7 @@ def parse_denominators(raw) -> dict[int, Denominator]:
     """Parse the sidecar denominator CSV. Duplicate years are an error."""
     grid, _ = _read(raw, _DENOMINATORS)
     return {row[0]: Denominator(*row)
-            for row in zip(*(grid[name].tolist() for name in _DENOM_COLUMNS))}
+            for row in zip(*(grid[name].tolist() for name in _DENOMINATORS[1]))}
 
 
 def _read_series(raw, denominators: Mapping[int, Denominator]) -> tuple:
@@ -525,7 +521,7 @@ def _read_series(raw, denominators: Mapping[int, Denominator]) -> tuple:
     # the key order runs by year, then ascending threshold: each year's run
     # reversed puts its highest threshold first
     order = order[np.repeat(2 * first + sizes - 1, sizes) - np.arange(len(year))]
-    t, c, s = (grid[name][order] for name in _TAB_COLUMNS[1:])
+    t, c, s = (grid[name][order] for name in ("lower_threshold", "returns", "income_sum"))
     years = year[first].tolist()
     series = (sizes, t, c, s,
               [denominators.get(y, Denominator(y, 1, 1.0)) for y in years])
@@ -551,34 +547,3 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator]) -> list[Tabu
     return [Tabulation(d.year, tuple(brackets[a:a + n]), d.population, d.total_income,
                        d.income_unit)
             for a, n, d in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist(), years)]
-
-
-def parse_tabulation(raw, denominators: Mapping[int, Denominator]) -> Tabulation:
-    """Parse a tabulation CSV that holds a single year, as ``parse_tabulations``
-    does; a file with more years or none raises a ParseError."""
-    tabs = parse_tabulations(raw, denominators)
-    if len(tabs) != 1:
-        raise ParseError(f"expected a single year, found {len(tabs)}: "
-                         f"{[t.year for t in tabs]}")
-    return tabs[0]
-
-
-def serialize_tabulations(tabs: Iterable[Tabulation]) -> tuple[str, str]:
-    """Render tabulations back to (tabulation CSV, denominator CSV) text.
-
-    Floats are written in shortest round-trip form, so parsing the output
-    reproduces the numeric content exactly.
-    """
-    tab_buf = io.StringIO()
-    w = csv.writer(tab_buf, lineterminator="\n")
-    w.writerow(_TAB_COLUMNS)
-    den_buf = io.StringIO()
-    dw = csv.writer(den_buf, lineterminator="\n")
-    dw.writerow(_DENOM_COLUMNS)
-    for tab in tabs:
-        for b in tab.brackets:
-            w.writerow([tab.year, repr(float(b.lower_threshold)), b.count,
-                        repr(float(b.income_sum))])
-        dw.writerow([tab.year, tab.population, repr(float(tab.total_income)),
-                     repr(float(tab.income_unit))])
-    return tab_buf.getvalue(), den_buf.getvalue()

@@ -1,5 +1,5 @@
 """Shared fixtures: published 1920 table rows, synthetic population builders,
-a fresh interpreter."""
+a one-cell share estimate, a tabulation CSV writer, a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -222,6 +222,27 @@ def random_tabulation(rng: np.random.Generator) -> ts.Tabulation:
     return ts.Tabulation(year=int(rng.integers(1900, 2000)),
                          brackets=tuple(brackets), population=population,
                          total_income=float(s_total), income_unit=unit)
+
+
+def estimate(tab: ts.Tabulation, p: float, method: str) -> ts.ShareEstimate:
+    """The ``estimate_shares`` outcome of one fractile of one tabulation by
+    one method: the estimate, or the error that stopped it, raised."""
+    [[(_, _, outcome)]] = ts.estimate_shares([ts.cumulate(tab)], [p], (method,))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def tabulation_csv(tabs) -> tuple[str, str]:
+    """Tabulations as (tabulation CSV, denominator CSV) text, floats in
+    shortest round-trip form, so that parsing it gives their numbers back
+    exactly."""
+    brackets = "".join(f"{t.year},{float(b.lower_threshold)!r},{b.count},"
+                       f"{float(b.income_sum)!r}\n" for t in tabs for b in t.brackets)
+    denominators = "".join(f"{t.year},{t.population},{float(t.total_income)!r},"
+                           f"{float(t.income_unit)!r}\n" for t in tabs)
+    return ("year,lower_threshold,returns,income_sum\n" + brackets,
+            "year,population,total_income,income_unit\n" + denominators)
 
 
 def fresh_python(code: str) -> str:

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from topshares import cli, maxent, microbench, pareto, tabulation
 from topshares.cli import main
 from topshares.errors import ParseError
 
-from conftest import fresh_python
+from conftest import estimate, fresh_python, tabulation_csv
 
 TAB_CSV = """year,lower_threshold,returns,income_sum
 1950,10000,50,750000
@@ -600,8 +601,7 @@ def test_byte_order_mark_is_ignored(tmp_path, command):
 
 class TestHistoricalFixture:
     def test_estimate_matches_library_on_1920_table(self, table_1920, tmp_path):
-        import topshares as ts
-        tab_csv, den_csv = ts.serialize_tabulations([table_1920])
+        tab_csv, den_csv = tabulation_csv([table_1920])
         tab = tmp_path / "t1920.csv"
         tab.write_text(tab_csv)
         den = tmp_path / "d1920.csv"
@@ -613,8 +613,7 @@ class TestHistoricalFixture:
         rows = read_rows(out)
         by_key = {(r["method"], r["fractile"]): r for r in rows}
         for p in (0.10, 0.01):
-            pi = ts.estimate_share_pi(table_1920, p)
-            me = ts.estimate_share_me(table_1920, p)
+            pi, me = (estimate(table_1920, p, method) for method in ("PI", "ME"))
             assert float(by_key[("PI", repr(p))]["share_pct_full"]) == \
                 pytest.approx(100 * pi.share, rel=1e-12)
             assert float(by_key[("ME", repr(p))]["share_pct_full"]) == \
@@ -736,6 +735,44 @@ class TestSynthAndCompare:
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec,message", [
+        ({}, "spec is missing required key 'distribution'"),
+        ([], "spec must be a JSON object, got list"),
+        ({"distribution": {"kind": "pareto"}},
+         "pareto distribution is missing required key 'exponent'"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "classes": 5},
+         "spec key 'classes': 'int' object is not iterable"),
+        ({"distribution": "pareto"}, "distribution must be a JSON object, got str"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "trials": math.inf},
+         "spec key 'trials': cannot convert float infinity to integer"),
+    ], ids=["empty", "list", "no_exponent", "int_classes", "str_distribution",
+            "infinite_trials"])
+    def test_synth_malformed_spec_exits_one(self, tmp_path, capsys, spec, message):
+        # each once ended in a traceback: a KeyError, TypeError,
+        # AttributeError or OverflowError
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows,total", [
+        ("0,1\n0,1\n0,3\n", "0.0"), ("1e308,1\n1.5e308,1\n", "inf"),
+    ], ids=["zero", "overflow"])
+    def test_compare_income_total_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                             rows, total):
+        # a zero total once ended in a ZeroDivisionError, an infinite one
+        # printed numpy's overflow warnings before the error line
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n" + rows)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--micro", str(micro), "--classes", "2",
+                     "--fractiles", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: total income {total} must be positive and finite\n"
         assert not out.exists()
 
     def test_compare_huge_weight_exits_one(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import tracemalloc
 from statistics import NormalDist
 
 import mpmath
@@ -28,6 +29,7 @@ from topshares.errors import (
 from topshares.maxent import build_density, solve_rate
 
 from conftest import (
+    estimate,
     pareto_population_tabulation,
     random_tabulation,
     stats_from_masses,
@@ -391,7 +393,7 @@ class TestBuildDensity:
         assert d.quantile_top(float(stats.top_fraction[0])) == 100.0
         assert d.quantile_top(float(stats.top_fraction[1])) == 100.0
         assert d.cdf(90.0) == pytest.approx(d.cdf(80.0))
-        est = ts.estimate_share_me(tab, stats.covered_fraction)
+        est = estimate(tab, stats.covered_fraction, "ME")
         assert est.share == pytest.approx(
             float(stats.income_above[-1]) / stats.total_income, rel=1e-12)
 
@@ -508,13 +510,13 @@ class TestEstimateShareME:
             tab = random_tabulation(rng)
             stats = ts.cumulate(tab)
             for k in range(stats.num_brackets):
-                est = ts.estimate_share_me(tab, float(stats.top_fraction[k]))
+                est = estimate(tab, float(stats.top_fraction[k]), "ME")
                 exact = float(stats.income_above[k]) / stats.total_income
                 assert est.share == pytest.approx(exact, rel=1e-10)
 
     def test_exact_pareto_population_close_to_closed_form(self):
         tab = pareto_population_tabulation(2.0, 1.0, 10**6, 30)
-        est = ts.estimate_share_me(tab, 0.10)
+        est = estimate(tab, 0.10, "ME")
         assert abs(est.share / 0.10 ** 0.5 - 1.0) < 0.01
 
     def test_mid_sample_fractile_against_micro_oracle(self):
@@ -522,14 +524,14 @@ class TestEstimateShareME:
         sample = mb.generate(mb.LognormalDist(0.0, 1.0), 200_000, seed=5)
         thresholds = mb.quantile_thresholds(sample, 20)
         tab = mb.tabulate(sample, thresholds)
-        est = ts.estimate_share_me(tab, 0.50)
+        est = estimate(tab, 0.50, "ME")
         oracle = mb.oracle_share(sample, 0.50)
         assert abs(est.share / oracle - 1.0) < 5e-3
 
     def test_deep_tail_flagged_extrapolated(self, table_1920):
         stats = ts.cumulate(table_1920)
         p = float(stats.top_fraction[0]) / 20.0
-        est = ts.estimate_share_me(table_1920, p)
+        est = estimate(table_1920, p, "ME")
         assert est.extrapolated
         assert est.method == "ME"
         assert est.threshold > float(stats.thresholds[0])
@@ -1165,8 +1167,8 @@ def test_piece_index_matches_interval_definition():
 
 
 def test_segmented_counts_match_per_year_searchsorted(table_1920):
-    # one comparison and one np.add.reduceat over a stack of years count as
-    # each year's own np.searchsorted did: on and beside every threshold and
+    # one search over a stack of years counts as each year's own
+    # np.searchsorted did: on and beside every threshold and
     # every mass_above (repeated by an empty bracket), below the bottom, at
     # +-inf and at NaN
     stats = batch_of_years(table_1920)
@@ -1184,6 +1186,42 @@ def test_segmented_counts_match_per_year_searchsorted(table_1920):
     assert maxent._piece_index(stack, values).tolist() == \
         [(r.start + np.minimum(np.searchsorted(-lower[r], -probes), n - 1)).tolist()
          for r, n in zip(rows, sizes)]
+
+
+def test_segmented_counts_on_random_stacks_with_ties():
+    # stacks of 1 to 6 years of 1 to 8 ascending entries drawn from a small
+    # pool, so that entries tie within and across years, against queries
+    # from the same pool and NaN
+    rng = np.random.default_rng(3)
+    pool = np.array([-math.inf, -2.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 7.0, math.inf])
+    for _ in range(300):
+        sizes = rng.integers(1, 9, size=rng.integers(1, 7))
+        starts = np.cumsum(sizes) - sizes
+        column = np.concatenate([np.sort(rng.choice(pool, n)) for n in sizes])
+        values = rng.choice(np.append(pool, math.nan), (len(sizes), 12))
+        expected = [np.searchsorted(column[a:a + n], row).tolist()
+                    for a, n, row in zip(starts, sizes, values)]
+        assert maxent._below(column, starts, sizes, values).tolist() == expected
+
+
+def test_one_density_queries_hold_memory_linear_in_points():
+    # each query searches the density's own pieces: a K-by-m comparison of
+    # every point with every piece once peaked at about 54 MiB at this size
+    tab = pareto_population_tabulation(2.0, 1.0, 10**6, 30)
+    density = build_density(ts.cumulate(tab))
+    m = 200_000
+    for query, points in (
+            (density.pdf, np.geomspace(density.support_bottom / 2,
+                                       2 * density.thresholds[0], m)),
+            (density.quantile_top, np.linspace(density.covered_fraction / m,
+                                               density.covered_fraction, m))):
+        tracemalloc.start()
+        try:
+            query(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20, (query.__name__, peak / 2**20)
 
 
 @st.composite

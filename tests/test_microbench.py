@@ -19,6 +19,7 @@ import topshares as ts
 from topshares import microbench as mb, tabulation
 from topshares.errors import ParseError
 
+from conftest import estimate
 from test_cli import PINNED_SPEC
 
 
@@ -382,9 +383,9 @@ class TestProtocol:
         for k in (0, 4, 9):
             p_k = float(stats.top_fraction[k])
             oracle = mb.oracle_share(sample, p_k)
-            assert ts.estimate_share_pi(tab, p_k).share == pytest.approx(
+            assert estimate(tab, p_k, "PI").share == pytest.approx(
                 oracle, rel=1e-12)
-            assert ts.estimate_share_me(tab, p_k).share == pytest.approx(
+            assert estimate(tab, p_k, "ME").share == pytest.approx(
                 oracle, rel=1e-12)
 
     def test_me_matches_oracle_within_one_unit_income(self):
@@ -397,7 +398,7 @@ class TestProtocol:
         s_total = sample.total_income
         for k in range(0, 20, 3):
             p_k = float(stats.top_fraction[k])
-            me = ts.estimate_share_me(tab, p_k).share
+            me = estimate(tab, p_k, "ME").share
             oracle = mb.oracle_share(sample, p_k)
             one_unit = float(np.sort(sample.incomes)[-1]) / s_total
             assert abs(me - oracle) <= one_unit

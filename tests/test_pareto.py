@@ -10,16 +10,11 @@ from scipy import integrate
 import topshares as ts
 from topshares import pareto
 from topshares.errors import FractileNotCoveredError, ParetoFitError
-from topshares.pareto import (
-    ParetoBracketFit,
-    pi_share_from_stats,
-    select_bracket,
-    threshold_at,
-    top_income_at,
-)
+from topshares.pareto import ParetoBracketFit, pi_share_from_stats, select_bracket
 
 from conftest import (
     TwoParetoMixture,
+    estimate,
     pareto_population_tabulation,
     random_tabulation,
 )
@@ -102,31 +97,50 @@ class TestSelectBracket:
             select_bracket(stats, 0.05)
 
 
-class TestThresholdAt:
-    def test_1920_top_decile_threshold(self):
-        fit = ParetoBracketFit(bracket=0, threshold=2000.0,
-                               top_fraction=0.1094751,
-                               coefficient=2.15, exponent=1.873)
-        assert threshold_at(fit, 0.10) == pytest.approx(2099.04, abs=0.01)
+def one_bracket_law(threshold, top_fraction, coefficient, exponent, population=10**6):
+    """Stats whose top bracket, the nearest to every fractile up to 0.45,
+    carries the given local Pareto law."""
+    stats = stats_with_fractions([top_fraction, 0.9])
+    return dataclasses.replace(
+        stats, thresholds=np.array([threshold, threshold / 2.0]),
+        pareto_coefficient=np.array([coefficient, 2.0]),
+        pareto_exponent=np.array([exponent, 2.0]), population=population)
 
-    def test_exact_at_fitted_fraction(self):
-        fit = ParetoBracketFit(0, 2000.0, 0.1094751, 2.15, 1.873)
-        assert threshold_at(fit, fit.top_fraction) == fit.threshold
+
+class TestThresholdAt:
+    def test_1920_top_decile_threshold(self, table_1920):
+        # the printed law of the $2,000 class starts the top decile at
+        # $2,099.04; the law fitted to the table puts mass p above t_p
+        printed = one_bracket_law(2000.0, 0.1094751, 2.15, 1.873)
+        assert pi_share_from_stats(printed, 0.10).threshold == pytest.approx(
+            2099.04, abs=0.01)
+        stats = ts.cumulate(table_1920)
+        est = pi_share_from_stats(stats, 0.10)
+        fit = select_bracket(stats, 0.10)
+        assert fit.top_fraction * (est.threshold / fit.threshold) ** -fit.exponent == \
+            pytest.approx(0.10, rel=1e-12)
+
+    def test_exact_at_fitted_fraction(self, table_1920):
+        stats = ts.cumulate(table_1920)
+        for k in range(stats.num_brackets):
+            p_k = float(stats.top_fraction[k])
+            assert pi_share_from_stats(stats, p_k).threshold == stats.thresholds[k]
 
     def test_power_law_scaling(self):
         # halving p doubles t under exponent 1; multiplies by sqrt(2) under 2
-        unit = ParetoBracketFit(0, 100.0, 0.2, 2.0, 1.0)
-        assert threshold_at(unit, 0.1) == pytest.approx(2 * threshold_at(unit, 0.2))
-        sq = ParetoBracketFit(0, 100.0, 0.2, 2.0, 2.0)
-        assert threshold_at(sq, 0.1) == pytest.approx(
-            math.sqrt(2.0) * threshold_at(sq, 0.2))
+        unit = one_bracket_law(100.0, 0.2, 2.0, 1.0)
+        assert pi_share_from_stats(unit, 0.1).threshold == pytest.approx(
+            2 * pi_share_from_stats(unit, 0.2).threshold)
+        sq = one_bracket_law(100.0, 0.2, 2.0, 2.0)
+        assert pi_share_from_stats(sq, 0.1).threshold == pytest.approx(
+            math.sqrt(2.0) * pi_share_from_stats(sq, 0.2).threshold)
 
 
 class TestTopIncomeAt:
     def test_direct_product(self):
         # returns * coefficient * threshold: 10 * 2 * 1
-        fit = ParetoBracketFit(0, 1.0, 0.01, 2.0, 2.0)
-        assert top_income_at(fit, 0.01, 1000.0) == pytest.approx(20.0)
+        stats = one_bracket_law(1.0, 0.01, 2.0, 2.0, population=1000)
+        assert pi_share_from_stats(stats, 0.01).top_income == pytest.approx(20.0)
 
     def test_exact_at_fitted_fraction_against_cumulative(self):
         rng = np.random.default_rng(21)
@@ -135,26 +149,23 @@ class TestTopIncomeAt:
             stats = ts.cumulate(tab)
             for k in range(stats.num_brackets):
                 p_k = float(stats.top_fraction[k])
-                fit = select_bracket(stats, p_k)
-                s = top_income_at(fit, p_k, stats.population)
-                assert s == pytest.approx(float(stats.income_above[fit.bracket]),
-                                          rel=1e-10)
+                est = pi_share_from_stats(stats, p_k)
+                assert est.top_income == pytest.approx(
+                    float(stats.income_above[est.bracket]), rel=1e-10)
 
     def test_matches_quadrature_of_fitted_density(self, table_1920):
         # independent oracle: integrate y f(y) dy over [t(p), inf) for the
         # fitted local Pareto law, F(y) = 1 - p_k (y/t_k)^-a
         stats = ts.cumulate(table_1920)
         fit = select_bracket(stats, 0.10)
-        p = 0.10
-        t_p = threshold_at(fit, p)
+        est = pi_share_from_stats(stats, 0.10)
         a, t_k, p_k = fit.exponent, fit.threshold, fit.top_fraction
 
         def integrand(y):
             return y * a * p_k * t_k ** a * y ** (-a - 1.0)
 
-        oracle, err = integrate.quad(integrand, t_p, np.inf)
-        value = top_income_at(fit, p, stats.population) / stats.population
-        assert value == pytest.approx(oracle, rel=1e-9)
+        oracle, err = integrate.quad(integrand, est.threshold, np.inf)
+        assert est.top_income / stats.population == pytest.approx(oracle, rel=1e-9)
 
 
 class TestEstimateSharePI:
@@ -165,23 +176,23 @@ class TestEstimateSharePI:
             stats = ts.cumulate(tab)
             for k in range(stats.num_brackets):
                 p_k = float(stats.top_fraction[k])
-                est = ts.estimate_share_pi(tab, p_k)
+                est = estimate(tab, p_k, "PI")
                 exact = float(stats.income_above[k]) / stats.total_income
                 assert est.share == pytest.approx(exact, rel=1e-10)
 
     def test_exact_pareto_population_close_to_closed_form(self):
         tab = pareto_population_tabulation(2.0, 1.0, 10**6, 20)
-        est = ts.estimate_share_pi(tab, 0.05)
+        est = estimate(tab, 0.05, "PI")
         analytic = 0.05 ** 0.5
         assert abs(est.share / analytic - 1.0) < 0.005
 
     def test_1920_top_percent_reference_bracket_sign(self, table_1920):
-        est = ts.estimate_share_pi(table_1920, 0.01)
+        est = estimate(table_1920, 0.01, "PI")
         stats = ts.cumulate(table_1920)
         assert stats.top_fraction[est.bracket] < 0.0117
 
     def test_share_estimate_fields(self, table_1920):
-        est = ts.estimate_share_pi(table_1920, 0.10)
+        est = estimate(table_1920, 0.10, "PI")
         assert est.method == "PI"
         assert 0.0 < est.share < 1.0
         assert est.threshold >= 1000.0
@@ -191,13 +202,13 @@ class TestEstimateSharePI:
     def test_deep_tail_is_flagged_extrapolated(self, table_1920):
         stats = ts.cumulate(table_1920)
         p = float(stats.top_fraction[0]) / 10.0
-        est = ts.estimate_share_pi(table_1920, p)
+        est = estimate(table_1920, p, "PI")
         assert est.extrapolated
         assert est.bracket == 0
 
     def test_uncovered_propagates(self, table_1920):
         with pytest.raises(FractileNotCoveredError):
-            ts.estimate_share_pi(table_1920, 0.9)
+            estimate(table_1920, 0.9, "PI")
 
 
 class TestProperties:
@@ -209,7 +220,7 @@ class TestProperties:
             covered = st.covered_fraction
             bottom = float(st.thresholds[-1])
             for p in np.geomspace(1e-6, 1.0, 25) * covered:
-                est = ts.estimate_share_pi(tab, float(p))
+                est = estimate(tab, float(p), "PI")
                 assert 0.0 <= est.share <= 1.0
                 assert est.threshold >= bottom
                 assert est.top_income <= st.total_income
@@ -218,10 +229,11 @@ class TestProperties:
     def test_monotone_within_shared_bracket(self, table_1920):
         # S nondecreasing and t nonincreasing in p while the fit is shared
         stats = ts.cumulate(table_1920)
-        fit = select_bracket(stats, 0.10)
         grid = np.linspace(0.09, 0.12, 40)
-        t_vals = [threshold_at(fit, p) for p in grid]
-        s_vals = [top_income_at(fit, p, stats.population) for p in grid]
+        estimates = [pi_share_from_stats(stats, p) for p in grid]
+        assert {est.bracket for est in estimates} == {select_bracket(stats, 0.10).bracket}
+        t_vals = [est.threshold for est in estimates]
+        s_vals = [est.top_income for est in estimates]
         assert all(a >= b for a, b in zip(t_vals, t_vals[1:]))
         assert all(a <= b for a, b in zip(s_vals, s_vals[1:]))
 
@@ -272,8 +284,8 @@ def reference_select_bracket(stats, p):
 def reference_pi_share(stats, p):
     """The per-cell pi_share_from_stats the array path replaced."""
     fit = reference_select_bracket(stats, p)
-    t_p = threshold_at(fit, p)
-    s_p = top_income_at(fit, p, stats.population)
+    t_p = fit.threshold * (fit.top_fraction / p) ** (1.0 / fit.exponent)
+    s_p = stats.population * p * fit.coefficient * t_p
     return ts.ShareEstimate(p, t_p, s_p, s_p / stats.total_income, "PI", fit.bracket,
                             p < float(stats.top_fraction[0]))
 

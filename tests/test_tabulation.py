@@ -15,7 +15,7 @@ from topshares import tabulation
 from topshares.errors import ParseError
 from topshares.tabulation import parse_denominators, parse_tabulations
 
-from conftest import random_tabulation
+from conftest import random_tabulation, tabulation_csv
 
 
 def simple_tab(**overrides):
@@ -253,15 +253,9 @@ TAB_CSV = """year,lower_threshold,returns,income_sum
 
 class TestParsing:
     def test_well_formed_three_bracket_csv(self):
-        tabs = parse_tabulations(TAB_CSV, parse_denominators(DENOM_CSV))
-        assert len(tabs) == 1
-        assert tabs[0].num_brackets == 3
-        assert tabs[0].population == 100
-        assert tabs[0].brackets[0].count == 5
-
-    def test_parse_single_year_helper(self):
-        tab = ts.parse_tabulation(TAB_CSV, parse_denominators(DENOM_CSV))
-        assert tab.year == 1950
+        [tab] = parse_tabulations(TAB_CSV, parse_denominators(DENOM_CSV))
+        assert (tab.year, tab.num_brackets, tab.population) == (1950, 3, 100)
+        assert tab.brackets[0].count == 5
 
     def test_negative_count_names_line(self):
         bad = TAB_CSV.replace("1950,50,10,700", "1950,50,-10,700")
@@ -339,14 +333,6 @@ class TestParsing:
         with pytest.raises(ParseError, match="^line 3: population 0 must be positive$"):
             parse_denominators(dup)
 
-    def test_parse_single_year_refuses_two_years(self):
-        two = TAB_CSV + TAB_CSV.split("\n", 1)[1].replace("1950,", "1951,")
-        den = DENOM_CSV + "1951,100,5000,1\n"
-        assert len(parse_tabulations(two, parse_denominators(den))) == 2
-        with pytest.raises(ParseError, match=r"^expected a single year, found 2: "
-                                             r"\[1950, 1951\]$"):
-            ts.parse_tabulation(two, parse_denominators(den))
-
     def test_header_only_file_holds_no_tabulation(self):
         for text in (TAB_CSV.splitlines()[0], TAB_CSV.splitlines()[0] + "\n\n"):
             assert parse_tabulations(text, parse_denominators(DENOM_CSV)) == []
@@ -363,7 +349,7 @@ class TestRoundTrip:
                                      total_income=tab.total_income,
                                      income_unit=tab.income_unit)
         tabs = list(years.values())
-        tab_csv, den_csv = ts.serialize_tabulations(tabs)
+        tab_csv, den_csv = tabulation_csv(tabs)
         parsed = parse_tabulations(tab_csv, parse_denominators(den_csv))
         assert len(parsed) == len(tabs)
         for orig, back in zip(tabs, parsed):
@@ -380,7 +366,7 @@ class TestRoundTrip:
         tab_csv = ("year,lower_threshold,returns,income_sum\n"
                    "1950,100.0625,5,800.333333333333337\n"
                    "1950,50,10,700\n")
-        tab = ts.parse_tabulation(tab_csv, parse_denominators(den))
+        [tab] = parse_tabulations(tab_csv, parse_denominators(den))
         assert tab.brackets[0].lower_threshold == 100.0625
         assert tab.brackets[0].income_sum == 800.333333333333337
         assert tab.total_income == 5000.125
@@ -463,7 +449,8 @@ def reference_parse_tabulations(text, denominators):
     """The row-by-row parse_tabulations the one-pass reader replaced: rows
     grouped by year in a dict, brackets sorted by Tabulation, each year
     checked by the reference validate."""
-    idx, rows = tabulation._records(text, tabulation._TAB_COLUMNS, "tabulation")
+    idx, rows = tabulation._records(
+        text, ("year", "lower_threshold", "returns", "income_sum"), "tabulation")
     per_year, seen = {}, {}
     for lineno, fields in rows:
         year = tabulation._parse_int(fields[idx["year"]], "year", lineno)
@@ -747,7 +734,8 @@ def test_one_pass_reader_matches_row_path(text):
 def reference_parse_denominators(text):
     """The row loop parse_denominators replaced, a row's year checked for a
     repeat after its values."""
-    idx, rows = tabulation._records(text, tabulation._DENOM_COLUMNS, "denominator")
+    idx, rows = tabulation._records(
+        text, ("year", "population", "total_income", "income_unit"), "denominator")
     out = {}
     for lineno, fields in rows:
         year = tabulation._parse_int(fields[idx["year"]], "year", lineno)
