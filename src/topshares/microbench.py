@@ -63,7 +63,9 @@ class MicroSample:
     carry zero income and rank below every filer. ``total_income`` defaults
     to the weighted sum of incomes but can be overridden with an external
     denominator. Both arrays are held read-only; a writeable array passed in
-    is copied, so the caller's stays writeable.
+    is copied, so the caller's stays writeable. The unit weights of
+    ``from_incomes`` are a read-only view of one 1 with stride 0, which
+    holds no memory.
     """
 
     incomes: np.ndarray
@@ -102,9 +104,10 @@ class MicroSample:
     @classmethod
     def from_incomes(cls, incomes, nonfiler_count: int = 0,
                      total_income: float | None = None) -> "MicroSample":
+        """A sample of unit weights: a read-only view of one int64 1 with
+        stride 0, so the weights take no memory but read as n ones."""
         incomes = _frozen(np.asarray(incomes, dtype=float), incomes)
-        ones = np.ones(len(incomes), dtype=np.int64)
-        ones.flags.writeable = False
+        ones = np.broadcast_to(np.int64(1), len(incomes))
         return cls(incomes, ones, nonfiler_count, total_income)
 
     # the arrays are read-only, so each total is computed once
@@ -124,11 +127,13 @@ class MicroSample:
             return float(np.dot(self.incomes, self.weights))
 
     @cached_property
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                               np.ndarray]:
         """The one sort of the sample, highest income first: incomes, weights,
         the exact weight total of the rows above each rank (0 first, the filer
-        count last) and the weighted income of the i lowest rows at index i,
-        summed bottom-up (0.0 first). Read-only."""
+        count last; None for unit weights, whose totals are the ranks, see
+        ``_rank_reaching``) and the weighted income of the i lowest rows at
+        index i, summed bottom-up (0.0 first). Read-only."""
         n = len(self.incomes)
         below = np.zeros(n + 1)
         if self.filer_count == n:
@@ -136,19 +141,40 @@ class MicroSample:
             # equal floats, sorting the values alone gives the same arrays,
             # and x * 1 is exact
             ascending = np.sort(self.incomes)
-            incomes, weights = ascending[::-1], self.weights
-            above = np.arange(n + 1, dtype=np.int64)
+            incomes, weights, above = ascending[::-1], self.weights, None
             np.cumsum(ascending, out=below[1:])
         else:
             order = np.argsort(self.incomes)[::-1]
             incomes, weights = self.incomes[order], self.weights[order]
+            del order
             above = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(weights, out=above[1:])
-            np.cumsum(incomes[::-1] * weights[::-1], out=below[1:])
+            # the products and their running sum in place, no temporary
+            np.multiply(incomes[::-1], weights[::-1], out=below[1:])
+            np.cumsum(below[1:], out=below[1:])
         ranked = (incomes, weights, above, below)
         for array in ranked:
-            array.flags.writeable = False
+            if array is not None:
+                array.flags.writeable = False
         return ranked
+
+
+def _rank_reaching(sample: MicroSample, totals):
+    """The first rank of the sample whose weight total reaches each of the
+    integer ``totals``, searched exactly (uncast); one past the last rank
+    where a total exceeds the filer count. A unit sample stores no totals:
+    each is its rank."""
+    above = sample._ranked[2]
+    if above is None:
+        return np.minimum(totals, len(sample.incomes) + 1)
+    return np.searchsorted(above, totals, side="left")
+
+
+def _total_above(sample: MicroSample, ranks):
+    """The exact weight total of the rows above each of ``ranks``: the
+    totals that ``_rank_reaching`` searches."""
+    above = sample._ranked[2]
+    return ranks if above is None else above[ranks]
 
 
 def oracle_share(sample: MicroSample, p: float) -> float:
@@ -168,15 +194,16 @@ def oracle_share(sample: MicroSample, p: float) -> float:
     if not 0.0 < sample.total_income < math.inf:
         raise ValueError(f"total income {sample.total_income} must be positive and finite")
 
-    incomes, weights, above, _ = sample._ranked
+    incomes, weights, _, _ = sample._ranked
     # the row straddling the cut, the first whose running total reaches it,
-    # i.e. ceil(target): an int key searches the totals exactly, uncast
-    boundary = int(np.searchsorted(above, math.ceil(target), side="left")) - 1
+    # i.e. ceil(target)
+    boundary = int(_rank_reaching(sample, math.ceil(target))) - 1
     if boundary >= len(incomes):
         top_sum = float(np.dot(incomes, weights))  # cut falls among non-filers
     else:
         top_sum = float(np.dot(incomes[:boundary], weights[:boundary]))
-        top_sum += (target - float(above[boundary])) * float(incomes[boundary])
+        top_sum += ((target - float(_total_above(sample, boundary)))
+                    * float(incomes[boundary]))
     return top_sum / sample.total_income
 
 
@@ -191,7 +218,7 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
 
-    incomes, _, above, below = sample._ranked
+    incomes, _, _, below = sample._ranked
     n = len(incomes)
     # rows ranked at or above each threshold; per bracket, the count from the
     # exact weight totals, the income from the bottom-up prefix sum
@@ -200,7 +227,8 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     return Tabulation(
         year=0,
         brackets=tuple(IncomeBracket(float(t), int(c), float(s)) for t, c, s
-                       in zip(thresholds, np.diff(above[ranks]), sums)),
+                       in zip(thresholds, np.diff(_total_above(sample, ranks)),
+                              sums)),
         population=sample.population,
         total_income=sample.total_income,
         income_unit=1.0,
@@ -235,11 +263,11 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     fractions = (top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
                  if scheme == "geometric" else np.arange(1, classes + 1) / classes)
 
-    incomes, _, above, _ = sample._ranked
-    # integer ranks, clipped exactly, for the exact search oracle_share makes
-    ranks = [min(max(int(r), 2), int(above[-1]))
-             for r in np.round(fractions * sample.population)]
-    rows = np.searchsorted(above, ranks, side="left") - 1
+    # integer totals, clipped exactly, for the exact search oracle_share makes
+    totals = [min(max(int(r), 2), sample.filer_count)
+              for r in np.round(fractions * sample.population)]
+    incomes = sample._ranked[0]
+    rows = _rank_reaching(sample, totals) - 1
     # + 0.0 turns -0.0 into 0.0, so the ladder does not depend on which of
     # two tied zeros the sort put last
     return np.unique(incomes[rows])[::-1] + 0.0
@@ -432,6 +460,17 @@ def _value(spec, key: str, cast, what: str, *default):
         raise ValueError(f"{what} key {key!r}: {err}") from None
 
 
+def _count(value) -> int:
+    """An integral JSON number as an int. A boolean, a string or a fraction
+    raises TypeError, and an infinity OverflowError, for ``_value`` to name
+    the key: ``int`` would truncate them without a word."""
+    whole = (value.is_integer() or math.isinf(value) if isinstance(value, float)
+             else isinstance(value, int) and not isinstance(value, bool))
+    if not whole:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def dist_from_dict(spec: Mapping) -> ParetoDist | LognormalDist | MixtureDist:
     """Build a distribution from its JSON form, read by ``_value``."""
     kind = _value(spec, "kind", lambda v: v, "distribution", None)
@@ -520,9 +559,9 @@ class BenchmarkSpec:
     def from_json(cls, text: str) -> "BenchmarkSpec":
         """A spec from its JSON form (see ``_value``); absent keys take defaults."""
         raw = json.loads(text)
-        casts = {"size": int, "classes": lambda v: tuple(int(k) for k in v),
+        casts = {"size": _count, "classes": lambda v: tuple(map(_count, v)),
                  "fractiles": lambda v: tuple(float(p) for p in v),
-                 "trials": int, "seed": int, "top_fraction": float,
+                 "trials": _count, "seed": _count, "top_fraction": float,
                  "scheme": str, "methods": tuple}
         dist = dist_from_dict(_value(raw, "distribution", lambda v: v, "spec"))
         return cls(dist=dist, **{key: _value(raw, key, cast, "spec")

@@ -747,11 +747,21 @@ class TestSynthAndCompare:
         ({"distribution": "pareto"}, "distribution must be a JSON object, got str"),
         ({"distribution": {"kind": "pareto", "exponent": 2.0}, "trials": math.inf},
          "spec key 'trials': cannot convert float infinity to integer"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "classes": [8.7, 14]},
+         "spec key 'classes': expected an integer, got 8.7"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "size": 1000.9},
+         "spec key 'size': expected an integer, got 1000.9"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "trials": True},
+         "spec key 'trials': expected an integer, got True"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "seed": math.nan},
+         "spec key 'seed': expected an integer, got nan"),
     ], ids=["empty", "list", "no_exponent", "int_classes", "str_distribution",
-            "infinite_trials"])
+            "infinite_trials", "fractional_classes", "fractional_size",
+            "boolean_trials", "nan_seed"])
     def test_synth_malformed_spec_exits_one(self, tmp_path, capsys, spec, message):
-        # each once ended in a traceback: a KeyError, TypeError,
-        # AttributeError or OverflowError
+        # each once ended in a traceback (a KeyError, TypeError,
+        # AttributeError or OverflowError) or, for a fraction or a boolean
+        # where a count belongs, ran on the truncated count without a word
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "synth.csv"

@@ -352,20 +352,26 @@ def _peak_bytes(call):
 
 
 def test_sample_memory_per_draw():
-    # generation holds the sample (incomes and unit weights, 16 bytes a
-    # draw) and one block's temporaries, not whole-sample uniforms and
-    # inversion temporaries (78 bytes a draw for a mixture); handing a
-    # read-only array to from_incomes copies nothing but makes the weights;
-    # the ranking holds its sorted incomes, ranks and prefix sums alone
+    # generation holds the incomes (8 bytes a draw; unit weights are a
+    # stride-0 view of one 1) and one block's temporaries, not whole-sample
+    # uniforms and inversion temporaries (78 bytes a draw for a mixture);
+    # handing a read-only array to from_incomes copies nothing and makes
+    # only the validation's masks; a unit ranking holds its sorted incomes
+    # and prefix sums alone, no weight totals; a weighted ranking holds the
+    # gathered incomes and weights, their totals and prefix sums, with no
+    # sort order or product temporary beside them
     n = 2**20
     for dist in (mb.ParetoDist(2.0, 1.0), mb.LognormalDist(10.2, 0.75),
                  mb.dist_from_dict(PINNED_SPEC["distribution"])):
         sample, peak = _peak_bytes(lambda: mb.generate(dist, n, seed=9))
-        assert peak <= 28 * n, (dist, peak / n)
+        assert peak <= 16 * n, (dist, peak / n)
     _, peak = _peak_bytes(lambda: mb.MicroSample.from_incomes(sample.incomes))
-    assert peak <= 12 * n, peak / n
+    assert peak <= 2 * n, peak / n
     _, peak = _peak_bytes(lambda: sample._ranked)
-    assert peak <= 24 * n + 2**20, peak / n
+    assert peak <= 16 * n + 2**20, peak / n
+    weighted = _tied_weighted(n)
+    _, peak = _peak_bytes(lambda: weighted._ranked)
+    assert peak <= 32 * n + 2**20, peak / n
 
 
 def _tied_weighted(n):
@@ -592,11 +598,21 @@ def unit_weight_samples(draw):
 def test_unit_weight_ranking_matches_argsort_reference(sample):
     ranked = sample._ranked
     assert ranked[1] is sample.weights  # ranked by the values alone
+    assert ranked[2] is None  # the weight totals are the ranks, not stored
     reference = mb.MicroSample(sample.incomes, sample.weights,
                                sample.nonfiler_count, sample.total_income_override)
     reference.__dict__["_ranked"] = _argsort_ranking(reference)
-    for got, want in zip(ranked, reference._ranked):
+    for i in (0, 1, 3):
+        got, want = ranked[i], reference._ranked[i]
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the rank-to-total lookups answer as the reference's stored totals do
+    n = len(sample.incomes)
+    ranks = np.arange(n + 1)
+    assert np.array_equal(mb._total_above(sample, ranks),
+                          mb._total_above(reference, ranks))
+    totals = list(range(n + 3))
+    assert np.array_equal(mb._rank_reaching(sample, totals),
+                          mb._rank_reaching(reference, totals))
     for p in (1.0, 0.5, 0.25, 0.1):
         assert _result(mb.oracle_share, sample, p) == \
             _result(mb.oracle_share, reference, p)
