@@ -57,13 +57,20 @@ def _fractile_header(p: float) -> str:
     return f"P{text}-100"
 
 
+def _parse_list(flag: str, text: str, cast) -> list:
+    """The comma list ``text`` of a flag, each piece cast; a ValueError
+    names the flag."""
+    try:
+        return [cast(piece) for piece in text.split(",")]
+    except ValueError as err:
+        raise ValueError(f"{flag}: {err}") from None
+
+
 def _parse_fractiles(text: str) -> list[float]:
-    out = []
-    for piece in text.split(","):
-        p = float(piece)
+    out = _parse_list("--fractiles", text, float)
+    for p in out:
         if not 0.0 < p < 1.0:
             raise ValueError(f"fractile {p} must be in (0, 1)")
-        out.append(p)
     if any(b >= a for a, b in zip(out, out[1:])):
         raise ValueError("fractiles must be strictly decreasing")
     return out
@@ -237,7 +244,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.classes:
-        overrides["classes"] = tuple(int(k) for k in args.classes.split(","))
+        overrides["classes"] = tuple(_parse_list("--classes", args.classes, int))
     if args.fractiles:
         overrides["fractiles"] = tuple(_parse_fractiles(args.fractiles))
     if args.size is not None:
@@ -252,7 +259,7 @@ def cmd_compare(args) -> int:
     with open(args.micro, "r", encoding="utf-8") as fh:
         sample = microbench.load_micro_csv(fh)
     fractiles = _parse_fractiles(args.fractiles)
-    classes = tuple(int(k) for k in args.classes.split(",")) if args.classes \
+    classes = tuple(_parse_list("--classes", args.classes, int)) if args.classes \
         else microbench.BenchmarkSpec.classes
     report = microbench.ErrorReport.from_cells(
         microbench.evaluate_sample(sample, classes, fractiles))

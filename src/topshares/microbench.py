@@ -129,34 +129,80 @@ class MicroSample:
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
                                np.ndarray]:
-        """The one sort of the sample, highest income first: incomes, weights,
-        the exact weight total of the rows above each rank (0 first, the filer
-        count last; None for unit weights, whose totals are the ranks, see
-        ``_rank_reaching``) and the weighted income of the i lowest rows at
-        index i, summed bottom-up (0.0 first). Read-only."""
+        """The one sort of the sample, highest income first: the incomes as
+        one contiguous array, the weights, the exact weight total of the rows
+        above each rank (0 first, the filer count last; None for unit
+        weights, whose totals are the ranks, see ``_rank_reaching``) and the
+        marks: the weighted income of the lowest ``m * _STEP`` rows, summed
+        bottom-up, at index m (0.0 first), which ``_sums_below`` extends to
+        any rank. Read-only."""
         n = len(self.incomes)
-        below = np.zeros(n + 1)
         if self.filer_count == n:
             # weights are at least 1, so every one is 1: tied incomes are
             # equal floats, sorting the values alone gives the same arrays,
             # and x * 1 is exact
-            ascending = np.sort(self.incomes)
-            incomes, weights, above = ascending[::-1], self.weights, None
-            np.cumsum(ascending, out=below[1:])
+            incomes, weights, above = np.sort(self.incomes), self.weights, None
+            _reverse(incomes)
         else:
             order = np.argsort(self.incomes)[::-1]
             incomes, weights = self.incomes[order], self.weights[order]
             del order
             above = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(weights, out=above[1:])
-            # the products and their running sum in place, no temporary
-            np.multiply(incomes[::-1], weights[::-1], out=below[1:])
-            np.cumsum(below[1:], out=below[1:])
-        ranked = (incomes, weights, above, below)
+        marks = np.zeros(n // _STEP + 1)
+        for m in range(1, len(marks)):
+            marks[m] = _running(incomes, weights, (m - 1) * _STEP, m * _STEP,
+                                marks[m - 1])[-1]
+        ranked = (incomes, weights, above, marks)
         for array in ranked:
             if array is not None:
                 array.flags.writeable = False
         return ranked
+
+
+# rows between two marks of a ranking's bottom-up running sum: a query pays
+# at most one such chunk, and the marks take 8 / _STEP bytes a draw
+_STEP = 2**12
+
+
+def _reverse(array: np.ndarray) -> None:
+    """Reverse ``array`` in place, swapping a block of ``_STEP`` rows from
+    each end at a time, so no full-size temporary is made."""
+    n = len(array)
+    for lo in range(0, n // 2, _STEP):
+        hi = min(lo + _STEP, n // 2)
+        head = array[lo:hi][::-1].copy()
+        array[lo:hi] = array[n - hi:n - lo][::-1]
+        array[n - hi:n - lo] = head
+
+
+def _running(incomes, weights, start: int, stop: int, carry) -> np.ndarray:
+    """The bottom-up running sums of the weighted incomes over the rows
+    ``start`` to ``stop - 1`` counted from the bottom, continuing from
+    ``carry``, the sum of the ``start`` rows below them. The carry is added
+    into the first product and ``np.cumsum`` adds strictly in order, so each
+    sum equals the whole sample's ``np.cumsum`` bit for bit; from the bottom
+    row on there is no carry, as ``np.cumsum`` starts from its first term
+    (0.0 + -0.0 would be 0.0)."""
+    n = len(incomes)
+    rows = slice(n - stop, n - start)
+    terms = np.multiply(incomes[rows][::-1], weights[rows][::-1])
+    if start:
+        terms[0] += carry
+    return np.cumsum(terms, out=terms)
+
+
+def _sums_below(sample: MicroSample, counts: np.ndarray) -> np.ndarray:
+    """The weighted income of the lowest ``counts`` rows each, summed
+    bottom-up: the nearest mark at or below, plus fewer than ``_STEP`` rows
+    summed by ``_running``."""
+    incomes, weights, _, marks = sample._ranked
+    sums = marks[counts // _STEP]
+    for i, count in enumerate(counts.tolist()):
+        start = count - count % _STEP
+        if count > start:
+            sums[i] = _running(incomes, weights, start, count, sums[i])[-1]
+    return sums
 
 
 def _rank_reaching(sample: MicroSample, totals):
@@ -212,18 +258,21 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
 
     Incomes below the lowest threshold stay out of the brackets but remain
     in the population and income denominators, like non-filers. Empty
-    brackets are retained.
+    brackets are retained. Each bracket's income is a difference of two
+    bottom-up running sums, each read from the ranking's nearest mark plus
+    fewer than 2**12 rows, so a tabulation makes no sample-length pass.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
 
-    incomes, _, _, below = sample._ranked
+    incomes = sample._ranked[0]
     n = len(incomes)
     # rows ranked at or above each threshold; per bracket, the count from the
-    # exact weight totals, the income from the bottom-up prefix sum
+    # exact weight totals, the income from the bottom-up running sums
     ranks = np.concatenate(([0], n - np.searchsorted(incomes[::-1], thresholds)))
-    sums = below[n - ranks[:-1]] - below[n - ranks[1:]]
+    below = _sums_below(sample, n - ranks)
+    sums = below[:-1] - below[1:]
     return Tabulation(
         year=0,
         brackets=tuple(IncomeBracket(float(t), int(c), float(s)) for t, c, s
@@ -449,14 +498,15 @@ class MixtureDist:
 
 def _value(spec, key: str, cast, what: str, *default):
     """``cast`` of ``spec[key]``, or of the default where the key is absent; a
-    ValueError names a ``spec`` that is no object, a missing key or a bad value."""
+    ValueError names a ``spec`` that is no object, a missing key or the key
+    of a value the cast rejects."""
     if not isinstance(spec, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {type(spec).__name__}")
     if key not in spec and not default:
         raise ValueError(f"{what} is missing required key {key!r}")
     try:
         return cast(spec.get(key, *default))
-    except (TypeError, OverflowError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{what} key {key!r}: {err}") from None
 
 
@@ -483,7 +533,8 @@ def dist_from_dict(spec: Mapping) -> ParetoDist | LognormalDist | MixtureDist:
                              shape=_value(spec, "shape", float, what, 1.0))
     if kind == "mixture":
         weights = _value(spec, "weights", lambda v: tuple(map(float, v)), what)
-        comps = _value(spec, "components", lambda v: tuple(map(dist_from_dict, v)), what)
+        # built outside the cast, so a component's own error keeps its prefix
+        comps = tuple(map(dist_from_dict, _value(spec, "components", tuple, what)))
         return MixtureDist(weights, comps)
     raise ValueError(f"unknown distribution kind {kind!r}")
 

@@ -755,13 +755,26 @@ class TestSynthAndCompare:
          "spec key 'trials': expected an integer, got True"),
         ({"distribution": {"kind": "pareto", "exponent": 2.0}, "seed": math.nan},
          "spec key 'seed': expected an integer, got nan"),
+        ({"distribution": {"kind": "pareto", "exponent": "abc"}},
+         "pareto distribution key 'exponent': could not convert string to float: 'abc'"),
+        ({"distribution": {"kind": "mixture", "weights": [0.5, "x"],
+                           "components": [{"kind": "pareto", "exponent": 2.0}] * 2}},
+         "mixture distribution key 'weights': could not convert string to float: 'x'"),
+        ({"distribution": {"kind": "pareto", "exponent": 2.0}, "fractiles": ["a"]},
+         "spec key 'fractiles': could not convert string to float: 'a'"),
+        ({"distribution": {"kind": "mixture", "weights": [1.0],
+                           "components": [{"kind": "pareto", "exponent": "abc"}]}},
+         "pareto distribution key 'exponent': could not convert string to float: 'abc'"),
     ], ids=["empty", "list", "no_exponent", "int_classes", "str_distribution",
             "infinite_trials", "fractional_classes", "fractional_size",
-            "boolean_trials", "nan_seed"])
+            "boolean_trials", "nan_seed", "str_exponent", "str_mixture_weight",
+            "str_fractile", "nested_str_exponent"])
     def test_synth_malformed_spec_exits_one(self, tmp_path, capsys, spec, message):
         # each once ended in a traceback (a KeyError, TypeError,
-        # AttributeError or OverflowError) or, for a fraction or a boolean
-        # where a count belongs, ran on the truncated count without a word
+        # AttributeError or OverflowError), ran on the truncated count
+        # without a word (a fraction or a boolean where a count belongs), or
+        # printed a cast's message without the key (a string where a number
+        # belongs); a component's error keeps its own single prefix
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "synth.csv"
@@ -784,6 +797,21 @@ class TestSynthAndCompare:
         assert capsys.readouterr().err == \
             f"error: total income {total} must be positive and finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--classes", "8,x", "--classes: invalid literal for int() with base 10: 'x'"),
+        ("--fractiles", "0.1,abc", "--fractiles: could not convert string to float: 'abc'"),
+    ], ids=["classes", "fractiles"])
+    def test_malformed_list_flag_names_itself(self, tmp_path, capsys, flag, value,
+                                              message):
+        # once the cast's bare message, which named neither flag
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n1,1\n2,3\n5,1\n")
+        out = tmp_path / "out.csv"
+        for argv in (["synth", "--size", "500"], ["compare", "--micro", str(micro)]):
+            assert main(argv + [flag, value, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_compare_huge_weight_exits_one(self, tmp_path, capsys):
         micro = tmp_path / "micro.csv"

@@ -357,9 +357,10 @@ def test_sample_memory_per_draw():
     # uniforms and inversion temporaries (78 bytes a draw for a mixture);
     # handing a read-only array to from_incomes copies nothing and makes
     # only the validation's masks; a unit ranking holds its sorted incomes
-    # and prefix sums alone, no weight totals; a weighted ranking holds the
-    # gathered incomes and weights, their totals and prefix sums, with no
-    # sort order or product temporary beside them
+    # alone, reversed in place, with no weight totals and a running sum only
+    # every _STEP rows; a weighted ranking holds the gathered incomes and
+    # weights and their totals, with no sort order or product temporary
+    # beside them
     n = 2**20
     for dist in (mb.ParetoDist(2.0, 1.0), mb.LognormalDist(10.2, 0.75),
                  mb.dist_from_dict(PINNED_SPEC["distribution"])):
@@ -368,10 +369,18 @@ def test_sample_memory_per_draw():
     _, peak = _peak_bytes(lambda: mb.MicroSample.from_incomes(sample.incomes))
     assert peak <= 2 * n, peak / n
     _, peak = _peak_bytes(lambda: sample._ranked)
-    assert peak <= 16 * n + 2**20, peak / n
+    assert peak <= 8 * n + 2**20, peak / n
+    # scoring a ranked sample copies no sample-length array: the top rows'
+    # dot product reads a contiguous slice, so only its cast of the stride-0
+    # unit weights is left, 4 bytes a draw above the median (the income
+    # total, whose dot product casts all n weights, is cached first)
+    sample.total_income
+    _, peak = _peak_bytes(lambda: mb.evaluate_sample(
+        sample, (8, 14, 20, 30), (0.5, 0.1, 0.01, 0.001)))
+    assert peak <= 4 * n + 2**20, peak / n
     weighted = _tied_weighted(n)
     _, peak = _peak_bytes(lambda: weighted._ranked)
-    assert peak <= 32 * n + 2**20, peak / n
+    assert peak <= 24 * n + 2**20, peak / n
 
 
 def _tied_weighted(n):
@@ -452,26 +461,43 @@ class TestProtocol:
             assert sorts == [kind]
 
     def test_prefix_sums_computed_once_per_sample(self, monkeypatch):
-        # the ranking's weight total and bottom-up income prefix serve every
-        # class count, however many K: a unit-weight sample's weight totals
-        # are its ranks, so it needs one sample-length running sum, a
-        # weighted one two
-        n = 5000
-        sums = []
-        cumsum = np.cumsum
+        # the ranking's weight totals and the marks of its bottom-up income
+        # sums serve every class count, however many K: a unit-weight
+        # sample's weight totals are its ranks, so its ranking makes one
+        # sample-length pass of running sums, chunk by chunk, a weighted one
+        # also sums its weights; each tabulated cut then sums less than one
+        # chunk
+        n, step = 5000, 64
+        monkeypatch.setattr(mb, "_STEP", step)
+        totals, chunks = [], []
+        cumsum, running = np.cumsum, mb._running
 
-        def counted(a, *args, **kwargs):
+        def counted_cumsum(a, *args, **kwargs):
             if np.size(a) == n:
-                sums.append(a)
+                totals.append(a)
             return cumsum(a, *args, **kwargs)
-        monkeypatch.setattr(np, "cumsum", counted)
-        for sample, scheme, running in (
-                (mb.generate(mb.ParetoDist(2.0), n, seed=4), "geometric", 1),
-                (_tied_weighted(n), "equal_mass", 2)):
-            sums.clear()
-            mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001),
+
+        def counted_running(incomes, weights, start, stop, carry):
+            chunks.append(stop - start)
+            return running(incomes, weights, start, stop, carry)
+        monkeypatch.setattr(np, "cumsum", counted_cumsum)
+        monkeypatch.setattr(mb, "_running", counted_running)
+        classes = (3, 8, 14, 30)
+        for sample, scheme, weight_totals in (
+                (mb.generate(mb.ParetoDist(2.0), n, seed=4), "geometric", 0),
+                (_tied_weighted(n), "equal_mass", 1)):
+            totals.clear()
+            chunks.clear()
+            sample._ranked
+            assert len(totals) == weight_totals
+            assert chunks == [step] * (n // step)
+            totals.clear()
+            chunks.clear()
+            mb.evaluate_sample(sample, classes, (0.5, 0.1, 0.01, 0.001),
                                scheme=scheme)
-            assert len(sums) == running
+            assert not totals
+            assert len(chunks) <= sum(k + 1 for k in classes)
+            assert all(0 < size < step for size in chunks)
 
     def test_totals_computed_once_per_sample(self, monkeypatch):
         # the filer count and the income total are cached on the sample:
@@ -552,16 +578,33 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# unit-weight ranking (one value sort) against the argsort reference
+# the ranking (one value sort for unit weights, running sums kept every
+# _STEP rows) against the argsort and whole-sample np.cumsum reference
 # ---------------------------------------------------------------------------
 
 def _argsort_ranking(sample):
-    """``MicroSample._ranked`` by the general path: an argsort, then the
-    incomes and weights gathered in that order."""
+    """``MicroSample._ranked`` by the general path: an argsort, the incomes
+    and weights gathered in that order, their exact weight totals and the
+    whole-sample ``np.cumsum`` of the weighted incomes, bottom-up, which are
+    the marks of a ranking whose ``_STEP`` is 1."""
     order = np.argsort(sample.incomes)[::-1]
     incomes, weights = sample.incomes[order], sample.weights[order]
     return (incomes, weights, np.concatenate(([0], np.cumsum(weights))),
             np.concatenate(([0.0], np.cumsum(incomes[::-1] * weights[::-1]))))
+
+
+def _copy(sample):
+    """The sample again, not yet ranked."""
+    return mb.MicroSample(sample.incomes, sample.weights, sample.nonfiler_count,
+                          sample.total_income_override)
+
+
+def _reference(sample):
+    """The sample ranked by ``_argsort_ranking``: queried with ``_STEP`` at 1,
+    it reads every running sum straight from the whole-sample cumsum."""
+    reference = _copy(sample)
+    reference.__dict__["_ranked"] = _argsort_ranking(reference)
+    return reference
 
 
 def _result(call, *args, **kwargs):
@@ -575,36 +618,76 @@ def _result(call, *args, **kwargs):
     return repr(result)
 
 
-@st.composite
-def unit_weight_samples(draw):
-    """Tied whole-currency incomes, scaled so that some running sums round,
-    as a MicroSample with unit weights (with non-filers and an income total
-    override) or as a loaded CSV."""
+def _ranked_queries(sample, step):
+    """Every query that reads the ranking, as exact text, with a running sum
+    kept every ``step`` rows."""
+    with mock.patch.object(mb, "_STEP", step):
+        results = [_result(mb.oracle_share, sample, p) for p in (1.0, 0.5, 0.25, 0.1)]
+        for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
+            ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
+            results += [_result(mb.quantile_thresholds, sample, k, 0.05, scheme),
+                        _result(mb.tabulate, sample, ladder),
+                        _result(mb.tabulate, sample, ladder * 0.999 + 1e-9)]
+        results.append(_result(mb.evaluate_sample, sample, (3, 6), (0.5, 0.1),
+                               top_fraction=0.05))
+    return results
+
+
+def _tied_incomes(draw):
+    """Tied whole-currency incomes, scaled so that some running sums round."""
     units = draw(st.lists(st.integers(0, 60), min_size=20, max_size=120))
     if not any(units):
         units[0] = 1
-    x = np.array(units, dtype=float) * draw(st.sampled_from([1.0, 0.37, 3.1e14]))
+    return np.array(units, dtype=float) * draw(st.sampled_from([1.0, 0.37, 3.1e14]))
+
+
+def _micro_csv(incomes, weights):
+    return "income,weight\n" + "".join(
+        f"{income!r},{weight}\n" for income, weight in zip(incomes, weights))
+
+
+@st.composite
+def unit_weight_samples(draw):
+    """Tied incomes as a MicroSample with unit weights (with non-filers and an
+    income total override) or as a loaded CSV."""
+    x = _tied_incomes(draw)
     if draw(st.booleans()):
-        return mb.load_micro_csv("income,weight\n" + "".join(
-            f"{income!r},1\n" for income in x.tolist()))
+        return mb.load_micro_csv(_micro_csv(x.tolist(), [1] * len(x)))
     override = draw(st.none() | st.floats(1.0, 3.0).map(lambda f: f * x.sum()))
     return mb.MicroSample(x, np.ones(len(x), dtype=np.int64),
                           nonfiler_count=draw(st.integers(0, 40)),
                           total_income_override=override)
 
 
+@st.composite
+def weighted_samples(draw):
+    """Tied incomes with weights 1 to 9, as a MicroSample with non-filers or
+    as a loaded CSV."""
+    x = _tied_incomes(draw)
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(x), max_size=len(x)))
+    if draw(st.booleans()):
+        return mb.load_micro_csv(_micro_csv(x.tolist(), weights))
+    return mb.MicroSample(x, weights, nonfiler_count=draw(st.integers(0, 40)))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(unit_weight_samples())
 def test_unit_weight_ranking_matches_argsort_reference(sample):
-    ranked = sample._ranked
-    assert ranked[1] is sample.weights  # ranked by the values alone
-    assert ranked[2] is None  # the weight totals are the ranks, not stored
-    reference = mb.MicroSample(sample.incomes, sample.weights,
-                               sample.nonfiler_count, sample.total_income_override)
-    reference.__dict__["_ranked"] = _argsort_ranking(reference)
-    for i in (0, 1, 3):
-        got, want = ranked[i], reference._ranked[i]
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    incomes, weights, above, marks = sample._ranked
+    assert weights is sample.weights  # ranked by the values alone
+    assert above is None  # the weight totals are the ranks, not stored
+    reference = _reference(sample)
+    want_incomes, _, _, prefix = reference._ranked
+    assert incomes.flags.c_contiguous
+    assert incomes.dtype == want_incomes.dtype
+    assert np.array_equal(incomes, want_incomes)
+    # the marks, and the running sums at the ladders' cut ranks, are the
+    # reference's whole-sample prefix sum there
+    assert marks.tobytes() == prefix[::mb._STEP].tobytes()
+    for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
+        ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
+        below = np.searchsorted(incomes[::-1], ladder)  # rows below each cut
+        assert mb._sums_below(sample, below).tobytes() == prefix[below].tobytes()
     # the rank-to-total lookups answer as the reference's stored totals do
     n = len(sample.incomes)
     ranks = np.arange(n + 1)
@@ -613,17 +696,52 @@ def test_unit_weight_ranking_matches_argsort_reference(sample):
     totals = list(range(n + 3))
     assert np.array_equal(mb._rank_reaching(sample, totals),
                           mb._rank_reaching(reference, totals))
-    for p in (1.0, 0.5, 0.25, 0.1):
-        assert _result(mb.oracle_share, sample, p) == \
-            _result(mb.oracle_share, reference, p)
-    for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
-        ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
-        assert _result(mb.quantile_thresholds, sample, k, 0.05, scheme) == \
-            _result(mb.quantile_thresholds, reference, k, 0.05, scheme)
-        assert _result(mb.tabulate, sample, ladder) == \
-            _result(mb.tabulate, reference, ladder)
-    assert _result(mb.evaluate_sample, sample, (3, 6), (0.5, 0.1), top_fraction=0.05) \
-        == _result(mb.evaluate_sample, reference, (3, 6), (0.5, 0.1), top_fraction=0.05)
+    assert _ranked_queries(sample, mb._STEP) == _ranked_queries(reference, 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(unit_weight_samples() | weighted_samples())
+def test_ranked_queries_match_the_reference_at_any_step(sample):
+    # with a mark every 1, 2, 3 or 7 rows, 20 to 120 rows cross many marks
+    # and the partial chunks of every length
+    want = _ranked_queries(_reference(sample), 1)
+    prefix = _reference(sample)._ranked[3]
+    counts = np.arange(len(sample.incomes) + 1)
+    for step in (1, 2, 3, 7):
+        fresh = _copy(sample)
+        assert _ranked_queries(fresh, step) == want, step
+        with mock.patch.object(mb, "_STEP", step):
+            assert fresh._ranked[3].tobytes() == prefix[::step].tobytes()
+            assert mb._sums_below(fresh, counts).tobytes() == prefix.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, mb._STEP - 1, mb._STEP, mb._STEP + 1,
+                               3 * mb._STEP + 5])
+def test_ranked_queries_match_the_reference_around_marks(n):
+    incomes = np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997) * 0.37
+    for sample in (mb.MicroSample.from_incomes(incomes),
+                   mb.MicroSample(incomes, np.arange(n) % 9 + 1, nonfiler_count=5)):
+        assert _ranked_queries(sample, mb._STEP) == \
+            _ranked_queries(_reference(sample), 1)
+        below = np.arange(n + 1)
+        assert mb._sums_below(sample, below).tobytes() == \
+            _reference(sample)._ranked[3].tobytes()
+
+
+def test_running_sums_keep_the_sign_of_zero():
+    # np.cumsum starts from its first term, so the sums over the lowest rows
+    # of -0.0 are -0.0; adding a carry of 0.0 there would make them 0.0 and
+    # flip the sign of a bracket of zeros
+    incomes = np.array([-0.0] * 9 + [1.0, 2.5, 4.0])
+    for step in (1, 2, 3, 7, mb._STEP):
+        with mock.patch.object(mb, "_STEP", step):
+            sample = mb.MicroSample.from_incomes(incomes)
+            ranked = sample._ranked[0]
+            below = mb._sums_below(sample, np.arange(len(incomes) + 1))
+            bins = mb.tabulate(sample, [1.0, 0.0]).brackets
+        want = np.concatenate(([0.0], np.cumsum(ranked[::-1])))
+        assert below.tobytes() == want.tobytes(), step
+        assert np.signbit(bins[1].income_sum), step
 
 
 class TestMicroCSV:
