@@ -254,7 +254,8 @@ def oracle_share(sample: MicroSample, p: float) -> float:
 
 
 def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
-    """Bin a sample into brackets at the given descending thresholds.
+    """Bin a sample into brackets at the given finite, strictly descending
+    thresholds.
 
     Incomes below the lowest threshold stay out of the brackets but remain
     in the population and income denominators, like non-filers. Empty
@@ -263,6 +264,8 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     fewer than 2**12 rows, so a tabulation makes no sample-length pass.
     """
     thresholds = np.asarray(thresholds, dtype=float)
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError("thresholds must be finite")
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
 
@@ -315,11 +318,14 @@ def quantile_thresholds(sample: MicroSample, classes: int,
     # integer totals, clipped exactly, for the exact search oracle_share makes
     totals = [min(max(int(r), 2), sample.filer_count)
               for r in np.round(fractions * sample.population)]
-    incomes = sample._ranked[0]
-    rows = _rank_reaching(sample, totals) - 1
+    # the rows do not decrease, so their incomes are descending: a value is
+    # kept where it differs from its left neighbour (0.0 == -0.0), with no
+    # np.unique, whose first call imports numpy.ma
+    values = sample._ranked[0][_rank_reaching(sample, totals) - 1]
+    keep = np.concatenate(([True], values[1:] != values[:-1]))
     # + 0.0 turns -0.0 into 0.0, so the ladder does not depend on which of
     # two tied zeros the sort put last
-    return np.unique(incomes[rows])[::-1] + 0.0
+    return values[keep] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +485,12 @@ class MixtureDist:
         which = np.zeros(u_component.shape, dtype=np.intp)
         for cut in np.cumsum(self.weights)[:-1]:
             which += u_component >= cut
+        # index arrays gather and scatter about twice as fast as boolean masks
         out = np.empty_like(u_value)
         for i, comp in enumerate(self.components):
-            mask = which == i
-            if mask.any():
-                out[mask] = comp.quantile(u_value[mask])
+            rows = np.flatnonzero(which == i)
+            if len(rows):
+                out[rows] = comp.quantile(u_value[rows])
         return out
 
     @property

@@ -863,6 +863,22 @@ def test_cli_import_loads_no_scipy():
     assert fresh_python(code).strip() == "[]"
 
 
+@pytest.mark.parametrize("harness", ["synth", "compare"])
+def test_harness_commands_load_no_numpy_ma(tmp_path, harness):
+    # the threshold ladder dedupes without np.unique, whose first call
+    # imports numpy.ma under numpy 2; numpy 1 imports it with numpy itself
+    if fresh_python("import sys, numpy; print('numpy.ma' in sys.modules)").strip() == "True":
+        pytest.skip("importing numpy loads numpy.ma")
+    micro = tmp_path / "micro.csv"
+    micro.write_text("income,weight\n" + "".join(f"{i},1\n" for i in range(1, 201)))
+    argv = {"synth": ["synth", "--size", "2000", "--trials", "1", "--classes", "8"],
+            "compare": ["compare", "--micro", str(micro), "--classes", "8"]}[harness]
+    argv += ["--out", str(tmp_path / "out.csv")]
+    code = ("import sys, topshares.cli; "
+            f"print(topshares.cli.main({argv!r}), 'numpy.ma' in sys.modules)")
+    assert fresh_python(code).split() == ["0", "False"]
+
+
 def test_cli_shares_a_harness_imported_before_it():
     # cli registers its lazy microbench only when none is loaded; a second
     # module object would hold classes and functions of its own

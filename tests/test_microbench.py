@@ -188,6 +188,15 @@ class TestTabulate:
         with pytest.raises(ValueError):
             mb.tabulate(sample, [10.0, 10.0])
 
+    @pytest.mark.parametrize("thresholds", [[5.0, math.nan, 1.0], [math.nan],
+                                            [math.inf, 5.0]])
+    def test_nonfinite_thresholds_rejected(self, thresholds):
+        # NaN compares false, so the decreasing check alone let [5, nan, 1]
+        # through as a bracket of count -6 and income -45
+        sample = mb.MicroSample.from_incomes(np.arange(1.0, 11.0))
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            mb.tabulate(sample, thresholds)
+
     def test_counts_exact_beyond_2_53(self):
         # a float64 running total drops the unit beside 3 * 2**53, which
         # left the top bracket empty
@@ -302,7 +311,8 @@ class TestGenerate:
         sample = mb.generate(dist, 20_000, seed=2)
         assert (sample.incomes >= 10.0).mean() == pytest.approx(0.5, abs=0.02)
 
-    @pytest.mark.parametrize("weights", [(0.3, 0.7), (0.2, 0.5, 0.3)])
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (0.2, 0.5, 0.3),
+                                         (1 - 1e-9, 1e-9)])
     def test_mixture_draw_matches_searchsorted_reference(self, weights):
         # the component is picked by comparisons against the inner cuts; the
         # reference picks it by binary search, clipped to the last component
@@ -320,6 +330,12 @@ class TestGenerate:
         for i, component in enumerate(components):
             want[which == i] = component.quantile(u_value[which == i])
         assert dist.draw(u_component, u_value).tobytes() == want.tobytes()
+        # the 3,000 uniforms alone give a component of weight 1e-9 no rows
+        uniforms = slice(-3000, None)
+        if weights[-1] == 1e-9:
+            assert not np.any(which[uniforms] == 1)
+        assert (dist.draw(u_component[uniforms], u_value[uniforms]).tobytes()
+                == want[uniforms].tobytes())
 
     def test_heavy_tail_flagged_not_forbidden(self):
         with pytest.warns(UserWarning, match="infinite mean"):
@@ -668,6 +684,44 @@ def weighted_samples(draw):
     if draw(st.booleans()):
         return mb.load_micro_csv(_micro_csv(x.tolist(), weights))
     return mb.MicroSample(x, weights, nonfiler_count=draw(st.integers(0, 40)))
+
+
+def _unique_ladder(sample, classes, scheme, top_fraction=1e-3):
+    """``quantile_thresholds`` as ``np.unique`` dedupes it, on the argsort
+    ranking: the same ranks, the incomes there sorted and made unique."""
+    incomes, _, above, _ = _argsort_ranking(sample)
+    fractions = (top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
+                 if scheme == "geometric" else np.arange(1, classes + 1) / classes)
+    totals = np.minimum(np.maximum(np.round(fractions * sample.population), 2),
+                        sample.filer_count).astype(np.int64)
+    rows = np.searchsorted(above, totals, side="left") - 1
+    return np.unique(incomes[rows])[::-1] + 0.0
+
+
+_SIGNED_ZEROS = np.array([0.0, -0.0, -0.0, 0.0] * 40 + [1.0, 2.0, 2.0, 3.0] * 5)
+_LADDER_SAMPLES = {
+    "tied_weighted": _tied_weighted(3000),
+    "tied_unit": mb.MicroSample.from_incomes(_tied_weighted(3000).incomes,
+                                             nonfiler_count=500),
+    "signed_zeros_unit": mb.MicroSample.from_incomes(_SIGNED_ZEROS),
+    "signed_zeros_weighted": mb.MicroSample(_SIGNED_ZEROS,
+                                            np.arange(len(_SIGNED_ZEROS)) % 4 + 1),
+    "one_income_unit": mb.MicroSample.from_incomes(np.full(50, 7.5)),
+    "one_income_weighted": mb.MicroSample(np.full(50, 7.5), np.arange(50) % 3 + 1),
+}
+
+
+@pytest.mark.parametrize("scheme", ["geometric", "equal_mass"])
+@pytest.mark.parametrize("classes", [2, 8, 30])
+@pytest.mark.parametrize("name", sorted(_LADDER_SAMPLES))
+def test_ladder_dedupes_as_np_unique(name, classes, scheme):
+    # the ladder keeps a value where it differs from its left neighbour;
+    # 0.0 and -0.0 count as one value, and the ladder holds 0.0 only
+    sample = _copy(_LADDER_SAMPLES[name])
+    got = mb.quantile_thresholds(sample, classes, scheme=scheme)
+    want = _unique_ladder(sample, classes, scheme)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    assert not np.any(np.signbit(got))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
