@@ -59,11 +59,14 @@ def _fractile_header(p: float) -> str:
 
 def _parse_list(flag: str, text: str, cast) -> list:
     """The comma list ``text`` of a flag, each piece cast; a ValueError
-    names the flag."""
+    names the flag, also where a value repeats and so would run twice."""
     try:
-        return [cast(piece) for piece in text.split(",")]
+        out = [cast(piece) for piece in text.split(",")]
     except ValueError as err:
         raise ValueError(f"{flag}: {err}") from None
+    if len(set(out)) < len(out):
+        raise ValueError(f"{flag} must not repeat, got {text}")
+    return out
 
 
 def _parse_fractiles(text: str) -> list[float]:

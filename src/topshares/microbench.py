@@ -124,85 +124,38 @@ class MicroSample:
         if self.total_income_override is not None:
             return float(self.total_income_override)
         with np.errstate(over="ignore"):  # oracle_share reports an inf total
-            return float(np.dot(self.incomes, self.weights))
+            return _income(self, self.incomes, self.weights)
 
     @cached_property
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
-                               np.ndarray]:
-        """The one sort of the sample, highest income first: the incomes as
-        one contiguous array, the weights, the exact weight total of the rows
-        above each rank (0 first, the filer count last; None for unit
-        weights, whose totals are the ranks, see ``_rank_reaching``) and the
-        marks: the weighted income of the lowest ``m * _STEP`` rows, summed
-        bottom-up, at index m (0.0 first), which ``_sums_below`` extends to
-        any rank. Read-only."""
-        n = len(self.incomes)
-        if self.filer_count == n:
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The one sort of the sample, highest income first: the incomes, the
+        weights and the exact weight total of the rows above each rank (0
+        first, the filer count last; None for unit weights, whose totals are
+        the ranks, see ``_rank_reaching``). Read-only."""
+        if self.filer_count == len(self.incomes):
             # weights are at least 1, so every one is 1: tied incomes are
-            # equal floats, sorting the values alone gives the same arrays,
-            # and x * 1 is exact
-            incomes, weights, above = np.sort(self.incomes), self.weights, None
-            _reverse(incomes)
-        else:
-            order = np.argsort(self.incomes)[::-1]
-            incomes, weights = self.incomes[order], self.weights[order]
-            del order
-            above = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(weights, out=above[1:])
-        marks = np.zeros(n // _STEP + 1)
-        for m in range(1, len(marks)):
-            marks[m] = _running(incomes, weights, (m - 1) * _STEP, m * _STEP,
-                                marks[m - 1])[-1]
-        ranked = (incomes, weights, above, marks)
-        for array in ranked:
-            if array is not None:
-                array.flags.writeable = False
-        return ranked
+            # equal floats, and sorting the values alone gives the same
+            # arrays; the incomes are a reversed view of the ascending sort
+            ascending = np.sort(self.incomes)
+            ascending.flags.writeable = False
+            return ascending[::-1], self.weights, None
+        order = np.argsort(self.incomes)[::-1]
+        incomes, weights = self.incomes[order], self.weights[order]
+        del order
+        above = np.zeros(len(incomes) + 1, dtype=np.int64)
+        np.cumsum(weights, out=above[1:])
+        for array in (incomes, weights, above):
+            array.flags.writeable = False
+        return incomes, weights, above
 
 
-# rows between two marks of a ranking's bottom-up running sum: a query pays
-# at most one such chunk, and the marks take 8 / _STEP bytes a draw
-_STEP = 2**12
-
-
-def _reverse(array: np.ndarray) -> None:
-    """Reverse ``array`` in place, swapping a block of ``_STEP`` rows from
-    each end at a time, so no full-size temporary is made."""
-    n = len(array)
-    for lo in range(0, n // 2, _STEP):
-        hi = min(lo + _STEP, n // 2)
-        head = array[lo:hi][::-1].copy()
-        array[lo:hi] = array[n - hi:n - lo][::-1]
-        array[n - hi:n - lo] = head
-
-
-def _running(incomes, weights, start: int, stop: int, carry) -> np.ndarray:
-    """The bottom-up running sums of the weighted incomes over the rows
-    ``start`` to ``stop - 1`` counted from the bottom, continuing from
-    ``carry``, the sum of the ``start`` rows below them. The carry is added
-    into the first product and ``np.cumsum`` adds strictly in order, so each
-    sum equals the whole sample's ``np.cumsum`` bit for bit; from the bottom
-    row on there is no carry, as ``np.cumsum`` starts from its first term
-    (0.0 + -0.0 would be 0.0)."""
-    n = len(incomes)
-    rows = slice(n - stop, n - start)
-    terms = np.multiply(incomes[rows][::-1], weights[rows][::-1])
-    if start:
-        terms[0] += carry
-    return np.cumsum(terms, out=terms)
-
-
-def _sums_below(sample: MicroSample, counts: np.ndarray) -> np.ndarray:
-    """The weighted income of the lowest ``counts`` rows each, summed
-    bottom-up: the nearest mark at or below, plus fewer than ``_STEP`` rows
-    summed by ``_running``."""
-    incomes, weights, _, marks = sample._ranked
-    sums = marks[counts // _STEP]
-    for i, count in enumerate(counts.tolist()):
-        start = count - count % _STEP
-        if count > start:
-            sums[i] = _running(incomes, weights, start, count, sums[i])[-1]
-    return sums
+def _income(sample: MicroSample, incomes, weights) -> float:
+    """The weighted income of some rows of ``sample``, summed directly: where
+    every weight is 1, a pairwise ``sum`` of the incomes, which casts no
+    weights; otherwise their ``np.dot`` with the weights."""
+    if sample.filer_count == len(sample.incomes):
+        return float(incomes.sum())
+    return float(np.dot(incomes, weights))
 
 
 def _rank_reaching(sample: MicroSample, totals):
@@ -240,14 +193,12 @@ def oracle_share(sample: MicroSample, p: float) -> float:
     if not 0.0 < sample.total_income < math.inf:
         raise ValueError(f"total income {sample.total_income} must be positive and finite")
 
-    incomes, weights, _, _ = sample._ranked
+    incomes, weights, _ = sample._ranked
     # the row straddling the cut, the first whose running total reaches it,
     # i.e. ceil(target)
     boundary = int(_rank_reaching(sample, math.ceil(target))) - 1
-    if boundary >= len(incomes):
-        top_sum = float(np.dot(incomes, weights))  # cut falls among non-filers
-    else:
-        top_sum = float(np.dot(incomes[:boundary], weights[:boundary]))
+    top_sum = _income(sample, incomes[:boundary], weights[:boundary])
+    if boundary < len(incomes):  # else the cut falls among non-filers
         top_sum += ((target - float(_total_above(sample, boundary)))
                     * float(incomes[boundary]))
     return top_sum / sample.total_income
@@ -259,9 +210,8 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
 
     Incomes below the lowest threshold stay out of the brackets but remain
     in the population and income denominators, like non-filers. Empty
-    brackets are retained. Each bracket's income is a difference of two
-    bottom-up running sums, each read from the ranking's nearest mark plus
-    fewer than 2**12 rows, so a tabulation makes no sample-length pass.
+    brackets are retained. Each bracket's income is summed over its own
+    ranked rows, so a tabulation reads each row at most once.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all(np.isfinite(thresholds)):
@@ -269,16 +219,17 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
 
-    incomes = sample._ranked[0]
+    incomes, weights, _ = sample._ranked
     n = len(incomes)
     # rows ranked at or above each threshold; per bracket, the count from the
-    # exact weight totals, the income from the bottom-up running sums
+    # exact weight totals, the income summed over the bracket's rows
     ranks = np.concatenate(([0], n - np.searchsorted(incomes[::-1], thresholds)))
-    below = _sums_below(sample, n - ranks)
-    sums = below[:-1] - below[1:]
+    cuts = ranks.tolist()
+    sums = [_income(sample, incomes[a:b], weights[a:b])
+            for a, b in zip(cuts, cuts[1:])]
     return Tabulation(
         year=0,
-        brackets=tuple(IncomeBracket(float(t), int(c), float(s)) for t, c, s
+        brackets=tuple(IncomeBracket(float(t), int(c), s) for t, c, s
                        in zip(thresholds, np.diff(_total_above(sample, ranks)),
                               sums)),
         population=sample.population,
@@ -478,6 +429,8 @@ class MixtureDist:
             raise ValueError("mixture weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
+        if any(isinstance(c, MixtureDist) for c in self.components):
+            raise ValueError("a mixture component must not be a mixture")
 
     def draw(self, u_component: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         # the component's index is the number of cuts at or below u, the
@@ -603,9 +556,12 @@ class BenchmarkSpec:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("classes", "fractiles"):
-            if not getattr(self, name):
+        for name in ("classes", "fractiles", "methods"):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):  # each would run twice
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
         for p in self.fractiles:
             if not 0.0 < p <= 1.0:  # as oracle_share requires
                 raise ValueError(f"fractiles must lie in (0, 1], got {p}")

@@ -527,12 +527,13 @@ def _tied_micro_csv() -> str:
 # (exit status, SHA-256) per command and format. The digests depend on the
 # bits of numpy's exp, expm1, log and log1p (the ME rates and queries, and
 # the lognormal draws), which follow the SIMD code path numpy dispatches to
-# on the host CPU.
+# on the host CPU, and on the order of numpy's pairwise ``sum`` (the income
+# total and each bracket's income of a unit-weight sample).
 PINNED_REPORTS = {
     ("synth", "csv"):
-        (0, "53a3ed7a0e0940688f4859006a921aad71c2e17b9ab5a83f9f80800d0f453e7e"),
+        (0, "7a9f83b5871944fab8f065566c23df549b427b9f7b6353d8205cf2a1e978227a"),
     ("synth", "json"):
-        (0, "68be1b0fae8998b0938f529cdc2d89360aaf409252541484a77d56d47506ed0a"),
+        (0, "078df61025a96bac54b4270d48c8304879fe55e296c3120d78c3deb8b479a816"),
     ("compare", "csv"):
         (2, "972840f3249d8c33e399c609862797fd75be3897049fdf48b05e6aac5092fd8a"),
     ("compare", "json"):
@@ -714,11 +715,12 @@ class TestSynthAndCompare:
         ({"classes": [8, 1]}, "need at least 2 classes"),
         ({"classes": []}, "classes must not be empty"),
         ({"fractiles": []}, "fractiles must not be empty"),
+        ({"methods": []}, "methods must not be empty"),
         ({"fractiles": [0.1, 1.5]}, "fractiles must lie in (0, 1], got 1.5"),
         ({"fractiles": [0.0]}, "fractiles must lie in (0, 1], got 0.0"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
     ], ids=["top_fraction", "scheme", "classes", "no_classes", "no_fractiles",
-            "fractile_above_one", "fractile_zero", "seed"])
+            "no_methods", "fractile_above_one", "fractile_zero", "seed"])
     def test_synth_bad_ladder_exits_one_before_sampling(self, tmp_path, capsys,
                                                         monkeypatch, ladder, message):
         # once rejected only after the first sample was drawn and ranked, or
@@ -812,6 +814,52 @@ class TestSynthAndCompare:
             assert main(argv + [flag, value, "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("key,values,message", [
+        ("classes", [8, 8], "classes must not repeat, got [8, 8]"),
+        ("fractiles", [0.1, 0.1], "fractiles must not repeat, got [0.1, 0.1]"),
+        ("methods", ["ME", "ME"], "methods must not repeat, got ['ME', 'ME']"),
+    ])
+    def test_synth_repeated_axis_exits_one(self, tmp_path, capsys, key, values,
+                                           message):
+        # once ran each repeated cell twice, and summed two runs of one
+        # trial into trials_ok 2
+        spec = {"distribution": {"kind": "pareto", "exponent": 2.0},
+                "size": 4000, "trials": 1, "seed": 5, key: values}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "compare"])
+    def test_repeated_classes_flag_exits_one(self, tmp_path, capsys, command):
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n1,1\n2,3\n5,1\n")
+        argv = {"synth": ["synth", "--size", "500"],
+                "compare": ["compare", "--micro", str(micro)]}[command]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--classes", "8,8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --classes must not repeat, got 8,8\n"
+        assert not out.exists()
+
+    def test_synth_nested_mixture_exits_one(self, tmp_path, capsys):
+        # once drawn until the inner mixture's missing quantile raised an
+        # AttributeError traceback
+        inner = {"kind": "mixture", "weights": [1.0],
+                 "components": [{"kind": "pareto", "exponent": 2.0}]}
+        spec = {"distribution": {"kind": "mixture", "weights": [0.5, 0.5],
+                                 "components": [{"kind": "pareto", "exponent": 2.5},
+                                                inner]},
+                "size": 4000, "classes": [8], "fractiles": [0.1], "trials": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a mixture component must not be a mixture\n"
+        assert not out.exists()
 
     def test_compare_huge_weight_exits_one(self, tmp_path, capsys):
         micro = tmp_path / "micro.csv"

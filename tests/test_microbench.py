@@ -349,6 +349,9 @@ class TestGenerate:
         with pytest.raises(ValueError):
             mb.MixtureDist(weights=(0.7, 0.7),
                            components=(mb.ParetoDist(2.0), mb.ParetoDist(3.0)))
+        inner = mb.MixtureDist(weights=(1.0,), components=(mb.ParetoDist(2.0),))
+        with pytest.raises(ValueError, match="must not be a mixture"):
+            mb.MixtureDist(weights=(0.5, 0.5), components=(mb.ParetoDist(3.0), inner))
 
     def test_dist_json_round_trip(self):
         dist = mb.MixtureDist(weights=(0.9, 0.1),
@@ -373,10 +376,8 @@ def test_sample_memory_per_draw():
     # uniforms and inversion temporaries (78 bytes a draw for a mixture);
     # handing a read-only array to from_incomes copies nothing and makes
     # only the validation's masks; a unit ranking holds its sorted incomes
-    # alone, reversed in place, with no weight totals and a running sum only
-    # every _STEP rows; a weighted ranking holds the gathered incomes and
-    # weights and their totals, with no sort order or product temporary
-    # beside them
+    # alone, with no weight totals; a weighted ranking holds the gathered
+    # incomes and weights and their totals, with no sort order beside them
     n = 2**20
     for dist in (mb.ParetoDist(2.0, 1.0), mb.LognormalDist(10.2, 0.75),
                  mb.dist_from_dict(PINNED_SPEC["distribution"])):
@@ -384,16 +385,16 @@ def test_sample_memory_per_draw():
         assert peak <= 16 * n, (dist, peak / n)
     _, peak = _peak_bytes(lambda: mb.MicroSample.from_incomes(sample.incomes))
     assert peak <= 2 * n, peak / n
+    # the income total of unit weights sums the incomes and casts no weights
+    _, peak = _peak_bytes(lambda: sample.total_income)
+    assert peak <= 2**20, peak / n
     _, peak = _peak_bytes(lambda: sample._ranked)
     assert peak <= 8 * n + 2**20, peak / n
-    # scoring a ranked sample copies no sample-length array: the top rows'
-    # dot product reads a contiguous slice, so only its cast of the stride-0
-    # unit weights is left, 4 bytes a draw above the median (the income
-    # total, whose dot product casts all n weights, is cached first)
-    sample.total_income
+    # scoring a ranked unit sample copies and casts no sample-length array:
+    # the oracle and each bracket sum their rows of the ranking in place
     _, peak = _peak_bytes(lambda: mb.evaluate_sample(
         sample, (8, 14, 20, 30), (0.5, 0.1, 0.01, 0.001)))
-    assert peak <= 4 * n + 2**20, peak / n
+    assert peak <= 2**20, peak / n
     weighted = _tied_weighted(n)
     _, peak = _peak_bytes(lambda: weighted._ranked)
     assert peak <= 24 * n + 2**20, peak / n
@@ -477,48 +478,54 @@ class TestProtocol:
             assert sorts == [kind]
 
     def test_prefix_sums_computed_once_per_sample(self, monkeypatch):
-        # the ranking's weight totals and the marks of its bottom-up income
-        # sums serve every class count, however many K: a unit-weight
-        # sample's weight totals are its ranks, so its ranking makes one
-        # sample-length pass of running sums, chunk by chunk, a weighted one
-        # also sums its weights; each tabulated cut then sums less than one
-        # chunk
-        n, step = 5000, 64
-        monkeypatch.setattr(mb, "_STEP", step)
-        totals, chunks = [], []
-        cumsum, running = np.cumsum, mb._running
+        # the ranking sums no incomes: a unit-weight sample's weight totals
+        # are its ranks, so its ranking makes no running sum, a weighted one
+        # makes one of its weights; each tabulation then sums the rows of
+        # each bracket, so no ranked row twice
+        n = 5000
+        totals, rows = [], []
+        cumsum, income = np.cumsum, mb._income
 
         def counted_cumsum(a, *args, **kwargs):
             if np.size(a) == n:
                 totals.append(a)
             return cumsum(a, *args, **kwargs)
 
-        def counted_running(incomes, weights, start, stop, carry):
-            chunks.append(stop - start)
-            return running(incomes, weights, start, stop, carry)
+        def counted_income(sample, incomes, weights):
+            rows.append(incomes)
+            return income(sample, incomes, weights)
         monkeypatch.setattr(np, "cumsum", counted_cumsum)
-        monkeypatch.setattr(mb, "_running", counted_running)
-        classes = (3, 8, 14, 30)
+        monkeypatch.setattr(mb, "_income", counted_income)
         for sample, scheme, weight_totals in (
                 (mb.generate(mb.ParetoDist(2.0), n, seed=4), "geometric", 0),
                 (_tied_weighted(n), "equal_mass", 1)):
+            sample.total_income
             totals.clear()
-            chunks.clear()
-            sample._ranked
+            rows.clear()
+            ranked = sample._ranked[0]
             assert len(totals) == weight_totals
-            assert chunks == [step] * (n // step)
+            assert not rows
             totals.clear()
-            chunks.clear()
-            mb.evaluate_sample(sample, classes, (0.5, 0.1, 0.01, 0.001),
-                               scheme=scheme)
-            assert not totals
-            assert len(chunks) <= sum(k + 1 for k in classes)
-            assert all(0 < size < step for size in chunks)
+            for k in (3, 8, 14, 30):
+                ladder = mb.quantile_thresholds(sample, k, scheme=scheme)
+                rows.clear()
+                mb.tabulate(sample, ladder)
+                assert not totals
+                assert len(rows) == len(ladder)
+                # each bracket's rows as offsets into the ranking
+                read = np.zeros(n, dtype=int)
+                for part in rows:
+                    if len(part):
+                        start = ((part.ctypes.data - ranked.ctypes.data)
+                                 // ranked.strides[0])
+                        read[start:start + len(part)] += 1
+                assert read.max() == 1
 
     def test_totals_computed_once_per_sample(self, monkeypatch):
         # the filer count and the income total are cached on the sample:
-        # one weight sum and one sample-length dot product, however many K
-        # and fractiles read them
+        # one weight sum and one sample-length reduction of the incomes, a
+        # sum for unit weights and a dot product for weighted ones, however
+        # many K and fractiles read them
         n = 5000
         calls = []
         dot = np.dot
@@ -529,18 +536,23 @@ class TestProtocol:
             return dot(a, b, *args, **kwargs)
         monkeypatch.setattr(np, "dot", counted_dot)
 
-        class CountedSums(np.ndarray):
-            def sum(self, *args, **kwargs):
-                if self.size == n:
-                    calls.append("sum")
-                return super().sum(*args, **kwargs)
-        for sample in (mb.generate(mb.ParetoDist(2.0), n, seed=4),
-                       _tied_weighted(n)):
-            # the sample is frozen; swap in weights that count their sums
-            object.__setattr__(sample, "weights", sample.weights.view(CountedSums))
+        def counting(name):
+            class CountedSums(np.ndarray):
+                def sum(self, *args, **kwargs):
+                    if self.size == n:
+                        calls.append(name)
+                    return super().sum(*args, **kwargs)
+            return CountedSums
+        for sample, want in (
+                (mb.generate(mb.ParetoDist(2.0), n, seed=4), ["incomes sum"]),
+                (_tied_weighted(n), ["dot"])):
+            # the sample is frozen; swap in arrays that count their sums
+            for name in ("incomes", "weights"):
+                array = getattr(sample, name).view(counting(f"{name} sum"))
+                object.__setattr__(sample, name, array)
             calls.clear()
             mb.evaluate_sample(sample, (3, 8, 14, 30), (0.5, 0.1, 0.01, 0.001))
-            assert sorted(calls) == ["dot", "sum"]
+            assert sorted(calls) == sorted(want + ["weights sum"])
 
     def test_zero_threshold_has_positive_sign(self):
         # 0.0 and -0.0 are both accepted incomes and tie in a sort; the
@@ -594,19 +606,16 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# the ranking (one value sort for unit weights, running sums kept every
-# _STEP rows) against the argsort and whole-sample np.cumsum reference
+# the ranking (one value sort for unit weights) against the argsort
+# reference, and every income sum against math.fsum of its rows
 # ---------------------------------------------------------------------------
 
 def _argsort_ranking(sample):
     """``MicroSample._ranked`` by the general path: an argsort, the incomes
-    and weights gathered in that order, their exact weight totals and the
-    whole-sample ``np.cumsum`` of the weighted incomes, bottom-up, which are
-    the marks of a ranking whose ``_STEP`` is 1."""
+    and weights gathered in that order and their exact weight totals."""
     order = np.argsort(sample.incomes)[::-1]
     incomes, weights = sample.incomes[order], sample.weights[order]
-    return (incomes, weights, np.concatenate(([0], np.cumsum(weights))),
-            np.concatenate(([0.0], np.cumsum(incomes[::-1] * weights[::-1]))))
+    return incomes, weights, np.concatenate(([0], np.cumsum(weights)))
 
 
 def _copy(sample):
@@ -616,8 +625,7 @@ def _copy(sample):
 
 
 def _reference(sample):
-    """The sample ranked by ``_argsort_ranking``: queried with ``_STEP`` at 1,
-    it reads every running sum straight from the whole-sample cumsum."""
+    """The sample ranked by ``_argsort_ranking``."""
     reference = _copy(sample)
     reference.__dict__["_ranked"] = _argsort_ranking(reference)
     return reference
@@ -634,18 +642,16 @@ def _result(call, *args, **kwargs):
     return repr(result)
 
 
-def _ranked_queries(sample, step):
-    """Every query that reads the ranking, as exact text, with a running sum
-    kept every ``step`` rows."""
-    with mock.patch.object(mb, "_STEP", step):
-        results = [_result(mb.oracle_share, sample, p) for p in (1.0, 0.5, 0.25, 0.1)]
-        for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
-            ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
-            results += [_result(mb.quantile_thresholds, sample, k, 0.05, scheme),
-                        _result(mb.tabulate, sample, ladder),
-                        _result(mb.tabulate, sample, ladder * 0.999 + 1e-9)]
-        results.append(_result(mb.evaluate_sample, sample, (3, 6), (0.5, 0.1),
-                               top_fraction=0.05))
+def _ranked_queries(sample):
+    """Every query that reads the ranking, as exact text."""
+    results = [_result(mb.oracle_share, sample, p) for p in (1.0, 0.5, 0.25, 0.1)]
+    for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
+        ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
+        results += [_result(mb.quantile_thresholds, sample, k, 0.05, scheme),
+                    _result(mb.tabulate, sample, ladder),
+                    _result(mb.tabulate, sample, ladder * 0.999 + 1e-9)]
+    results.append(_result(mb.evaluate_sample, sample, (3, 6), (0.5, 0.1),
+                           top_fraction=0.05))
     return results
 
 
@@ -689,7 +695,7 @@ def weighted_samples(draw):
 def _unique_ladder(sample, classes, scheme, top_fraction=1e-3):
     """``quantile_thresholds`` as ``np.unique`` dedupes it, on the argsort
     ranking: the same ranks, the incomes there sorted and made unique."""
-    incomes, _, above, _ = _argsort_ranking(sample)
+    incomes, _, above = _argsort_ranking(sample)
     fractions = (top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
                  if scheme == "geometric" else np.arange(1, classes + 1) / classes)
     totals = np.minimum(np.maximum(np.round(fractions * sample.population), 2),
@@ -727,21 +733,13 @@ def test_ladder_dedupes_as_np_unique(name, classes, scheme):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(unit_weight_samples())
 def test_unit_weight_ranking_matches_argsort_reference(sample):
-    incomes, weights, above, marks = sample._ranked
+    incomes, weights, above = sample._ranked
     assert weights is sample.weights  # ranked by the values alone
     assert above is None  # the weight totals are the ranks, not stored
     reference = _reference(sample)
-    want_incomes, _, _, prefix = reference._ranked
-    assert incomes.flags.c_contiguous
+    want_incomes = reference._ranked[0]
     assert incomes.dtype == want_incomes.dtype
-    assert np.array_equal(incomes, want_incomes)
-    # the marks, and the running sums at the ladders' cut ranks, are the
-    # reference's whole-sample prefix sum there
-    assert marks.tobytes() == prefix[::mb._STEP].tobytes()
-    for k, scheme in ((2, "geometric"), (4, "equal_mass"), (7, "geometric")):
-        ladder = mb.quantile_thresholds(sample, k, 0.05, scheme)
-        below = np.searchsorted(incomes[::-1], ladder)  # rows below each cut
-        assert mb._sums_below(sample, below).tobytes() == prefix[below].tobytes()
+    assert incomes.tobytes() == want_incomes.tobytes()
     # the rank-to-total lookups answer as the reference's stored totals do
     n = len(sample.incomes)
     ranks = np.arange(n + 1)
@@ -750,52 +748,79 @@ def test_unit_weight_ranking_matches_argsort_reference(sample):
     totals = list(range(n + 3))
     assert np.array_equal(mb._rank_reaching(sample, totals),
                           mb._rank_reaching(reference, totals))
-    assert _ranked_queries(sample, mb._STEP) == _ranked_queries(reference, 1)
+    assert _ranked_queries(sample) == _ranked_queries(reference)
+
+
+def _fsum(incomes, weights) -> float:
+    """The rows' weighted income, exactly rounded."""
+    return math.fsum((incomes * weights).tolist())
+
+
+def _assert_sums_match_fsum(sample, top_fraction=1e-3):
+    """Every bracket income of ``tabulate`` and the top sum behind each
+    ``oracle_share`` lie within 1e-14 of ``math.fsum`` of their rows."""
+    x, w = sample.incomes, sample.weights
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+    for k, scheme in ((8, "geometric"), (30, "geometric"), (8, "equal_mass")):
+        ladder = mb.quantile_thresholds(sample, k, top_fraction, scheme)
+        for thresholds in (ladder, ladder * 0.999 + 1e-9):
+            brackets = mb.tabulate(sample, thresholds).brackets
+            upper = np.concatenate(([np.inf], thresholds[:-1]))
+            for bracket, lo, hi in zip(brackets, thresholds, upper):
+                rows = (x >= lo) & (x < hi)
+                close(bracket.income_sum, _fsum(x[rows], w[rows]))
+    incomes, weights, above = _argsort_ranking(sample)
+    for p in (1.0, 0.5, 0.1, 0.01, 0.001):
+        target = p * sample.population
+        if target < 1.0:
+            continue
+        boundary = int(np.searchsorted(above, math.ceil(target))) - 1
+        want = _fsum(incomes[:boundary], weights[:boundary])
+        if boundary < len(incomes):
+            want += (target - float(above[boundary])) * float(incomes[boundary])
+        close(mb.oracle_share(sample, p) * sample.total_income, want)
+
+
+def _lognormal_weighted(n):
+    """n lognormal incomes with weights 1 to 39."""
+    rng = np.random.default_rng(23)
+    return mb.MicroSample(rng.lognormal(10.2, 1.2, n), rng.integers(1, 40, n))
+
+
+@pytest.mark.parametrize("sample", [
+    mb.generate(mb.dist_from_dict(PINNED_SPEC["distribution"]), 2**16, seed=31),
+    _lognormal_weighted(2**16),
+], ids=["unit_mixture", "weighted_lognormal"])
+def test_income_sums_match_fsum(sample):
+    # a difference of two running sums over the ranking is up to 1.2e-13
+    # off here; a sum over the bracket's own rows is within 1e-14
+    _assert_sums_match_fsum(sample)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 12293])
+def test_income_sums_match_fsum_at_any_size(n):
+    incomes = np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997) * 0.37
+    for sample in (mb.MicroSample.from_incomes(incomes),
+                   mb.MicroSample(incomes, np.arange(n) % 9 + 1, nonfiler_count=5)):
+        _assert_sums_match_fsum(sample)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(unit_weight_samples() | weighted_samples())
-def test_ranked_queries_match_the_reference_at_any_step(sample):
-    # with a mark every 1, 2, 3 or 7 rows, 20 to 120 rows cross many marks
-    # and the partial chunks of every length
-    want = _ranked_queries(_reference(sample), 1)
-    prefix = _reference(sample)._ranked[3]
-    counts = np.arange(len(sample.incomes) + 1)
-    for step in (1, 2, 3, 7):
-        fresh = _copy(sample)
-        assert _ranked_queries(fresh, step) == want, step
-        with mock.patch.object(mb, "_STEP", step):
-            assert fresh._ranked[3].tobytes() == prefix[::step].tobytes()
-            assert mb._sums_below(fresh, counts).tobytes() == prefix.tobytes()
+def test_tied_income_sums_match_fsum(sample):
+    _assert_sums_match_fsum(sample, top_fraction=0.05)
 
 
-@pytest.mark.parametrize("n", [1, mb._STEP - 1, mb._STEP, mb._STEP + 1,
-                               3 * mb._STEP + 5])
-def test_ranked_queries_match_the_reference_around_marks(n):
-    incomes = np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997) * 0.37
-    for sample in (mb.MicroSample.from_incomes(incomes),
-                   mb.MicroSample(incomes, np.arange(n) % 9 + 1, nonfiler_count=5)):
-        assert _ranked_queries(sample, mb._STEP) == \
-            _ranked_queries(_reference(sample), 1)
-        below = np.arange(n + 1)
-        assert mb._sums_below(sample, below).tobytes() == \
-            _reference(sample)._ranked[3].tobytes()
-
-
-def test_running_sums_keep_the_sign_of_zero():
-    # np.cumsum starts from its first term, so the sums over the lowest rows
-    # of -0.0 are -0.0; adding a carry of 0.0 there would make them 0.0 and
-    # flip the sign of a bracket of zeros
-    incomes = np.array([-0.0] * 9 + [1.0, 2.5, 4.0])
-    for step in (1, 2, 3, 7, mb._STEP):
-        with mock.patch.object(mb, "_STEP", step):
-            sample = mb.MicroSample.from_incomes(incomes)
-            ranked = sample._ranked[0]
-            below = mb._sums_below(sample, np.arange(len(incomes) + 1))
-            bins = mb.tabulate(sample, [1.0, 0.0]).brackets
-        want = np.concatenate(([0.0], np.cumsum(ranked[::-1])))
-        assert below.tobytes() == want.tobytes(), step
-        assert np.signbit(bins[1].income_sum), step
+@pytest.mark.parametrize("n", [1, 4097, 2**16])
+def test_explicit_unit_weights_match_from_incomes(n):
+    # np.ones weights take the same unit path as the stride-0 view: the
+    # incomes summed alone, bit for bit
+    incomes = mb.generate(mb.LognormalDist(10.2, 0.75), n, seed=5).incomes
+    ones = mb.MicroSample(incomes, np.ones(n, dtype=np.int64))
+    assert _ranked_queries(ones) == _ranked_queries(
+        mb.MicroSample.from_incomes(incomes))
 
 
 class TestMicroCSV:
