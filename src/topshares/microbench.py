@@ -59,19 +59,16 @@ def _frozen(array: np.ndarray, source) -> np.ndarray:
 class MicroSample:
     """Individual incomes with integer replication weights.
 
-    ``population`` counts every tax unit including non-filers; non-filers
-    carry zero income and rank below every filer. ``total_income`` defaults
-    to the weighted sum of incomes but can be overridden with an external
-    denominator. Both arrays are held read-only; a writeable array passed in
-    is copied, so the caller's stays writeable. The unit weights of
+    A sample is its whole population: every unit is a filer, counted by
+    ``filer_count``, and ``total_income`` is the weighted sum of its incomes.
+    Both arrays are held read-only; a writeable array passed in is copied,
+    so the caller's stays writeable. The unit weights of
     ``from_incomes`` are a read-only view of one 1 with stride 0, which
     holds no memory.
     """
 
     incomes: np.ndarray
     weights: np.ndarray
-    nonfiler_count: int = 0
-    total_income_override: float | None = None
 
     def __post_init__(self):
         incomes = _frozen(np.asarray(self.incomes, dtype=float), self.incomes)
@@ -98,31 +95,22 @@ class MicroSample:
             total = sum(weights.tolist())
             if total > 2**63 - 1:
                 raise ValueError(f"weights sum to {total}, more than 2**63 - 1")
-        if self.nonfiler_count < 0:
-            raise ValueError("nonfiler_count must be nonnegative")
 
     @classmethod
-    def from_incomes(cls, incomes, nonfiler_count: int = 0,
-                     total_income: float | None = None) -> "MicroSample":
+    def from_incomes(cls, incomes) -> "MicroSample":
         """A sample of unit weights: a read-only view of one int64 1 with
         stride 0, so the weights take no memory but read as n ones."""
         incomes = _frozen(np.asarray(incomes, dtype=float), incomes)
         ones = np.broadcast_to(np.int64(1), len(incomes))
-        return cls(incomes, ones, nonfiler_count, total_income)
+        return cls(incomes, ones)
 
     # the arrays are read-only, so each total is computed once
     @cached_property
     def filer_count(self) -> int:
         return int(self.weights.sum())
 
-    @property
-    def population(self) -> int:
-        return self.filer_count + self.nonfiler_count
-
     @cached_property
     def total_income(self) -> float:
-        if self.total_income_override is not None:
-            return float(self.total_income_override)
         with np.errstate(over="ignore"):  # oracle_share reports an inf total
             return _income(self, self.incomes, self.weights)
 
@@ -160,12 +148,11 @@ def _income(sample: MicroSample, incomes, weights) -> float:
 
 def _rank_reaching(sample: MicroSample, totals):
     """The first rank of the sample whose weight total reaches each of the
-    integer ``totals``, searched exactly (uncast); one past the last rank
-    where a total exceeds the filer count. A unit sample stores no totals:
-    each is its rank."""
+    integer ``totals``, none above the filer count, searched exactly
+    (uncast). A unit sample stores no totals: each is its rank."""
     above = sample._ranked[2]
     if above is None:
-        return np.minimum(totals, len(sample.incomes) + 1)
+        return np.asarray(totals)
     return np.searchsorted(above, totals, side="left")
 
 
@@ -179,28 +166,26 @@ def _total_above(sample: MicroSample, ranks):
 def oracle_share(sample: MicroSample, p: float) -> float:
     """Top-p income share computed directly from the sample.
 
-    Units are ranked by income, non-filers last with zero income. The top
-    p * population units' income is summed; the unit straddling the cut
-    contributes pro-rata, which makes the share continuous in p and
-    independent of tie order at the cut.
+    Units are ranked by income. The top p * filer_count units' income is
+    summed; the unit straddling the cut contributes pro-rata, which makes
+    the share continuous in p and independent of tie order at the cut.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"fractile must be in (0, 1], got {p}")
-    target = p * sample.population
+    target = p * sample.filer_count
     if target < 1.0:
         raise ValueError(
-            f"top fractile {p} covers fewer than one of {sample.population} units")
+            f"top fractile {p} covers fewer than one of {sample.filer_count} units")
     if not 0.0 < sample.total_income < math.inf:
         raise ValueError(f"total income {sample.total_income} must be positive and finite")
 
     incomes, weights, _ = sample._ranked
     # the row straddling the cut, the first whose running total reaches it,
-    # i.e. ceil(target)
-    boundary = int(_rank_reaching(sample, math.ceil(target))) - 1
+    # i.e. ceil(target); past 2**53 a float target can round above the count
+    boundary = int(_rank_reaching(sample, min(math.ceil(target), sample.filer_count))) - 1
     top_sum = _income(sample, incomes[:boundary], weights[:boundary])
-    if boundary < len(incomes):  # else the cut falls among non-filers
-        top_sum += ((target - float(_total_above(sample, boundary)))
-                    * float(incomes[boundary]))
+    top_sum += ((target - float(_total_above(sample, boundary)))
+                * float(incomes[boundary]))
     return top_sum / sample.total_income
 
 
@@ -209,9 +194,9 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     thresholds.
 
     Incomes below the lowest threshold stay out of the brackets but remain
-    in the population and income denominators, like non-filers. Empty
-    brackets are retained. Each bracket's income is summed over its own
-    ranked rows, so a tabulation reads each row at most once.
+    in the population and income denominators. Empty brackets are retained.
+    Each bracket's income is summed over its own ranked rows, so a
+    tabulation reads each row at most once.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all(np.isfinite(thresholds)):
@@ -232,7 +217,7 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
         brackets=tuple(IncomeBracket(float(t), int(c), s) for t, c, s
                        in zip(thresholds, np.diff(_total_above(sample, ranks)),
                               sums)),
-        population=sample.population,
+        population=sample.filer_count,
         total_income=sample.total_income,
         income_unit=1.0,
     )
@@ -268,7 +253,7 @@ def quantile_thresholds(sample: MicroSample, classes: int,
 
     # integer totals, clipped exactly, for the exact search oracle_share makes
     totals = [min(max(int(r), 2), sample.filer_count)
-              for r in np.round(fractions * sample.population)]
+              for r in np.round(fractions * sample.filer_count)]
     # the rows do not decrease, so their incomes are descending: a value is
     # kept where it differs from its left neighbour (0.0 == -0.0), with no
     # np.unique, whose first call imports numpy.ma

@@ -417,6 +417,45 @@ def test_criterion_me_more_accurate_than_pi():
           f"{'; '.join(exceptions) or 'none'}; {t.elapsed:.2f}s)")
 
 
+def test_criterion_me_low_beyond_top_bracket():
+    """Where ME's accuracy stops: beyond the top bracket. Above the top
+    threshold ME's piece is the maximum-entropy law with the bracket's mean,
+    an exponential. On an exact Pareto(a) table (N = 10^12, top fraction
+    p0 = 1e-3) at p = p0/r, ME's share over the true share p^((a-1)/a) is
+    (a + ln r)/(a r^(1/a)), below 1 for every r > 1: within 1e-12 relative
+    at a in {1.5, 2, 3}, K in {8, 20} and r in {2, 4, 10}, each cell flagged
+    extrapolated. PI, whose premise is a Pareto tail, is exact to 1e-12."""
+    ratios = (2, 4, 10)
+    worst_me = worst_pi = 0.0
+    factors = {}
+    with timed(10.0) as t:
+        for a in (1.5, 2.0, 3.0):
+            for classes in (8, 20):
+                stats = ts.cumulate(pareto_population_tabulation(
+                    a, 1.0, 10**12, classes, top_fraction=1e-3))
+                p0 = float(stats.top_fraction[0])
+                fractiles = [p0 / r for r in ratios]
+                [row] = ts.estimate_shares([stats], fractiles, ("ME", "PI"))
+                for p, method, est in row:
+                    r = p0 / p
+                    truth = p ** ((a - 1.0) / a)
+                    assert est.extrapolated, (a, classes, r, method)
+                    if method == "PI":
+                        worst_pi = max(worst_pi, abs(est.share / truth - 1.0))
+                        continue
+                    factor = (a + math.log(r)) / (a * r ** (1.0 / a))
+                    ratio = est.share / truth
+                    assert ratio < 1.0, (a, classes, r, ratio)
+                    worst_me = max(worst_me, abs(ratio / factor - 1.0))
+                    factors[a, round(r)] = ratio
+        assert worst_me <= 1e-12, worst_me
+        assert worst_pi <= 1e-12, worst_pi
+    print(f"PASS: ME low beyond the top bracket (share/truth at a=2: "
+          f"{factors[2.0, 4]:.4f} at r=4, {factors[2.0, 10]:.4f} at r=10; "
+          f"closed form worst {worst_me:.1e}, PI worst {worst_pi:.1e}; "
+          f"{t.elapsed:.2f}s)")
+
+
 def test_criterion_published_series_not_reproducible_statement(tmp_path):
     """The published 1966-1995 micro-file MSE pair and the 1917-1965 share
     tables require IRS micro-files and digitized SOI tabulations that are

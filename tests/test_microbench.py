@@ -1,5 +1,6 @@
 """Micro-sample oracle, tabulation of samples, generation, and the protocol."""
 
+import dataclasses
 import io
 import itertools
 import json
@@ -36,14 +37,6 @@ class TestOracleShare:
         sample = mb.MicroSample.from_incomes([4.0, 3.0, 2.0, 1.0])
         assert mb.oracle_share(sample, 0.375) == pytest.approx(0.55)
 
-    def test_nonfilers_rank_last_with_zero_income(self):
-        sample = mb.MicroSample.from_incomes([4.0, 3.0, 2.0, 1.0],
-                                             nonfiler_count=4)
-        # top half of 8 units = all four filers
-        assert mb.oracle_share(sample, 0.5) == pytest.approx(1.0)
-        # cut inside the non-filer block adds nothing
-        assert mb.oracle_share(sample, 0.75) == pytest.approx(1.0)
-
     def test_weights_replicate_units(self):
         weighted = mb.MicroSample(np.array([4.0, 1.0]),
                                   np.array([2, 6], dtype=np.int64))
@@ -51,11 +44,6 @@ class TestOracleShare:
         for p in (0.125, 0.25, 0.4, 0.9):
             assert mb.oracle_share(weighted, p) == pytest.approx(
                 mb.oracle_share(expanded, p))
-
-    def test_denominator_override(self):
-        sample = mb.MicroSample.from_incomes([4.0, 3.0, 2.0, 1.0],
-                                             total_income=20.0)
-        assert mb.oracle_share(sample, 0.25) == pytest.approx(0.20)
 
     def test_preconditions(self):
         sample = mb.MicroSample.from_incomes([4.0, 3.0, 2.0, 1.0])
@@ -86,24 +74,45 @@ class TestOracleShare:
         # the running totals 1 + (2**53 + 2) and 2**53 + 5 both read
         # 2**53 + 4 as floats, so a float search for a cut at 2**53 + 4 stops
         # a row early; the rows found must be those of Python-int totals
-        incomes, weights = [2.0, 1.0, 0.5], [1, 2**53 + 2, 2]
-        sample = mb.MicroSample(np.array(incomes), np.array(weights),
-                                nonfiler_count=2**53 + 3,
-                                total_income_override=2.0**60)
+        incomes, weights = [2.0, 1.0, 0.5, 0.25], [1, 2**53 + 2, 2, 2**53 + 3]
+        sample = mb.MicroSample(np.array(incomes), np.array(weights))
         totals = list(itertools.accumulate(weights))
 
         def row_reaching(rank):
             return next(i for i, total in enumerate(totals) if total >= rank)
 
-        target = 0.5 * sample.population  # 2**53 + 4, exactly
+        target = 0.5 * sample.filer_count
+        assert target == 2**53 + 4
         row = row_reaching(math.ceil(target))
         exact = (sum(Fraction(x) * w for x, w in zip(incomes[:row], weights[:row]))
                  + (Fraction(target) - sum(weights[:row])) * Fraction(incomes[row]))
-        assert mb.oracle_share(sample, 0.5) == float(exact) / 2.0**60
-        # geometric K = 2 ranks: 0.001 of the population, then every filer
-        ranks = [round(1e-3 * sample.population), totals[-1]]
+        assert mb._rank_reaching(sample, math.ceil(target)) == row + 1
+        assert mb.oracle_share(sample, 0.5) == float(exact) / sample.total_income
+        # geometric K = 2 ranks: 0.001 of the units, then every unit
+        ranks = [round(1e-3 * sample.filer_count), totals[-1]]
         assert mb.quantile_thresholds(sample, 2).tolist() == sorted(
             {incomes[row_reaching(rank)] for rank in ranks}, reverse=True)
+
+    def test_cut_at_every_unit_stays_on_last_row_past_2_53(self):
+        # 2**53 + 3 units read 2**53 + 4 as a float, one past the last rank:
+        # the cut at p = 1 must still fall on the last row
+        odd = mb.MicroSample(np.array([2.0, 1.0]), np.array([2**53 + 1, 2]))
+        assert float(2**53 + 3) > odd.filer_count
+        assert mb.oracle_share(odd, 1.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_sample_is_its_rows(self):
+        # no units beyond the rows and no income total but theirs
+        assert [f.name for f in dataclasses.fields(mb.MicroSample)] == [
+            "incomes", "weights"]
+        with pytest.raises(TypeError):
+            mb.MicroSample.from_incomes([4.0, 3.0], 2)
+        sample = mb.MicroSample(np.array([4.0, 3.0, 1.0]), np.array([1, 2, 5]))
+        assert sample.filer_count == 8 and sample.total_income == 15.0
+        assert mb.oracle_share(sample, 1.0) == 1.0
+        assert mb.oracle_share(sample, 0.375) == pytest.approx(10.0 / 15.0)
+        tab = mb.tabulate(sample, [3.0, 0.0])
+        assert (tab.population, tab.total_income) == (8, 15.0)
+        assert [b.count for b in tab.brackets] == [3, 5]
 
     def test_caller_arrays_stay_writeable(self):
         incomes = np.array([3.0, 1.0, 2.0])
@@ -401,9 +410,9 @@ def test_sample_memory_per_draw():
 
 
 def _tied_weighted(n):
-    """n rows of tied whole incomes with weights 1 to 9, plus non-filers."""
+    """n rows of tied whole incomes with weights 1 to 9."""
     return mb.MicroSample(np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997),
-                          np.arange(n) % 9 + 1, nonfiler_count=500)
+                          np.arange(n) % 9 + 1)
 
 
 class TestProtocol:
@@ -620,8 +629,7 @@ def _argsort_ranking(sample):
 
 def _copy(sample):
     """The sample again, not yet ranked."""
-    return mb.MicroSample(sample.incomes, sample.weights, sample.nonfiler_count,
-                          sample.total_income_override)
+    return mb.MicroSample(sample.incomes, sample.weights)
 
 
 def _reference(sample):
@@ -670,26 +678,22 @@ def _micro_csv(incomes, weights):
 
 @st.composite
 def unit_weight_samples(draw):
-    """Tied incomes as a MicroSample with unit weights (with non-filers and an
-    income total override) or as a loaded CSV."""
+    """Tied incomes as a MicroSample with unit weights or as a loaded CSV."""
     x = _tied_incomes(draw)
     if draw(st.booleans()):
         return mb.load_micro_csv(_micro_csv(x.tolist(), [1] * len(x)))
-    override = draw(st.none() | st.floats(1.0, 3.0).map(lambda f: f * x.sum()))
-    return mb.MicroSample(x, np.ones(len(x), dtype=np.int64),
-                          nonfiler_count=draw(st.integers(0, 40)),
-                          total_income_override=override)
+    return mb.MicroSample(x, np.ones(len(x), dtype=np.int64))
 
 
 @st.composite
 def weighted_samples(draw):
-    """Tied incomes with weights 1 to 9, as a MicroSample with non-filers or
-    as a loaded CSV."""
+    """Tied incomes with weights 1 to 9, as a MicroSample or as a loaded
+    CSV."""
     x = _tied_incomes(draw)
     weights = draw(st.lists(st.integers(1, 9), min_size=len(x), max_size=len(x)))
     if draw(st.booleans()):
         return mb.load_micro_csv(_micro_csv(x.tolist(), weights))
-    return mb.MicroSample(x, weights, nonfiler_count=draw(st.integers(0, 40)))
+    return mb.MicroSample(x, weights)
 
 
 def _unique_ladder(sample, classes, scheme, top_fraction=1e-3):
@@ -698,7 +702,7 @@ def _unique_ladder(sample, classes, scheme, top_fraction=1e-3):
     incomes, _, above = _argsort_ranking(sample)
     fractions = (top_fraction ** (np.arange(classes - 1, -1, -1) / (classes - 1))
                  if scheme == "geometric" else np.arange(1, classes + 1) / classes)
-    totals = np.minimum(np.maximum(np.round(fractions * sample.population), 2),
+    totals = np.minimum(np.maximum(np.round(fractions * sample.filer_count), 2),
                         sample.filer_count).astype(np.int64)
     rows = np.searchsorted(above, totals, side="left") - 1
     return np.unique(incomes[rows])[::-1] + 0.0
@@ -707,8 +711,7 @@ def _unique_ladder(sample, classes, scheme, top_fraction=1e-3):
 _SIGNED_ZEROS = np.array([0.0, -0.0, -0.0, 0.0] * 40 + [1.0, 2.0, 2.0, 3.0] * 5)
 _LADDER_SAMPLES = {
     "tied_weighted": _tied_weighted(3000),
-    "tied_unit": mb.MicroSample.from_incomes(_tied_weighted(3000).incomes,
-                                             nonfiler_count=500),
+    "tied_unit": mb.MicroSample.from_incomes(_tied_weighted(3000).incomes),
     "signed_zeros_unit": mb.MicroSample.from_incomes(_SIGNED_ZEROS),
     "signed_zeros_weighted": mb.MicroSample(_SIGNED_ZEROS,
                                             np.arange(len(_SIGNED_ZEROS)) % 4 + 1),
@@ -745,7 +748,7 @@ def test_unit_weight_ranking_matches_argsort_reference(sample):
     ranks = np.arange(n + 1)
     assert np.array_equal(mb._total_above(sample, ranks),
                           mb._total_above(reference, ranks))
-    totals = list(range(n + 3))
+    totals = list(range(n + 1))
     assert np.array_equal(mb._rank_reaching(sample, totals),
                           mb._rank_reaching(reference, totals))
     assert _ranked_queries(sample) == _ranked_queries(reference)
@@ -773,13 +776,12 @@ def _assert_sums_match_fsum(sample, top_fraction=1e-3):
                 close(bracket.income_sum, _fsum(x[rows], w[rows]))
     incomes, weights, above = _argsort_ranking(sample)
     for p in (1.0, 0.5, 0.1, 0.01, 0.001):
-        target = p * sample.population
+        target = p * sample.filer_count
         if target < 1.0:
             continue
         boundary = int(np.searchsorted(above, math.ceil(target))) - 1
         want = _fsum(incomes[:boundary], weights[:boundary])
-        if boundary < len(incomes):
-            want += (target - float(above[boundary])) * float(incomes[boundary])
+        want += (target - float(above[boundary])) * float(incomes[boundary])
         close(mb.oracle_share(sample, p) * sample.total_income, want)
 
 
@@ -803,7 +805,7 @@ def test_income_sums_match_fsum(sample):
 def test_income_sums_match_fsum_at_any_size(n):
     incomes = np.floor(np.arange(1.0, n + 1.0) ** 1.3 % 997) * 0.37
     for sample in (mb.MicroSample.from_incomes(incomes),
-                   mb.MicroSample(incomes, np.arange(n) % 9 + 1, nonfiler_count=5)):
+                   mb.MicroSample(incomes, np.arange(n) % 9 + 1)):
         _assert_sums_match_fsum(sample)
 
 
