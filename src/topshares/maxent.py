@@ -13,8 +13,9 @@ divergence down over ordered candidate thresholds; at the optimum adjacent
 pieces meet continuously, which is exactly the first-order condition.
 
 Numerical policy: each closed form has one implementation, a numpy kernel
-over floats or arrays of piece columns that evaluates each branch on every
-element and selects, with floating-point warnings suppressed, since a branch
+over floats or arrays of piece columns that evaluates its common branch on
+every element and a rarer branch on every element only when some element
+takes it, with floating-point warnings suppressed, since an element's branch
 not taken may overflow or divide by zero. Where a direct form loses digits
 to cancellation as u = rate*width nears 0, its kernel switches to a truncated
 series: (e^u - 1)/u below |u| = 1e-6, the conditional mean position and its
@@ -60,8 +61,18 @@ GRAD_TOL = 1e-10  # recovery's stop on the gradient, relative to 1 + |objective|
 # The _direct and _series helpers are branches of the kernel they name. The
 # piece kernels describe the piece [lower, upper) whose density is
 # proportional to exp(rate * y), unbounded when upper = inf; a y they take
-# lies inside the piece unless said otherwise.
+# lies inside the piece unless said otherwise. A kernel computes its common
+# branch on every element and splices each rarer one in with _splice, from
+# the lowest precedence to the highest. A mask needs .any() for Python-float
+# arguments too, so it comes from np.greater, not >, where u may be a float.
 _quiet = np.errstate(all="ignore")
+
+
+def _splice(out, mask, branch, *args):
+    """``out`` with ``branch(*args)`` where ``mask`` holds. The branch runs,
+    on every element, only if some element takes it, so each element gets
+    the bits of an np.where over every branch without paying for the rest."""
+    return np.where(mask, branch(*args), out) if mask.any() else out
 
 
 def _iexp_direct(u):
@@ -75,16 +86,17 @@ def _iexp_series(u):
 @_quiet
 def _iexp(u):
     """(e^u - 1)/u, the mass integral of a unit tilt; 1 at u = 0."""
-    return np.where(np.abs(u) < SERIES_SWITCH, _iexp_series(u), _iexp_direct(u))
+    return _splice(_iexp_direct(u), np.abs(u) < SERIES_SWITCH, _iexp_series, u)
 
 
 @_quiet
 def _log_iexp(u):
     """log((e^u - 1)/u), overflow-safe for large |u|."""
+    out = _splice(np.log(_iexp(u)), np.less(u, -35.0),
+                  lambda: np.log(-np.expm1(u)) - np.log(-u))
     # e^u dominates: log((e^u-1)/u) = u + log1p(-e^-u) - log u
-    high = u + np.log1p(-np.exp(-u)) - np.log(u)
-    low = np.log(-np.expm1(u)) - np.log(-u)
-    return np.where(u > 35.0, high, np.where(u < -35.0, low, np.log(_iexp(u))))
+    return _splice(out, np.greater(u, 35.0),
+                   lambda: u + np.log1p(-np.exp(-u)) - np.log(u))
 
 
 def _mean_frac_direct(u):
@@ -107,8 +119,8 @@ def _mean_frac(u):
     """
     w = np.abs(u)
     direct = _mean_frac_direct(w)
-    return np.where(w < 1e-2, _mean_frac_series(u),
-                    np.where(u > 0.0, direct, 1.0 - direct))
+    return _splice(np.where(u > 0.0, direct, 1.0 - direct), w < 1e-2,
+                   _mean_frac_series, u)
 
 
 @_quiet
@@ -116,9 +128,9 @@ def _mean_frac_deriv(u):
     """Derivative of _mean_frac; even in u, equals 1/12 at 0."""
     w = np.abs(u)
     e = -np.expm1(-w)
-    u2 = u * u
-    return np.where(w < 1e-2, 1.0 / 12.0 - u2 / 240.0 + u2 * u2 / 6048.0,
-                    1.0 / u2 - np.exp(-w) / (e * e))
+    u2 = np.square(u)  # a numpy float even for a float u, so 1/0 is quiet
+    return _splice(1.0 / u2 - np.exp(-w) / (e * e), w < 1e-2,
+                   lambda: 1.0 / 12.0 - u2 / 240.0 + u2 * u2 / 6048.0)
 
 
 @_quiet
@@ -126,10 +138,10 @@ def _density_at(lower, upper, mass, rate, y):
     """Density at y of the piece carrying ``mass``."""
     z, width = y - lower, upper - lower
     u = rate * width
-    unbounded = mass * (-rate) * np.exp(rate * z)
-    steep = mass * rate * np.exp(rate * (z - width)) / (-np.expm1(-u))
-    tilted = (mass / width) * np.exp(rate * z) / _iexp(u)
-    return np.where(np.isinf(upper), unbounded, np.where(u > 50.0, steep, tilted))
+    tilt = np.exp(rate * z)
+    steep = _splice((mass / width) * tilt / _iexp(u), np.greater(u, 50.0),
+                    lambda: mass * rate * np.exp(rate * (z - width)) / (-np.expm1(-u)))
+    return _splice(steep, np.isinf(upper), lambda: mass * (-rate) * tilt)
 
 
 @_quiet
@@ -137,10 +149,10 @@ def _cdf_frac(lower, upper, rate, y):
     """Fraction of the piece's mass at or below y."""
     z, width = y - lower, upper - lower
     u = rate * width
-    steep = np.exp(rate * (z - width)) * np.expm1(-rate * z) / np.expm1(-u)
-    tilted = (z / width) * _iexp(rate * z) / _iexp(u)
-    return np.where(np.isinf(upper), -np.expm1(rate * z),
-                    np.where(u > 50.0, steep, tilted))
+    steep = _splice(
+        (z / width) * _iexp(rate * z) / _iexp(u), np.greater(u, 50.0),
+        lambda: np.exp(rate * (z - width)) * np.expm1(-rate * z) / np.expm1(-u))
+    return _splice(steep, np.isinf(upper), lambda: -np.expm1(rate * z))
 
 
 @_quiet
@@ -150,10 +162,10 @@ def _tail_frac(lower, upper, rate, y):
     z, width = y - lower, upper - lower
     u = rate * width
     w = width - z
-    steep = np.expm1(-rate * w) / np.expm1(-u)
-    tilted = np.exp(rate * z) * (w / width) * _iexp(rate * w) / _iexp(u)
-    return np.where(np.isinf(upper), np.exp(rate * z),
-                    np.where(u > 50.0, steep, tilted))
+    tilt = np.exp(rate * z)
+    steep = _splice(tilt * (w / width) * _iexp(rate * w) / _iexp(u),
+                    np.greater(u, 50.0), lambda: np.expm1(-rate * w) / np.expm1(-u))
+    return _splice(steep, np.isinf(upper), lambda: tilt)
 
 
 @_quiet
@@ -162,11 +174,12 @@ def _quantile_upper(lower, upper, rate, frac):
     rate = np.asarray(rate, dtype=float)  # so that u = 0 divides quietly
     width = upper - lower
     u = -rate * width  # mirror: the upper tail at rate is the lower tail at -rate
+    scale = width / u
     # shifted form: e^(rate*z) = frac*e^u + (1-frac) without overflow
-    shifted = width + np.log(frac + (1.0 - frac) * np.exp(-u)) * (width / u)
-    direct = np.log1p(frac * u * _iexp(u)) * (width / u)
-    below = np.where(u == 0.0, frac * width, np.where(u > 50.0, shifted, direct))
-    return np.where(np.isinf(upper), lower + np.log(frac) / rate, upper - below)
+    below = _splice(np.log1p(frac * u * _iexp(u)) * scale, u > 50.0,
+                    lambda: width + np.log(frac + (1.0 - frac) * np.exp(-u)) * scale)
+    below = _splice(below, u == 0.0, lambda: frac * width)
+    return _splice(upper - below, np.isinf(upper), lambda: lower + np.log(frac) / rate)
 
 
 @_quiet
@@ -176,10 +189,11 @@ def _partial_expectation(lower, upper, mass, rate, mean, y):
     rate = np.asarray(rate, dtype=float)  # so that rate = 0 divides quietly
     tail, w = mass * _tail_frac(lower, upper, rate, y), upper - y
     # memoryless top piece: its conditional mean above y is y - 1/rate
-    above = tail * np.where(np.isinf(upper), y - 1.0 / rate,
-                            y + w * _mean_frac(rate * w))
-    whole = np.where(mass > 0.0, mass * mean, 0.0)
-    return np.where(y <= lower, whole, np.where(y >= upper, 0.0, above))
+    above = tail * _splice(y + w * _mean_frac(rate * w), np.isinf(upper),
+                           lambda: y - 1.0 / rate)
+    above = _splice(above, np.greater_equal(y, upper), lambda: 0.0)
+    return _splice(above, np.less_equal(y, lower),
+                   lambda: np.where(mass > 0.0, mass * mean, 0.0))
 
 
 @_quiet
@@ -224,10 +238,12 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     unbounded = np.isinf(upper)
     width = upper - lower
     r = (mean - lower) / width
-    # strictly inside, and off the boundary at float resolution
+    # strictly inside, and off the boundary at float resolution. With width
+    # > 0, r > 0 implies lower < mean (fl(mean - lower) > 0 exactly when
+    # mean > lower), and r < 1 implies mean < upper (rounding is monotone,
+    # so mean >= upper would give fl(mean - lower) >= width and r >= 1).
     inside = np.where(unbounded, mean > lower,
-                      (width > 0.0) & (lower < mean) & (mean < upper)
-                      & (0.0 < r) & (r < 1.0) & ~np.isinf(1.0 / r))
+                      (width > 0.0) & (0.0 < r) & (r < 1.0) & ~np.isinf(1.0 / r))
     rate = np.where(unbounded, -1.0 / (mean - lower), 0.0)
     rate[~inside] = np.nan
 
@@ -600,7 +616,7 @@ def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
     boundary.
     """
     lower = np.asarray(thresholds, dtype=float)
-    upper = np.append(math.inf, lower[:-1])
+    upper = np.concatenate(([math.inf], lower[:-1]))
     mass, mean = stats.bracket_fraction, stats.bracket_mean
     rate, failed = _solve_rates(lower, upper, mean)
     if failed.any():
@@ -608,13 +624,15 @@ def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
         raise _boundary_error(lower[k], upper[k], mean[k], bracket=k)
     terms = mass * (_attained_objective(lower, upper, rate, mean) + np.log(mass))
     objective = float(np.cumsum(terms)[-1])  # top bracket first, in order
-    f_lo = _density_at(lower, upper, mass, rate, lower)
-    f_hi = _density_at(lower[1:], upper[1:], mass[1:], rate[1:], upper[1:])
+    # both edge densities from one call: f_lo of every piece, f_hi of the bounded
+    f = _density_at(*(np.concatenate((a, a[1:])) for a in (lower, upper, mass, rate)),
+                    np.concatenate((lower, upper[1:])))
+    f_lo, f_hi = f[:len(lower)], f[len(lower):]
     width = upper[1:] - lower[1:]
     u = rate[1:] * width
     m, m_prime = _mean_frac(u), _mean_frac_deriv(u)
     edge = (1.0 + m * (1.0 - m) / m_prime) / width
-    lo_lo = np.append(f_lo[0] ** 2 / mass[0], f_lo[1:] * edge)
+    lo_lo = np.concatenate(([f_lo[0] ** 2 / mass[0]], f_lo[1:] * edge))
     diag = lo_lo[:-1] + f_hi * edge  # d/dt_j of f_lo(j) - f_hi(j+1)
     # df_lo/dhi from the smaller edge density, to keep its relative precision
     far = np.maximum(m, 1.0 - m)
@@ -659,6 +677,9 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         raise InfeasibleOrderingError(
             f"fixed bottom threshold {t_bottom} must sit below the bottom "
             f"bracket mean {y[-1]}")
+    if not math.isfinite(t_bottom):
+        raise InfeasibleOrderingError(
+            f"fixed bottom threshold must be finite, got {t_bottom}")
 
     # Interior threshold k must lie strictly between the means it separates.
     box_lo = y[1:].astype(float)
@@ -668,7 +689,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         # |z| capped so the logistic never saturates to an exact box edge,
         # which would put a bracket mean on its boundary
         sig = 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
-        return np.append(box_lo + span * sig, t_bottom), sig
+        return np.concatenate((box_lo + span * sig, [t_bottom])), sig
 
     def eval_at(z):
         # t = box_lo + span * sig(z): dt/dz = s, d2t/dz2 = s (1 - 2 sig)
@@ -676,8 +697,11 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
         value, grad_t, (diag_t, off_t) = _divergence(stats, t)
         s = span * sig * (1.0 - sig)
         off = off_t * s[:-1] * s[1:]
-        hess = (np.diag(diag_t * s * s + grad_t * s * (1.0 - 2.0 * sig))
-                + np.diag(off, 1) + np.diag(off, -1))
+        n = len(s)
+        hess = np.zeros((n, n))
+        band = hess.reshape(-1)  # a view: diagonal, super- and subdiagonal
+        band[::n + 1] = diag_t * s * s + grad_t * s * (1.0 - 2.0 * sig)
+        band[1::n + 1], band[n::n + 1] = off, off
         return value, grad_t * s, hess
 
     z = np.zeros(k_total - 1)  # box midpoints

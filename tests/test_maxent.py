@@ -691,6 +691,15 @@ class TestRecoverThresholds:
         with pytest.raises(InfeasibleOrderingError):
             ts.recover_thresholds(stats2, 2.5)  # bottom above bottom mean
 
+    def test_non_finite_bottom_threshold_rejected(self):
+        # -inf sits below every mean, so only a finiteness check can name it
+        stats = stats_from_masses([0.5, 0.5], [3.0, 2.0], thresholds=[2.5, 1.0])
+        with pytest.raises(InfeasibleOrderingError, match="must be finite"):
+            ts.recover_thresholds(stats, -math.inf)
+        for t_bottom in (math.nan, math.inf):
+            with pytest.raises(InfeasibleOrderingError, match="must sit below"):
+                ts.recover_thresholds(stats, t_bottom)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(k=st.integers(2, 60), rate=st.floats(0.2, 2.0),
            span=st.floats(1.0, 12.0), data=st.data())
@@ -1321,3 +1330,185 @@ def test_steep_piece_kernels_against_mpmath(u):
         y_star = float(maxent._quantile_upper(lo, hi, rate, frac))
         assert lo <= y_star <= hi
         assert abs(float(mass_between(y_star, hi)) / frac - 1) <= 1e-9, (frac, y_star)
+
+
+# Each kernel as it was when it computed every branch on every element and
+# selected with np.where. The kernels now compute a rarer branch only when
+# some element takes it, and must still give every element these bits.
+
+def all_branch_iexp(u):
+    return np.where(np.abs(u) < maxent.SERIES_SWITCH,
+                    1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0)), np.expm1(u) / u)
+
+
+def all_branch_log_iexp(u):
+    high = u + np.log1p(-np.exp(-u)) - np.log(u)
+    low = np.log(-np.expm1(u)) - np.log(-u)
+    return np.where(u > 35.0, high, np.where(u < -35.0, low, np.log(all_branch_iexp(u))))
+
+
+def all_branch_mean_frac(u):
+    w = np.abs(u)
+    direct = 1.0 / (-np.expm1(-w)) - 1.0 / w
+    u3 = u * u * u
+    series = 0.5 + u / 12.0 - u3 / 720.0 + u3 * u * u / 30240.0
+    return np.where(w < 1e-2, series, np.where(u > 0.0, direct, 1.0 - direct))
+
+
+def all_branch_mean_frac_deriv(u):
+    w = np.abs(u)
+    e = -np.expm1(-w)
+    u2 = u * u
+    return np.where(w < 1e-2, 1.0 / 12.0 - u2 / 240.0 + u2 * u2 / 6048.0,
+                    1.0 / u2 - np.exp(-w) / (e * e))
+
+
+def all_branch_density_at(lower, upper, mass, rate, y):
+    z, width = y - lower, upper - lower
+    u = rate * width
+    unbounded = mass * (-rate) * np.exp(rate * z)
+    steep = mass * rate * np.exp(rate * (z - width)) / (-np.expm1(-u))
+    tilted = (mass / width) * np.exp(rate * z) / all_branch_iexp(u)
+    return np.where(np.isinf(upper), unbounded, np.where(u > 50.0, steep, tilted))
+
+
+def all_branch_cdf_frac(lower, upper, rate, y):
+    z, width = y - lower, upper - lower
+    u = rate * width
+    steep = np.exp(rate * (z - width)) * np.expm1(-rate * z) / np.expm1(-u)
+    tilted = (z / width) * all_branch_iexp(rate * z) / all_branch_iexp(u)
+    return np.where(np.isinf(upper), -np.expm1(rate * z),
+                    np.where(u > 50.0, steep, tilted))
+
+
+def all_branch_tail_frac(lower, upper, rate, y):
+    z, width = y - lower, upper - lower
+    u = rate * width
+    w = width - z
+    steep = np.expm1(-rate * w) / np.expm1(-u)
+    tilted = np.exp(rate * z) * (w / width) * all_branch_iexp(rate * w) / all_branch_iexp(u)
+    return np.where(np.isinf(upper), np.exp(rate * z),
+                    np.where(u > 50.0, steep, tilted))
+
+
+def all_branch_quantile_upper(lower, upper, rate, frac):
+    rate = np.asarray(rate, dtype=float)
+    width = upper - lower
+    u = -rate * width
+    shifted = width + np.log(frac + (1.0 - frac) * np.exp(-u)) * (width / u)
+    direct = np.log1p(frac * u * all_branch_iexp(u)) * (width / u)
+    below = np.where(u == 0.0, frac * width, np.where(u > 50.0, shifted, direct))
+    return np.where(np.isinf(upper), lower + np.log(frac) / rate, upper - below)
+
+
+def all_branch_partial_expectation(lower, upper, mass, rate, mean, y):
+    rate = np.asarray(rate, dtype=float)
+    tail, w = mass * all_branch_tail_frac(lower, upper, rate, y), upper - y
+    above = tail * np.where(np.isinf(upper), y - 1.0 / rate,
+                            y + w * all_branch_mean_frac(rate * w))
+    whole = np.where(mass > 0.0, mass * mean, 0.0)
+    return np.where(y <= lower, whole, np.where(y >= upper, 0.0, above))
+
+
+ALL_BRANCH = {  # kernel: (all-branch form, its argument columns)
+    "_iexp": (all_branch_iexp, "u"),
+    "_log_iexp": (all_branch_log_iexp, "u"),
+    "_mean_frac": (all_branch_mean_frac, "u"),
+    "_mean_frac_deriv": (all_branch_mean_frac_deriv, "u"),
+    "_density_at": (all_branch_density_at, "lower upper mass rate y"),
+    "_cdf_frac": (all_branch_cdf_frac, "lower upper rate y"),
+    "_tail_frac": (all_branch_tail_frac, "lower upper rate y"),
+    "_quantile_upper": (all_branch_quantile_upper, "lower upper rate frac"),
+    "_partial_expectation": (all_branch_partial_expectation,
+                             "lower upper mass rate mean y"),
+}
+
+# every branch: both series (|u| below SERIES_SWITCH and below 1e-2), both
+# sides of +-35 and +-50, signed zeros, a tiny u, NaN and +-inf
+MIXED_U = [0.0, -0.0, 4e-7, -4e-7, 5e-3, -5e-3, 0.7, -3.0, 34.0, -34.0, 36.0,
+           -36.0, 49.0, 51.0, -51.0, 80.0, 700.0, -700.0, 1e-300,
+           math.nan, math.inf, -math.inf]
+COMMON_U = [0.02, -0.02, 0.7, -3.0, 12.0, -20.0, 30.0]
+
+
+def kernel_columns(kind: str) -> dict[str, np.ndarray]:
+    """Argument columns of the kernels. "mixed" rows read pieces on [2, 3.5)
+    at every u of MIXED_U and unbounded pieces on [2, inf), also with rate
+    > 0 (u = inf, so steep and unbounded both hold), at positions inside,
+    on and past either edge, NaN and +-inf, plus an empty piece and an
+    inverted one (y both at or above upper and at or below lower); "common"
+    rows take each kernel's common branch only."""
+    us, places = ((MIXED_U, [0.0, 0.3, 1.0, 1.2, -0.5, math.nan, math.inf, -math.inf])
+                  if kind == "mixed" else (COMMON_U, [0.1, 0.5, 0.9]))
+    rows = [(2.0, 3.5, 0.3, u / 1.5, 2.6, 2.0 + s * 1.5, s) for u in us for s in places]
+    if kind == "mixed":
+        rows += [(2.0, math.inf, 0.3, rate, 4.0, 2.0 + 2.0 * s, s)
+                 for rate in (-0.5, 0.5, 0.0, -0.0, math.nan) for s in places]
+        rows += [(2.0, 3.5, 0.0, 0.0, math.nan, 2.6, 0.4),  # empty
+                 (3.5, 2.0, 0.3, -0.4, 2.6, 2.5, 0.5)]  # inverted
+    columns = dict(zip(["lower", "upper", "mass", "rate", "mean", "y", "frac"],
+                       map(np.array, zip(*rows))))
+    return {"u": np.array(us), **columns}
+
+
+def assert_same_bits(got, ref, *context):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.shape, got.dtype) == (ref.shape, ref.dtype), context
+    assert got.tobytes() == ref.tobytes(), (context, got, ref)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "common"])
+@pytest.mark.parametrize("name", sorted(ALL_BRANCH))
+def test_kernels_give_the_bits_of_their_all_branch_forms(name, kind):
+    # on arrays, and on each row as Python floats
+    reference, names = ALL_BRANCH[name]
+    columns = kernel_columns(kind)
+    args = [columns[n] for n in names.split()]
+    kernel = getattr(maxent, name)
+    with np.errstate(all="ignore"):
+        assert_same_bits(kernel(*args), reference(*args))
+        for row in zip(*(a.tolist() for a in args)):
+            assert_same_bits(kernel(*row), reference(*map(np.float64, row)), row)
+
+
+def count_series_calls(monkeypatch) -> dict[str, int]:
+    calls = {"_iexp_series": 0, "_mean_frac_series": 0}
+    for name in calls:
+        def counting(u, name=name, series=getattr(maxent, name)):
+            calls[name] += 1
+            return series(u)
+        monkeypatch.setattr(maxent, name, counting)
+    return calls
+
+
+def test_ladder_recovery_never_computes_a_series_branch(monkeypatch):
+    # no ladder piece has |u| below 1e-2, so neither series is computed
+    calls = count_series_calls(monkeypatch)
+    for k in (8, 20):
+        stats = lognormal_ladder_stats(k)
+        assert ts.recover_thresholds(stats, float(stats.thresholds[-1])).converged
+    assert calls == {"_iexp_series": 0, "_mean_frac_series": 0}
+
+
+def test_near_uniform_piece_takes_the_series_branches_bit_for_bit(monkeypatch):
+    # bracket [3, 6) has its mean 1e-9 of its width above the midpoint, so
+    # u is about 1.2e-8: its rate solve and queries take both series, and
+    # the density and its queries equal those of the all-branch kernels
+    stats = stats_from_masses([0.1, 0.2, 0.3, 0.4], [12.0, 8.0, 4.5 + 3e-9, 2.2],
+                              thresholds=[10.0, 6.0, 3.0, 1.0])
+    y = np.array([1.5, 3.0, 3.7, 4.5, 5.9, 7.0, 11.0])
+    p = np.array([0.05, 0.2, 0.45, 0.5, 0.6, 0.9])
+
+    def density_and_queries():
+        d = build_density(stats)
+        return [*d._columns, d.pdf(y), d.cdf(y), d.quantile_top(p),
+                d.partial_expectation_above(y)]
+
+    calls = count_series_calls(monkeypatch)
+    got = density_and_queries()
+    assert calls["_iexp_series"] > 0 and calls["_mean_frac_series"] > 0
+    for name, (reference, _) in ALL_BRANCH.items():
+        monkeypatch.setattr(maxent, name, reference)
+    with np.errstate(all="ignore"):
+        for column, ref in zip(got, density_and_queries(), strict=True):
+            assert_same_bits(column, ref)
