@@ -79,29 +79,23 @@ def _parse_fractiles(text: str) -> list[float]:
     return out
 
 
-def _load_inputs(args):
-    with open(args.denominators, "r", encoding="utf-8") as fh:
-        denominators = parse_denominators(fh)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return _read_series(fh, denominators)
-
-
 def _emit(args, meta, **tables) -> None:
-    """Write each (fieldnames, rows) table: CSV tables one after another,
-    separated by a blank line, or one JSON object holding ``meta`` and the
-    rows under each table's name."""
+    """Write each table, a dict from field name to a column with one entry
+    per row: CSV tables one after another, separated by a blank line, or one
+    JSON object holding ``meta`` and the rows under each table's name."""
     if args.format == "csv":
         buf = io.StringIO()
-        for n, (fieldnames, rows) in enumerate(tables.values()):
+        writer = csv.writer(buf, lineterminator="\n")
+        for n, columns in enumerate(tables.values()):
             if n:
                 buf.write("\n")
-            writer = csv.DictWriter(buf, fieldnames=fieldnames,
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            writer.writerow(columns)
+            writer.writerows(zip(*columns.values()))
         text = buf.getvalue()
     else:
-        doc = {"meta": meta, **{name: rows for name, (_, rows) in tables.items()}}
+        doc = {"meta": meta, **{
+            name: [dict(zip(columns, row)) for row in zip(*columns.values())]
+            for name, columns in tables.items()}}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -110,128 +104,123 @@ def _emit(args, meta, **tables) -> None:
         sys.stdout.write(text)
 
 
-def _status(err: Exception) -> str:
-    """Per-row status of an estimation failure."""
-    if isinstance(err, FractileNotCoveredError):
+def _status(outcome, extrapolated: str) -> str:
+    """Per-cell status of an estimate, ``extrapolated`` past the top
+    bracket, or of the error that stopped it."""
+    if isinstance(outcome, FractileNotCoveredError):
         return "uncovered"
-    return f"error:{type(err).__name__}"
+    if isinstance(outcome, Exception):
+        return f"error:{type(outcome).__name__}"
+    return extrapolated if outcome.extrapolated else "ok"
 
 
-ESTIMATE_FIELDS = ["year", "fractile", "method", "share_pct", "share_pct_full",
-                   "threshold", "top_income", "bracket", "extrapolated",
-                   "status"]
-DIAGNOSTIC_FIELDS = ["year", "classes", "fractile", "selected_fraction",
-                     "distance_pp", "bracket", "threshold", "status"]
-
-
-def _year_outcomes(series, fractiles, methods):
-    """(year, classes, stats, p, method, outcome) per year, as
-    ``estimate_shares`` gives them for all years at once; a year that
-    cumulate rejects (an empty top bracket, say) has stats None and that
-    error as every outcome."""
-    sizes, *_, denominators = series
+def _outcomes(args, fractiles, methods, extrapolated: str) -> dict:
+    """Columns year, classes, stats, p, method, outcome and status, one entry
+    per (year, fractile, method) cell in that order; the outcomes are
+    ``estimate_shares``'s for all years at once. A year that cumulate
+    rejects (an empty top bracket, say) has stats None and that error as
+    every outcome."""
+    with open(args.denominators, "r", encoding="utf-8") as fh:
+        denoms = parse_denominators(fh)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        sizes, *_, denominators = series = _read_series(fh, denoms)
     cumulated = _cumulate(series)
     estimates = iter(maxent.estimate_shares(
         [s for s in cumulated if not isinstance(s, ValueError)], fractiles, methods))
+    cells = []
     for d, classes, stats in zip(denominators, sizes.tolist(), cumulated):
         if isinstance(stats, ValueError):
             outcomes = [(p, method, stats) for p in fractiles for method in methods]
             stats = None
         else:
             outcomes = next(estimates)
-        for p, method, est in outcomes:
-            yield d.year, classes, stats, p, method, est
+        cells += [(d.year, classes, stats, *cell) for cell in outcomes]
+    # zip(names, *cells) gives every name its column, empty when no cell is
+    columns = {name: values for name, *values in zip(
+        ("year", "classes", "stats", "p", "method", "outcome"), *cells)}
+    columns["status"] = [_status(o, extrapolated) for o in columns["outcome"]]
+    return columns
 
 
-def _exit_status(rows) -> int:
+def _exit_status(status) -> int:
     """2 when some row failed with an error, else 0."""
-    return 2 if any(r["status"].startswith("error:") for r in rows) else 0
+    return 2 if any(s.startswith("error:") for s in status) else 0
+
+
+def _column(text, *columns):
+    """``text`` of each row's values, empty where the first is None."""
+    return ["" if row[0] is None else text(*row) for row in zip(*columns)]
 
 
 def cmd_estimate(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     methods = {"pi": ("PI",), "me": ("ME",), "both": ("PI", "ME")}[args.method]
-    long = args.layout == "long"
-    rows = []
-    for year, _, _, p, method, est in _year_outcomes(_load_inputs(args), fractiles,
-                                                     methods):
-        # the appendix prints only share_pct; the other fields are long-only
-        row = {"year": year, "share_pct": MARKER}
-        if long:
-            row = {**dict.fromkeys(ESTIMATE_FIELDS, ""), **row,
-                   "fractile": repr(p), "method": method}
-        if isinstance(est, Exception):
-            row["status"] = _status(est)
-        elif est.extrapolated and not args.allow_extrapolation:
-            row["status"] = "extrapolation_disabled"
-        else:
-            row.update(share_pct=f"{100.0 * est.share:.2f}",
-                       status="extrapolated" if est.extrapolated else "ok")
-            if long:
-                row.update({
-                    "share_pct_full": repr(100.0 * est.share),
-                    "threshold": repr(est.threshold),
-                    "top_income": repr(est.top_income),
-                    "bracket": "" if est.bracket is None else est.bracket,
-                    "extrapolated": "true" if est.extrapolated else "false",
-                })
-        rows.append(row)
+    cells = _outcomes(args, fractiles, methods, "extrapolated"
+                      if args.allow_extrapolation else "extrapolation_disabled")
+    shown = [o if s in ("ok", "extrapolated") else None
+             for o, s in zip(cells["outcome"], cells["status"])]
+    share_pct = [MARKER if e is None else f"{100.0 * e.share:.2f}" for e in shown]
     meta = {"command": "estimate", "fractiles": fractiles,
             "methods": list(methods)}
-    if long:
-        _emit(args, meta, rows=(ESTIMATE_FIELDS, rows))
+    if args.layout == "long":
+        _emit(args, meta, rows={
+            "year": cells["year"], "fractile": [repr(p) for p in cells["p"]],
+            "method": cells["method"], "share_pct": share_pct,
+            "share_pct_full": _column(lambda e: repr(100.0 * e.share), shown),
+            "threshold": _column(lambda e: repr(e.threshold), shown),
+            "top_income": _column(lambda e: repr(e.top_income), shown),
+            "bracket": _column(lambda e: "" if e.bracket is None else e.bracket, shown),
+            "extrapolated": _column(lambda e: "true" if e.extrapolated else "false",
+                                    shown),
+            "status": cells["status"]})
     else:
-        # rows come year by year, fractile-major: one wide row per method
-        headers = [_fractile_header(p) for p in fractiles]
+        # one wide row per year and method; a year's cells are fractile-major,
+        # so a row's shares start at its method's cell and lie m apart
         m, n = len(methods), len(fractiles) * len(methods)
-        wide = [{"Year": rows[i]["year"], "method": method, **dict(zip(
-                    headers, (r["share_pct"] for r in rows[i + k:i + n:m])))}
-                for i in range(0, len(rows), n) for k, method in enumerate(methods)]
-        _emit(args, meta, rows=(["Year", "method", *headers], wide))
-    return _exit_status(rows)
+        starts = [i + k for i in range(0, len(shown), n) for k in range(m)]
+        _emit(args, meta, rows={
+            "Year": [cells["year"][i] for i in starts],
+            "method": [cells["method"][i] for i in starts],
+            **{_fractile_header(p): [share_pct[i + j * m] for i in starts]
+               for j, p in enumerate(fractiles)}})
+    return _exit_status(cells["status"])
 
 
 def cmd_diagnostics(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
-    rows = []
     # PI's reference bracket is the class whose top fraction is nearest p
-    for year, classes, stats, p, _, est in _year_outcomes(_load_inputs(args),
-                                                          fractiles, ("PI",)):
-        row = dict.fromkeys(DIAGNOSTIC_FIELDS, "")
-        row.update(year=year, classes=classes, fractile=repr(p),
-                   status="ok")
-        if isinstance(est, Exception):
-            row["status"] = _status(est)
-        else:
-            selected = float(stats.top_fraction[est.bracket])
-            row.update({
-                "selected_fraction": repr(selected),
-                "distance_pp": repr(100.0 * (selected - p)),
-                "bracket": est.bracket,
-                "threshold": repr(float(stats.thresholds[est.bracket])),
-            })
-        rows.append(row)
-    _emit(args, {"command": "diagnostics"}, rows=(DIAGNOSTIC_FIELDS, rows))
-    return _exit_status(rows)
+    cells = _outcomes(args, fractiles, ("PI",), "ok")
+    bracket = [e.bracket if s == "ok" else None
+               for e, s in zip(cells["outcome"], cells["status"])]
+    stats = cells["stats"]
+    _emit(args, {"command": "diagnostics"}, rows={
+        "year": cells["year"], "classes": cells["classes"],
+        "fractile": [repr(p) for p in cells["p"]],
+        "selected_fraction": _column(
+            lambda b, s: repr(float(s.top_fraction[b])), bracket, stats),
+        "distance_pp": _column(
+            lambda b, s, p: repr(100.0 * (float(s.top_fraction[b]) - p)),
+            bracket, stats, cells["p"]),
+        "bracket": _column(lambda b: b, bracket),
+        "threshold": _column(lambda b, s: repr(float(s.thresholds[b])), bracket, stats),
+        "status": cells["status"]})
+    return _exit_status(cells["status"])
 
 
-def _field(value):
-    """A report field as written: floats as repr, None as empty."""
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else value
-
-
-def _table(items, cls):
-    """(fieldnames, rows) of dataclass instances, fields in declared order."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    return names, [{n: _field(getattr(item, n)) for n in names} for item in items]
+def _table(items, cls) -> dict:
+    """Columns of dataclass instances, fields in declared order: floats as
+    repr, None as empty."""
+    return {f.name: _column(lambda v: repr(v) if isinstance(v, float) else v,
+                            [getattr(item, f.name) for item in items])
+            for f in dataclasses.fields(cls)}
 
 
 def _emit_report(args, report, meta) -> int:
-    _emit(args, meta, cells=_table(report.cells, microbench.ErrorCell),
+    cells = _table(report.cells, microbench.ErrorCell)
+    _emit(args, meta, cells=cells,
           summaries=_table(report.summaries, microbench.ErrorSummary))
-    return 2 if any(c.status != "ok" for c in report.cells) else 0
+    # a report cell's status is ok or error:<Type>
+    return _exit_status(cells["status"])
 
 
 def cmd_synth(args) -> int:
@@ -259,11 +248,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    fractiles = _parse_fractiles(args.fractiles)
+    protocol = microbench.BenchmarkSpec  # its defaults are compare's ladders
+    classes = tuple(_parse_list("--classes", args.classes, int)) if args.classes \
+        else protocol.classes
+    for k in classes:
+        microbench._check_ladder(k, protocol.top_fraction, protocol.scheme)
     with open(args.micro, "r", encoding="utf-8") as fh:
         sample = microbench.load_micro_csv(fh)
-    fractiles = _parse_fractiles(args.fractiles)
-    classes = tuple(_parse_list("--classes", args.classes, int)) if args.classes \
-        else microbench.BenchmarkSpec.classes
     report = microbench.ErrorReport.from_cells(
         microbench.evaluate_sample(sample, classes, fractiles))
     return _emit_report(args, report, {"command": "compare",

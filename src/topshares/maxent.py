@@ -64,7 +64,8 @@ GRAD_TOL = 1e-10  # recovery's stop on the gradient, relative to 1 + |objective|
 # lies inside the piece unless said otherwise. A kernel computes its common
 # branch on every element and splices each rarer one in with _splice, from
 # the lowest precedence to the highest. A mask needs .any() for Python-float
-# arguments too, so it comes from np.greater, not >, where u may be a float.
+# arguments too, so it comes from np.greater, not >, where u may be a float;
+# and a width comes from np.subtract, so that a zero width divides quietly.
 _quiet = np.errstate(all="ignore")
 
 
@@ -136,7 +137,7 @@ def _mean_frac_deriv(u):
 @_quiet
 def _density_at(lower, upper, mass, rate, y):
     """Density at y of the piece carrying ``mass``."""
-    z, width = y - lower, upper - lower
+    z, width = y - lower, np.subtract(upper, lower)
     u = rate * width
     tilt = np.exp(rate * z)
     steep = _splice((mass / width) * tilt / _iexp(u), np.greater(u, 50.0),
@@ -147,7 +148,7 @@ def _density_at(lower, upper, mass, rate, y):
 @_quiet
 def _cdf_frac(lower, upper, rate, y):
     """Fraction of the piece's mass at or below y."""
-    z, width = y - lower, upper - lower
+    z, width = y - lower, np.subtract(upper, lower)
     u = rate * width
     steep = _splice(
         (z / width) * _iexp(rate * z) / _iexp(u), np.greater(u, 50.0),
@@ -159,7 +160,7 @@ def _cdf_frac(lower, upper, rate, y):
 def _tail_frac(lower, upper, rate, y):
     """Fraction of the piece's mass at or above y, in a product form that
     keeps full relative precision even for tiny tails."""
-    z, width = y - lower, upper - lower
+    z, width = y - lower, np.subtract(upper, lower)
     u = rate * width
     w = width - z
     tilt = np.exp(rate * z)

@@ -230,6 +230,30 @@ class TestEstimate:
                      "--fractiles", "0.1", "--out", str(out)]) == 2
         assert [r["status"] for r in read_rows(out)] == ["error:ValueError"] * 2
 
+    @pytest.mark.parametrize("command,layout,header", [
+        ("estimate", "long", "year,fractile,method,share_pct,share_pct_full,"
+                             "threshold,top_income,bracket,extrapolated,status"),
+        ("estimate", "appendix", "Year,method,P90-100,P99-100"),
+        ("diagnostics", None, "year,classes,fractile,selected_fraction,"
+                              "distance_pp,bracket,threshold,status"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_header_only_tabulation_gives_an_empty_table(self, inputs, tmp_path,
+                                                         command, layout, header, fmt):
+        # no year to estimate: the table is its header alone, or no rows
+        tab, den = inputs
+        tab.write_text(TAB_CSV.splitlines(keepends=True)[0])
+        out = tmp_path / f"out.{fmt}"
+        argv = [command, "--input", str(tab), "--denominators", str(den),
+                "--fractiles", "0.10,0.01", "--format", fmt, "--out", str(out)]
+        if layout:
+            argv += ["--layout", layout]
+        assert main(argv) == 0
+        if fmt == "csv":
+            assert out.read_text() == header + "\n"
+        else:
+            assert json.loads(out.read_text())["rows"] == []
+
     def test_boundary_mean_year_fails_alone(self, inputs, tmp_path):
         # every year's brackets share one rate solve, yet a year whose mean
         # sits on its bracket boundary fails by itself: its ME rows are
@@ -361,6 +385,19 @@ PINNED_SERIES = {
         (2, "da0e94aa79f63c9fe7b93f019aa746bad85e9e3306c791523f92501912448efc"),
     ("diagnostics", None, "json", False):
         (2, "009c7d8dbad1da9abf1fd058fd27d4cde7a87d339fff10de0bedcf04573a6d60"),
+    # one method: the appendix pivots its rows at stride 1
+    ("estimate --method pi", "long", "csv", False):
+        (2, "4e1f5e2b502c98e8167b2abaa9b857e103e93700b7ac882aedca09716c59ec19"),
+    ("estimate --method pi", "appendix", "csv", False):
+        (2, "4e292a20c8370dda5ec0cb0e4e25edecae0a110e67ad8c910e2a047b5fd47df3"),
+    ("estimate --method pi", "appendix", "json", False):
+        (2, "7afe2ab1f2f4100ef51679816ab2c359db225214c47ba5dd141e54e728984587"),
+    ("estimate --method me", "long", "csv", False):
+        (2, "f009bcfccf45371ffe544339de169b319f2b8e5ae5b902c660f22108cb66a91f"),
+    ("estimate --method me", "appendix", "csv", False):
+        (2, "758d1a2a40197c8e650909ddf4a28a029bcd2630699d74c0c3d2af9bc7d74671"),
+    ("estimate --method me", "appendix", "json", False):
+        (2, "16693f2ed268557a3e19ddacefb159195f6ddaa00008d3934853132ce8e25975"),
 }
 
 
@@ -371,7 +408,7 @@ def test_series_bytes_pinned(tmp_path, command, layout, fmt, extrapolate):
     tab, den, out = (tmp_path / name for name in ("tab.csv", "den.csv", f"out.{fmt}"))
     tab.write_text(tab_text)
     den.write_text(den_text)
-    argv = [command, "--input", str(tab), "--denominators", str(den),
+    argv = [*command.split(), "--input", str(tab), "--denominators", str(den),
             "--format", fmt, "--out", str(out)]
     if layout:
         argv += ["--layout", layout]
@@ -814,6 +851,25 @@ class TestSynthAndCompare:
             assert main(argv + [flag, value, "--out", str(out)]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--fractiles", "2", "fractile 2.0 must be in (0, 1)"),
+        ("--classes", "1", "need at least 2 classes"),
+    ], ids=["fractiles", "classes"])
+    @pytest.mark.parametrize("rows", [None, "1,1\n2,3\n5,1\n"],
+                             ids=["missing", "3_rows"])
+    def test_compare_checks_flags_before_its_input(self, tmp_path, capsys, flag, value,
+                                                   message, rows):
+        # once reported the missing file, or on 3 rows that the top
+        # fractile 0.1 covers fewer than one of 3 units
+        micro = tmp_path / "micro.csv"
+        if rows is not None:
+            micro.write_text("income,weight\n" + rows)
+        out = tmp_path / "out.csv"
+        assert main(["compare", "--micro", str(micro), flag, value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,values,message", [
         ("classes", [8, 8], "classes must not repeat, got [8, 8]"),

@@ -1512,3 +1512,16 @@ def test_near_uniform_piece_takes_the_series_branches_bit_for_bit(monkeypatch):
     with np.errstate(all="ignore"):
         for column, ref in zip(got, density_and_queries(), strict=True):
             assert_same_bits(column, ref)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("_density_at", (2.0, 2.0, 0.3, 0.1, 2.0)),
+    ("_cdf_frac", (2.0, 2.0, 0.1, 2.0)),
+    ("_tail_frac", (2.0, 2.0, 0.1, 2.0)),
+])
+def test_zero_width_piece_gives_the_same_value_on_floats_and_arrays(name, args):
+    # Python floats once divided by the zero width and raised
+    # ZeroDivisionError, where one-element arrays gave inf or NaN quietly
+    kernel = getattr(maxent, name)
+    got, ref = kernel(*args), kernel(*(np.array([a]) for a in args))
+    np.testing.assert_array_equal(np.array([got]), ref)
