@@ -22,8 +22,11 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import maxent
 from .errors import FractileNotCoveredError, ParseError
+from .pareto import ERROR_TYPES, YEAR_FAILED
 from .tabulation import _cumulate, _read_series, parse_denominators
 
 
@@ -104,42 +107,37 @@ def _emit(args, meta, **tables) -> None:
         sys.stdout.write(text)
 
 
-def _status(outcome, extrapolated: str) -> str:
-    """Per-cell status of an estimate, ``extrapolated`` past the top
-    bracket, or of the error that stopped it."""
-    if isinstance(outcome, FractileNotCoveredError):
-        return "uncovered"
-    if isinstance(outcome, Exception):
-        return f"error:{type(outcome).__name__}"
-    return extrapolated if outcome.extrapolated else "ok"
+def _label(error: type | None) -> str:
+    """The status of a cell an error of type ``error`` stops, "ok" for None."""
+    return "ok" if error is None else "uncovered" if issubclass(
+        error, FractileNotCoveredError) else f"error:{error.__name__}"
 
 
-def _outcomes(args, fractiles, methods, extrapolated: str) -> dict:
-    """Columns year, classes, stats, p, method, outcome and status, one entry
-    per (year, fractile, method) cell in that order; the outcomes are
-    ``estimate_shares``'s for all years at once. A year that cumulate
-    rejects (an empty top bracket, say) has stats None and that error as
-    every outcome."""
+def _outcomes(args, fractiles, methods, extrapolated: str, *values) -> dict:
+    """Columns year, classes, p, method, status and the ``values`` columns of
+    ``maxent.estimate_table``, one entry per (year, fractile, method) cell in
+    that order. A served cell's status is "ok", or ``extrapolated`` past the
+    top bracket; a failed one's names its error, or its year's."""
     with open(args.denominators, "r", encoding="utf-8") as fh:
         denoms = parse_denominators(fh)
     with open(args.input, "r", encoding="utf-8") as fh:
-        sizes, *_, denominators = series = _read_series(fh, denoms)
-    cumulated = _cumulate(series)
-    estimates = iter(maxent.estimate_shares(
-        [s for s in cumulated if not isinstance(s, ValueError)], fractiles, methods))
-    cells = []
-    for d, classes, stats in zip(denominators, sizes.tolist(), cumulated):
-        if isinstance(stats, ValueError):
-            outcomes = [(p, method, stats) for p in fractiles for method in methods]
-            stats = None
-        else:
-            outcomes = next(estimates)
-        cells += [(d.year, classes, stats, *cell) for cell in outcomes]
-    # zip(names, *cells) gives every name its column, empty when no cell is
-    columns = {name: values for name, *values in zip(
-        ("year", "classes", "stats", "p", "method", "outcome"), *cells)}
-    columns["status"] = [_status(o, extrapolated) for o in columns["outcome"]]
-    return columns
+        sizes, _, _, _, denominators, _ = series = _read_series(fh, denoms)
+    tables = maxent.estimate_table(_cumulate(series), fractiles, methods)
+    # a year's cells are fractile-major: the methods' tables side by side
+    cells = {name: np.stack([t[name] for t in tables], axis=-1)
+             for name in ("code", "extrapolated", *values)}
+    failed = np.array([[_label(None if e is None else type(e)) for e in t["errors"]]
+                       for t in tables], dtype=object).reshape(len(tables), -1).T
+    status = np.array([_label(e) for e in ERROR_TYPES], dtype=object)[cells["code"]]
+    status[cells["extrapolated"]] = extrapolated
+    status = np.where(cells["code"] == YEAR_FAILED, failed[:, None, :], status)
+    each = len(fractiles) * len(methods)
+    return {"year": np.repeat([d.year for d in denominators], each).tolist(),
+            "classes": np.repeat(sizes, each).tolist(),
+            "p": [p for p in fractiles for _ in methods] * len(sizes),
+            "method": list(methods) * (len(sizes) * len(fractiles)),
+            "status": status.ravel().tolist(),
+            **{name: cells[name].ravel().tolist() for name in values}}
 
 
 def _exit_status(status) -> int:
@@ -147,31 +145,32 @@ def _exit_status(status) -> int:
     return 2 if any(s.startswith("error:") for s in status) else 0
 
 
-def _column(text, *columns):
-    """``text`` of each row's values, empty where the first is None."""
-    return ["" if row[0] is None else text(*row) for row in zip(*columns)]
+def _column(text, shown, *columns):
+    """``text`` of each row's values where ``shown``, else empty."""
+    return [text(*row) if ok else "" for ok, *row in zip(shown, *columns)]
 
 
 def cmd_estimate(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     methods = {"pi": ("PI",), "me": ("ME",), "both": ("PI", "ME")}[args.method]
     cells = _outcomes(args, fractiles, methods, "extrapolated"
-                      if args.allow_extrapolation else "extrapolation_disabled")
-    shown = [o if s in ("ok", "extrapolated") else None
-             for o, s in zip(cells["outcome"], cells["status"])]
-    share_pct = [MARKER if e is None else f"{100.0 * e.share:.2f}" for e in shown]
+                      if args.allow_extrapolation else "extrapolation_disabled",
+                      "share", "threshold", "top_income", "bracket", "extrapolated")
+    shown = [s in ("ok", "extrapolated") for s in cells["status"]]
+    share_pct = [f"{100.0 * v:.2f}" if ok else MARKER
+                 for ok, v in zip(shown, cells["share"])]
     meta = {"command": "estimate", "fractiles": fractiles,
             "methods": list(methods)}
     if args.layout == "long":
         _emit(args, meta, rows={
             "year": cells["year"], "fractile": [repr(p) for p in cells["p"]],
             "method": cells["method"], "share_pct": share_pct,
-            "share_pct_full": _column(lambda e: repr(100.0 * e.share), shown),
-            "threshold": _column(lambda e: repr(e.threshold), shown),
-            "top_income": _column(lambda e: repr(e.top_income), shown),
-            "bracket": _column(lambda e: "" if e.bracket is None else e.bracket, shown),
-            "extrapolated": _column(lambda e: "true" if e.extrapolated else "false",
-                                    shown),
+            "share_pct_full": _column(lambda v: repr(100.0 * v), shown, cells["share"]),
+            "threshold": _column(repr, shown, cells["threshold"]),
+            "top_income": _column(repr, shown, cells["top_income"]),
+            "bracket": _column(lambda b: "" if b < 0 else b, shown, cells["bracket"]),
+            "extrapolated": _column(lambda x: "true" if x else "false", shown,
+                                    cells["extrapolated"]),
             "status": cells["status"]})
     else:
         # one wide row per year and method; a year's cells are fractile-major,
@@ -189,20 +188,17 @@ def cmd_estimate(args) -> int:
 def cmd_diagnostics(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
     # PI's reference bracket is the class whose top fraction is nearest p
-    cells = _outcomes(args, fractiles, ("PI",), "ok")
-    bracket = [e.bracket if s == "ok" else None
-               for e, s in zip(cells["outcome"], cells["status"])]
-    stats = cells["stats"]
+    cells = _outcomes(args, fractiles, ("PI",), "ok", "bracket", "fit_threshold",
+                      "fit_fraction")
+    shown = [s == "ok" for s in cells["status"]]
     _emit(args, {"command": "diagnostics"}, rows={
         "year": cells["year"], "classes": cells["classes"],
         "fractile": [repr(p) for p in cells["p"]],
-        "selected_fraction": _column(
-            lambda b, s: repr(float(s.top_fraction[b])), bracket, stats),
-        "distance_pp": _column(
-            lambda b, s, p: repr(100.0 * (float(s.top_fraction[b]) - p)),
-            bracket, stats, cells["p"]),
-        "bracket": _column(lambda b: b, bracket),
-        "threshold": _column(lambda b, s: repr(float(s.thresholds[b])), bracket, stats),
+        "selected_fraction": _column(repr, shown, cells["fit_fraction"]),
+        "distance_pp": _column(lambda f, p: repr(100.0 * (f - p)), shown,
+                               cells["fit_fraction"], cells["p"]),
+        "bracket": _column(lambda b: b, shown, cells["bracket"]),
+        "threshold": _column(repr, shown, cells["fit_threshold"]),
         "status": cells["status"]})
     return _exit_status(cells["status"])
 
@@ -210,8 +206,8 @@ def cmd_diagnostics(args) -> int:
 def _table(items, cls) -> dict:
     """Columns of dataclass instances, fields in declared order: floats as
     repr, None as empty."""
-    return {f.name: _column(lambda v: repr(v) if isinstance(v, float) else v,
-                            [getattr(item, f.name) for item in items])
+    return {f.name: ["" if v is None else repr(v) if isinstance(v, float) else v
+                     for v in (getattr(item, f.name) for item in items)]
             for f in dataclasses.fields(cls)}
 
 
@@ -249,11 +245,10 @@ def cmd_synth(args) -> int:
 
 def cmd_compare(args) -> int:
     fractiles = _parse_fractiles(args.fractiles)
-    protocol = microbench.BenchmarkSpec  # its defaults are compare's ladders
     classes = tuple(_parse_list("--classes", args.classes, int)) if args.classes \
-        else protocol.classes
-    for k in classes:
-        microbench._check_ladder(k, protocol.top_fraction, protocol.scheme)
+        else microbench.BenchmarkSpec.classes
+    for k in classes:  # at the default ladder evaluate_sample lays them by
+        microbench._check_ladder(k, microbench.TOP_FRACTION, microbench.SCHEME)
     with open(args.micro, "r", encoding="utf-8") as fh:
         sample = microbench.load_micro_csv(fh)
     report = microbench.ErrorReport.from_cells(

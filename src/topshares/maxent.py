@@ -34,8 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleOrderingError, MeanOnBoundaryError
-from .pareto import ShareEstimate, _fractile_error, pi_shares
-from .tabulation import CumulativeStats, _stack
+from .pareto import (OUT_OF_RANGE, SERVED, UNCOVERED, ShareEstimate, _fractile_error,
+                     _outcomes, _table, pi_table)
+from .tabulation import CumulativeStats, _batch, _stack
 
 __all__ = [
     "MaxEntDensity",
@@ -44,6 +45,7 @@ __all__ = [
     "build_density",
     "me_share_from_density",
     "estimate_shares",
+    "estimate_table",
     "recover_thresholds",
 ]
 
@@ -450,40 +452,33 @@ def _partial_expectations(stack, y: np.ndarray) -> np.ndarray:
     terms = np.where(mass > 0.0, mass * mean, 0.0).tolist()
     whole = [[math.fsum(terms[a:j]) for j in row]
              for a, row in zip(starts.tolist(), i.tolist())]
-    return whole + _partial_expectation(lower[i], upper[i], mass[i], rate[i],
-                                        mean[i], y)
+    return np.reshape(whole, i.shape) + _partial_expectation(
+        lower[i], upper[i], mass[i], rate[i], mean[i], y)
 
 
-def _me_shares(stack, tabs: Sequence, fractiles: Sequence[float],
-               ) -> list[list[ShareEstimate | ValueError]]:
-    """The ME estimate of every fractile on each year of a solved stack (see
-    ``_densities``), or the error that stops it, from one pass of the query
-    kernels; ``tabs`` give each year's population and total income."""
+@_quiet
+def _me_table(batch: tuple, fractiles: Sequence[float]) -> dict:
+    """ME's table (see ``pareto.pi_table``; "bracket" -1) of a batch of solved
+    densities, laid out as ``_densities`` lays them out, from one pass of the
+    query kernels."""
+    stack, population, total, errors = batch
     (*_, above), starts, sizes = stack
-    t, served = _quantiles(stack, np.tile(np.asarray(fractiles, dtype=float),
-                                          (len(tabs), 1)))
-    top = _partial_expectations(stack, t)
-    return [[ShareEstimate(fractile=p, threshold=t_p, top_income=s.population * a,
-                           share=s.population * a / s.total_income, method="ME",
-                           extrapolated=p < first)
-             if ok else _fractile_error(p, covered)
-             for p, t_p, a, ok in zip(fractiles, *cells)]
-            for s, first, covered, *cells in zip(
-                tabs, above[starts].tolist(), above[starts + sizes - 1].tolist(),
-                t.tolist(), top.tolist(), served.tolist())]
+    p = np.array(fractiles, dtype=float)
+    t, served = _quantiles(stack, np.tile(p, (len(sizes), 1)))
+    top_income = np.array(population, dtype=float)[:, None] * _partial_expectations(stack, t)
+    code = np.where(served, SERVED, np.where((0.0 < p) & (p <= 1.0), UNCOVERED, OUT_OF_RANGE))
+    return _table((above, starts, sizes), p, errors, code, t, top_income,
+                  top_income / np.array(total, dtype=float)[:, None],
+                  bracket=np.full(code.shape, -1))
 
 
-def _densities(stats: Sequence[CumulativeStats], thresholds: Sequence[np.ndarray],
-               ) -> tuple[tuple, list[MeanOnBoundaryError | None]]:
-    """The maximum-entropy densities of tabulations at their thresholds from
-    one rate solve, as the ``_stack`` of their ``MaxEntDensity._columns``:
-    ((lower, upper, mass, rate, mean, mass_above), starts, sizes), empty
-    brackets as zero-mass pieces. Beside it, per tabulation, the
-    MeanOnBoundaryError of its first bracket with a mean on its boundary
-    (its rows then hold no density), or None."""
-    (lower, upper, mass, mean, above), starts, sizes = _stack(
-        [(t, s.bracket_fraction, s.bracket_mean, s.top_fraction)
-         for s, t in zip(stats, thresholds)])
+def _densities(stack) -> tuple[tuple, list[MeanOnBoundaryError | None]]:
+    """The maximum-entropy densities of stacked brackets, ((lower, upper,
+    mass, mean, mass_above), starts, sizes), from one rate solve, as the
+    ``_stack`` of their ``MaxEntDensity._columns``, empty brackets as
+    zero-mass pieces; beside it, per year, None or the MeanOnBoundaryError of
+    its first bracket with a mean on its boundary (its rows hold no density)."""
+    (lower, upper, mass, mean, above), starts, sizes = stack
     occupied = mass > 0.0
     rate, failed = _solve_rates(lower, upper, mean)
     rate, failed = np.where(occupied, rate, 0.0), failed & occupied
@@ -515,8 +510,8 @@ def build_density(stats: CumulativeStats,
                          f"{len(thresholds)}")
     if np.any(np.diff(thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
-    ((lower, _, mass, rate, mean, above), _, _), [error] = _densities(
-        [stats], [thresholds])
+    ((lower, _, mass, rate, mean, above), _, _), [error] = _densities(_stack(
+        [(thresholds, stats.bracket_fraction, stats.bracket_mean, stats.top_fraction)]))
     if error is not None:
         raise error
     return MaxEntDensity(lower, mass, rate, mean, above, stats.population,
@@ -525,7 +520,8 @@ def build_density(stats: CumulativeStats,
 
 def me_share_from_density(density: MaxEntDensity, p: float) -> ShareEstimate:
     """Top-p share read off an already-built maximum-entropy density."""
-    [[estimate]] = _me_shares(_stack([density._columns]), [density], [p])
+    [[estimate]] = _outcomes(_me_table((_stack([density._columns]), [density.population],
+                                        [density.total_income], [None]), [p]), [p], "ME")
     if isinstance(estimate, ValueError):
         raise estimate
     return estimate
@@ -537,33 +533,42 @@ def _check_methods(methods: Sequence[str]) -> None:
             raise ValueError(f"unknown method {method!r}: expected PI or ME")
 
 
+def estimate_table(batch: tuple, fractiles: Sequence[float],
+                   methods: Sequence[str] = ("PI", "ME")) -> list[dict]:
+    """The table (see ``pareto.pi_table``) of each of ``methods`` over a batch
+    (see ``tabulation._cumulate``): the one estimation loop behind the series
+    and the accuracy protocol, so PI and ME see identical inputs. ME solves
+    every rate in one call and answers every cell in one pass of the query
+    kernels; a failed density fails the ME cells of its year and no other.
+    Other methods than "PI" and "ME" raise first."""
+    _check_methods(methods)
+    ((lower, upper, *_, fraction, _, _, _, mass, mean), starts, sizes), \
+        population, total, errors = batch
+    tables = {}
+    if "PI" in methods:
+        tables["PI"] = pi_table(batch, fractiles)
+    if "ME" in methods:
+        stack, failed = _densities(((lower, upper, mass, mean, fraction), starts, sizes))
+        tables["ME"] = _me_table((stack, population, total, [
+            failure if error is None else error for error, failure in zip(errors, failed)]),
+            fractiles)
+    return [tables[method] for method in methods]
+
+
 def estimate_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
                     methods: Sequence[str] = ("PI", "ME"),
                     ) -> list[list[tuple[float, str, ShareEstimate | Exception]]]:
-    """Every fractile x method estimate of each tabulation, fractile-major.
-
-    This is the one estimation loop behind both the historical series and
-    the accuracy protocol, so PI and ME always see identical inputs. Each
-    method lays all tabulations out once with ``_stack``: ME solves every
-    rate in one call and answers every cell from that one stack, with no
-    per-year density; PI selects all cells' brackets in one array pass. The
-    result holds one list per tabulation, in order, of (p, method, outcome),
-    the outcome being the ShareEstimate or the TopsharesError/ValueError
-    that stopped it; a failed density fails every ME outcome of its
-    tabulation and no other. Other methods than "PI" and "ME" raise first.
-    """
+    """Every fractile x method estimate of each tabulation, fractile-major:
+    one list per tabulation, in order, of (p, method, outcome), the outcome
+    being the ShareEstimate or the TopsharesError/ValueError that stopped
+    it, read off one ``estimate_table`` of them all."""
     _check_methods(methods)
-    me = pi = [[None] * len(fractiles)] * len(stats)
-    if "ME" in methods and stats:
-        stack, errors = _densities(stats, [s.thresholds for s in stats])
-        me = [row if error is None else [error] * len(fractiles)
-              for error, row in zip(errors, _me_shares(stack, stats, fractiles))]
-    if "PI" in methods:
-        pi = pi_shares(stats, fractiles)
-    return [[(p, method, me_outcome if method == "ME" else pi_outcome)
-             for p, me_outcome, pi_outcome in zip(fractiles, me_row, pi_row)
-             for method in methods]
-            for me_row, pi_row in zip(me, pi)]
+    if not stats:
+        return []
+    outcomes = [_outcomes(table, fractiles, method) for table, method
+                in zip(estimate_table(_batch(stats), fractiles, methods), methods)]
+    return [[(p, method, rows[y][j]) for j, p in enumerate(fractiles)
+             for method, rows in zip(methods, outcomes)] for y in range(len(stats))]
 
 
 # ---------------------------------------------------------------------------

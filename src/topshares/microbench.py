@@ -223,6 +223,11 @@ def tabulate(sample: MicroSample, thresholds: Sequence[float]) -> Tabulation:
     )
 
 
+# the protocol's default ladder, for quantile_thresholds, BenchmarkSpec and
+# evaluate_sample alike: the top class's targeted fraction and the spacing
+TOP_FRACTION, SCHEME = 1e-3, "geometric"
+
+
 def _check_ladder(classes: int, top_fraction: float, scheme: str) -> None:
     """Raise ValueError unless ``quantile_thresholds`` can lay ``classes``
     brackets by ``scheme``; a BenchmarkSpec checks its ladders by it too."""
@@ -236,8 +241,8 @@ def _check_ladder(classes: int, top_fraction: float, scheme: str) -> None:
 
 
 def quantile_thresholds(sample: MicroSample, classes: int,
-                        top_fraction: float = 1e-3,
-                        scheme: str = "geometric") -> np.ndarray:
+                        top_fraction: float = TOP_FRACTION,
+                        scheme: str = SCHEME) -> np.ndarray:
     """Descending bracket thresholds at sample quantiles.
 
     "geometric" spaces the targeted top fractions geometrically between
@@ -292,10 +297,6 @@ class ParetoDist:
         if self.exponent <= 1:
             return math.inf
         return self.scale * self.exponent / (self.exponent - 1.0)
-
-    def top_share(self, p: float) -> float:
-        """Closed-form population top-p income share: p^((a-1)/a)."""
-        return p ** ((self.exponent - 1.0) / self.exponent)
 
     def to_dict(self) -> dict:
         return {"kind": "pareto", "exponent": self.exponent, "scale": self.scale}
@@ -390,11 +391,6 @@ class LognormalDist:
     @property
     def mean(self) -> float:
         return math.exp(self.location + 0.5 * self.shape ** 2)
-
-    @property
-    def variance(self) -> float:
-        s2 = self.shape ** 2
-        return (math.exp(s2) - 1.0) * math.exp(2 * self.location + s2)
 
     def to_dict(self) -> dict:
         return {"kind": "lognormal", "location": self.location, "shape": self.shape}
@@ -532,8 +528,8 @@ class BenchmarkSpec:
     fractiles: tuple[float, ...] = (0.10, 0.05, 0.01)
     trials: int = 5
     seed: int = 0
-    top_fraction: float = 1e-3
-    scheme: str = "geometric"
+    top_fraction: float = TOP_FRACTION
+    scheme: str = SCHEME
     methods: tuple[str, ...] = ("PI", "ME")
 
     def __post_init__(self):
@@ -630,19 +626,12 @@ class ErrorReport:
                                              c.method))
         return cls(cells=tuple(cells), summaries=_summarize(cells))
 
-    def summary_for(self, method: str, classes: int, fractile: float,
-                    ) -> ErrorSummary:
-        for s in self.summaries:
-            if (s.method, s.classes) == (method, classes) and s.fractile == fractile:
-                return s
-        raise KeyError((method, classes, fractile))
-
 
 def evaluate_sample(sample: MicroSample, classes: Iterable[int],
                     fractiles: Sequence[float],
                     methods: Sequence[str] = ("PI", "ME"),
-                    top_fraction: float = 1e-3,
-                    scheme: str = "geometric",
+                    top_fraction: float = TOP_FRACTION,
+                    scheme: str = SCHEME,
                     trial: int = 0) -> list[ErrorCell]:
     """Score both estimators against the sample oracle at each class count.
 
@@ -650,9 +639,10 @@ def evaluate_sample(sample: MicroSample, classes: Iterable[int],
     failures are recorded per cell and never abort the run; a method other
     than PI or ME raises ValueError.
     """
-    cells = []
+    cells, classes = [], list(classes)
+    for k in classes:  # every ladder before any oracle share
+        _check_ladder(k, top_fraction, scheme)
     oracles = {p: oracle_share(sample, p) for p in fractiles}
-    classes = list(classes)
     tables = [tabulate(sample, quantile_thresholds(sample, k, top_fraction, scheme))
               for k in classes]
     estimates = maxent.estimate_shares([cumulate(t) for t in tables], fractiles,

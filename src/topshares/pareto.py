@@ -8,14 +8,13 @@ estimate reproduces the tabulated cumulative income exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FractileNotCoveredError, ParetoFitError
-from .tabulation import CumulativeStats, _stack
+from .tabulation import CumulativeStats, _batch
 
 __all__ = [
     "ParetoBracketFit",
@@ -23,6 +22,7 @@ __all__ = [
     "select_bracket",
     "pi_share_from_stats",
     "pi_shares",
+    "pi_table",
 ]
 
 
@@ -60,24 +60,58 @@ class ShareEstimate:
     extrapolated: bool = False
 
 
-def _fits(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
-          ) -> list[list[ParetoBracketFit | ValueError]]:
-    """``select_bracket`` of every fractile on each tabulation's statistics,
-    or the error that stops it: the nearest fractions of all of them in one
-    array pass over their stacked brackets."""
-    if not stats:
-        return []
-    (threshold, _, fraction, coef, expo), starts, sizes = _stack(
-        [(s.thresholds, s.top_fraction, s.pareto_coefficient, s.pareto_exponent)
-         for s in stats])
-    distance = np.abs(fraction - np.array(fractiles, dtype=float)[:, None])
+# What settles a cell of an estimate table: SERVED, or the first check that
+# stops it, in the order the checks run. ERROR_TYPES[code] is the type of the
+# error a failing code stands for; YEAR_FAILED stands for its year's error.
+SERVED, OUT_OF_RANGE, UNCOVERED, ZERO_THRESHOLD, FLAT_LAW, NOT_FINITE, YEAR_FAILED = range(7)
+ERROR_TYPES = (None, ValueError, FractileNotCoveredError, ParetoFitError, ParetoFitError,
+               ParetoFitError, None)
+_FIT_ERRORS = {ZERO_THRESHOLD: "no Pareto law at a zero threshold",
+               FLAT_LAW: "local Pareto coefficient {coefficient} must exceed 1",
+               NOT_FINITE: "fitted threshold {threshold}, top income {top_income} and "
+                           "share {share} must be finite"}
+
+
+def pi_table(batch: tuple, fractiles: Sequence[float]) -> dict:
+    """PI's table of a batch (see ``tabulation._cumulate``): (years, fractiles)
+    arrays "code", "threshold", "top_income", "share", "extrapolated" (served
+    past the top bracket) and the law at the nearest bracket, "bracket",
+    "fit_threshold", "fit_fraction", "coefficient" and "exponent"; per year,
+    "covered" and "errors". The closed forms run where the checks pass, their
+    power on Python floats: numpy's can differ in the last bit."""
+    ((lower, _, _, _, _, fraction, _, coef, expo, _, _), starts, sizes), \
+        population, total, errors = batch
+    p = np.array(fractiles, dtype=float)
+    distance = np.abs(fraction - p[:, None])
     nearest = np.repeat(np.minimum.reduceat(distance, starts, axis=1), sizes, axis=1)
     best = np.maximum.reduceat(  # the last bracket at that distance: larger p_k wins ties
         np.where(distance == nearest, np.arange(len(fraction)), 0), starts, axis=1).T
-    return [[_fit(p, covered, k - a, *law) for p, k, *law in zip(fractiles, *cells)]
-            for a, covered, *cells in zip(
-                starts.tolist(), fraction[starts + sizes - 1].tolist(), best.tolist(),
-                *(column[best].tolist() for column in (threshold, fraction, coef, expo)))]
+    t, f, c, e = (column[best] for column in (lower, fraction, coef, expo))
+    code = np.select([~((0.0 < p) & (p <= 1.0)), p > fraction[starts + sizes - 1, None],
+                      t <= 0.0, ~(np.isfinite(c) & (c > 1.0))],
+                     [OUT_OF_RANGE, UNCOVERED, ZERO_THRESHOLD, FLAT_LAW], SERVED)
+    y, j = fit = np.nonzero(code == SERVED)
+    estimate = np.full((3, *code.shape), np.nan)  # threshold, top income, share
+    with np.errstate(all="ignore"):  # as quiet as Python floats
+        base, power = (f[fit] / p[j]).tolist(), (1.0 / e[fit]).tolist()
+        t_p = t[fit] * np.array([b ** x for b, x in zip(base, power)], dtype=float)
+        s_p = np.array(population, dtype=float)[y] * p[j] * c[fit] * t_p
+        estimate[:, y, j] = t_p, s_p, s_p / np.array(total, dtype=float)[y]
+    code[fit] = np.where(np.isfinite(estimate[2][fit]), SERVED, NOT_FINITE)
+    return _table((fraction, starts, sizes), p, errors, code, *estimate,
+                  bracket=best - starts[:, None], fit_threshold=t, fit_fraction=f,
+                  coefficient=c, exponent=e)
+
+
+def _table(stack, p: np.ndarray, errors, code, threshold, top_income, share,
+           **columns) -> dict:
+    """A table (see ``pi_table``) of the years of ``stack``, (top_fraction,
+    starts, sizes), from its cells' code and estimate; an error fails a year."""
+    fraction, starts, sizes = stack
+    code[[error is not None for error in errors]] = YEAR_FAILED
+    return dict(columns, code=code, threshold=threshold, top_income=top_income,
+                share=share, extrapolated=(code == SERVED) & (p < fraction[starts, None]),
+                covered=fraction[starts + sizes - 1], errors=errors)
 
 
 def _fractile_error(p: float, covered: float) -> ValueError:
@@ -88,17 +122,31 @@ def _fractile_error(p: float, covered: float) -> ValueError:
     return FractileNotCoveredError(p, covered)
 
 
-def _fit(p, covered, bracket, threshold, fraction, coefficient, exponent,
-         ) -> ParetoBracketFit | ValueError:
-    """The local law at the selected bracket, or the error that stops it."""
-    if not 0.0 < p <= 1.0 or p > covered:
-        return _fractile_error(p, covered)
-    if threshold <= 0:
-        return ParetoFitError("no Pareto law at a zero threshold", bracket=bracket)
-    if not math.isfinite(coefficient) or coefficient <= 1.0:
-        return ParetoFitError(f"local Pareto coefficient {coefficient} must exceed 1",
-                              bracket=bracket)
-    return ParetoBracketFit(bracket, threshold, fraction, coefficient, exponent)
+def _error(table: dict, y: int, j: int, p: float) -> ValueError:
+    """The error that stops cell (y, j) of a table, at fractile ``p``."""
+    code = table["code"][y, j]
+    if code == YEAR_FAILED:
+        return table["errors"][y]
+    if code in (OUT_OF_RANGE, UNCOVERED):
+        return _fractile_error(p, table["covered"][y].item())
+    cell = {name: column[y, j].item() for name, column in table.items()
+            if name not in ("covered", "errors")}
+    return ParetoFitError(_FIT_ERRORS[code].format(**cell), bracket=cell["bracket"])
+
+
+def _outcomes(table: dict, fractiles: Sequence[float], method: str,
+              ) -> list[list[ShareEstimate | ValueError]]:
+    """A table's cells as the one-year API gives them: per year, each
+    fractile's ShareEstimate (bracket None for ME), or the error that stops
+    it."""
+    columns = (table[name].tolist() for name in ("code", "threshold", "top_income",
+                                                 "share", "bracket", "extrapolated"))
+    return [[ShareEstimate(p, t_p, s_p, share, method, None if method == "ME" else bracket,
+                           extrapolated)
+             if code == SERVED else _error(table, y, j, p)
+             for j, (p, code, t_p, s_p, share, bracket, extrapolated)
+             in enumerate(zip(fractiles, *row))]
+            for y, row in enumerate(zip(*columns))]
 
 
 def select_bracket(stats: CumulativeStats, p: float) -> ParetoBracketFit:
@@ -109,40 +157,24 @@ def select_bracket(stats: CumulativeStats, p: float) -> ParetoBracketFit:
     covered fraction, and ParetoFitError when the chosen bracket has no valid
     local Pareto law (zero threshold or coefficient <= 1).
     """
-    [[fit]] = _fits([stats], [p])
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
+    table = pi_table(_batch([stats]), [p])
+    if table["code"][0, 0] not in (SERVED, NOT_FINITE):  # a fit, finite or not
+        raise _error(table, 0, 0, p)
+    return ParetoBracketFit(*(table[name][0, 0].item() for name in (
+        "bracket", "fit_threshold", "fit_fraction", "coefficient", "exponent")))
 
 
 def pi_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
               ) -> list[list[ShareEstimate | ValueError]]:
     """The Pareto-interpolated estimate of every fractile on each tabulation's
     statistics, or the error that stops it: one list per tabulation, one
-    outcome per fractile. The brackets of all cells are selected in one array
-    pass; each cell's closed forms run on Python floats."""
-    return [[fit if isinstance(fit, ValueError) else _estimate(s, fit, p)
-             for p, fit in zip(fractiles, fits)]
-            for s, fits in zip(stats, _fits(stats, fractiles))]
-
-
-def _estimate(stats: CumulativeStats, fit: ParetoBracketFit, p: float,
-              ) -> ShareEstimate | ParetoFitError:
-    """The fitted law's threshold t_p and top income (returns times coefficient
-    times t_p) at p; a ParetoFitError where either or the share is not finite."""
-    t_p = fit.threshold * (fit.top_fraction / p) ** (1.0 / fit.exponent)
-    s_p = stats.population * p * fit.coefficient * t_p
-    share = s_p / stats.total_income
-    if not math.isfinite(share):  # as it is when t_p or s_p is not
-        return ParetoFitError(f"fitted threshold {t_p}, top income {s_p} and share "
-                              f"{share} must be finite", bracket=fit.bracket)
-    return ShareEstimate(p, t_p, s_p, share, "PI", fit.bracket,
-                         p < float(stats.top_fraction[0]))
+    outcome per fractile, read off one ``pi_table`` of them all."""
+    return _outcomes(pi_table(_batch(stats), fractiles), fractiles, "PI") if stats else []
 
 
 def pi_share_from_stats(stats: CumulativeStats, p: float) -> ShareEstimate:
     """Pareto-interpolated share from precomputed cumulative statistics."""
-    estimate = _estimate(stats, select_bracket(stats, p), p)
-    if isinstance(estimate, ParetoFitError):
+    [[estimate]] = pi_shares([stats], [p])
+    if isinstance(estimate, ValueError):
         raise estimate
     return estimate

@@ -11,8 +11,8 @@ regardless of input order.
 
 Income sums in published tables are often in a different unit than the
 thresholds (e.g. thousands of dollars vs dollars). The scale factor is
-explicit metadata (``income_unit``) and is applied once, inside ``cumulate``;
-it is never inferred from the data.
+explicit metadata (``income_unit``) and is applied once per series, for
+``validate`` and ``cumulate`` alike; it is never inferred from the data.
 """
 
 from __future__ import annotations
@@ -136,12 +136,14 @@ class CumulativeStats:
     total_income: float
 
     def __post_init__(self):
-        for name in (
-            "thresholds", "counts", "count_above", "income_above",
-            "top_fraction", "mean_above", "pareto_coefficient",
-            "pareto_exponent", "bracket_fraction", "bracket_mean",
-        ):
-            getattr(self, name).flags.writeable = False
+        for column in self._columns:
+            column.flags.writeable = False
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.thresholds, self.counts, self.count_above, self.income_above,
+                self.top_fraction, self.mean_above, self.pareto_coefficient,
+                self.pareto_exponent, self.bracket_fraction, self.bracket_mean)
 
     @property
     def num_brackets(self) -> int:
@@ -154,15 +156,28 @@ class CumulativeStats:
 
 
 def _series(tabs: list[Tabulation]) -> tuple:
-    """Tabulations end to end as columns, (sizes, thresholds, counts, sums,
-    denominators): bracket counts, each year's brackets in normalized order,
-    and its year and denominators (a Denominator, or here the Tabulation).
-    Counts are int64: one outside int64 raises OverflowError."""
+    """Tabulations end to end as a series, ``_scaled`` columns: each year's
+    brackets in normalized order, and its year and denominators (here the
+    Tabulation). Counts are int64: one outside int64 raises OverflowError."""
     brackets = [b for tab in tabs for b in tab.brackets]
-    return (np.array([tab.num_brackets for tab in tabs], dtype=np.int64),
-            *(np.array([getattr(b, name) for b in brackets], dtype=kind)
-              for name, kind in (("lower_threshold", float), ("count", np.int64),
-                                 ("income_sum", float))), tabs)
+    return _scaled(np.array([tab.num_brackets for tab in tabs], dtype=np.int64),
+                   *(np.array([getattr(b, name) for b in brackets], dtype=kind)
+                     for name, kind in (("lower_threshold", float), ("count", np.int64),
+                                        ("income_sum", float))), tabs)
+
+
+def _scaled(sizes, t, c, s, denominators) -> tuple:
+    """A series, (sizes, thresholds, counts, sums, denominators, (scaled, mean,
+    upper)), with each bracket's income sum in threshold units, its mean and
+    the next threshold up (inf at a year's top), computed once for
+    ``_violations`` and ``_cumulate``."""
+    unit = np.repeat(np.array([d.income_unit for d in denominators], dtype=float), sizes)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = s * unit
+        mean = scaled / c
+    upper = np.append(math.inf, t)[:-1]
+    upper[(np.cumsum(sizes) - sizes)[sizes > 0]] = math.inf
+    return sizes, t, c, s, denominators, (scaled, mean, upper)
 
 
 def _stack(columns: Sequence[tuple[np.ndarray, ...]]) -> tuple:
@@ -180,18 +195,19 @@ def _stack(columns: Sequence[tuple[np.ndarray, ...]]) -> tuple:
 def _violations(series: tuple) -> list[list[Violation]]:
     """``validate`` of every year of a series: each check flags all years or
     all brackets at once, and the flags become each year's violations in
-    validate's order. A year's total count is summed exactly."""
-    sizes, t, c, s, denominators = series
+    validate's order. A year's total count is summed exactly; a year whose
+    income_unit is not positive is checked in source units."""
+    sizes, t, c, s, denominators, (scaled, mean, upper) = series
     starts = np.cumsum(sizes) - sizes
     population, income, unit = ([getattr(d, name) for d in denominators] for name
                                 in ("population", "total_income", "income_unit"))
     total = [sum(c[a:a + n].tolist()) for a, n in zip(starts.tolist(), sizes.tolist())]
     position = np.arange(len(t)) - np.repeat(starts, sizes)
-    upper = np.append(math.inf, t[:-1])  # the next threshold up, below position 0
     scale = np.repeat([u if u > 0 else 1.0 for u in unit], sizes)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled = s * scale
-        mean = scaled / c
+    if not all(u > 0 for u in unit):  # their scale is 1.0, and s * 1.0 is s
+        source = np.repeat([not u > 0 for u in unit], sizes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled, mean = np.where(source, s, scaled), np.where(source, s / c, mean)
     occupied, top = c > 0, position == 0
     checks = (  # (group, code, flags by year or by bracket, message)
         (0, "too_few_brackets", sizes < 2, "need at least 2 brackets, got {n}"),
@@ -254,16 +270,17 @@ def validate(tab: Tabulation) -> list[Violation]:
     return _violations(_series([tab]))[0]
 
 
-def _cumulate(series: tuple) -> list[CumulativeStats | ValueError]:
-    """``cumulate`` of every year of a series in one array pass; a year whose
-    top bracket is empty, or whose total income or income above the lowest
-    threshold is not finite in threshold units, gets a ValueError instead."""
-    sizes, t, counts, sums, denominators = series
+def _cumulate(series: tuple) -> tuple:
+    """``cumulate`` of every year of a series in one array pass, as a batch:
+    CumulativeStats's columns in the ``_stack`` layout, ((lower, upper,
+    counts, ..., bracket_mean), starts, sizes), then each year's population,
+    total income in threshold units, and None or the ValueError that fails
+    it (an empty top bracket, or totals not finite in threshold units)."""
+    sizes, t, counts, _, denominators, (sums, mean, upper) = series
     starts = np.cumsum(sizes) - sizes
-    n, unit = (np.repeat(np.array([getattr(d, name) for d in denominators], dtype=float),
-                         sizes) for name in ("population", "income_unit"))
+    population = [d.population for d in denominators]
+    n = np.repeat(np.array(population, dtype=float), sizes)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sums = sums * unit
         # running sums bit for bit np.cumsum's on each year alone: one 2-D
         # cumsum per run of positions the same years reach, from the sum
         # before the run (padding every year to the longest inflates memory)
@@ -275,20 +292,26 @@ def _cumulate(series: tuple) -> list[CumulativeStats | ValueError]:
         mean_above = income_above / count_above
         coef = np.where(t > 0, mean_above / t, np.nan)
         expo = np.where(coef > 1, coef / (coef - 1), np.nan)
-        bracket_mean = np.where(counts > 0, sums / np.where(counts > 0, counts, 1), np.nan)
-        columns = (t, counts, count_above, income_above, count_above / n, mean_above,
-                   coef, expo, counts / n, bracket_mean)
+        columns = (t, upper, counts, count_above, income_above, count_above / n,
+                   mean_above, coef, expo, counts / n, np.where(counts > 0, mean, np.nan))
+    total = [float(d.total_income) * float(d.income_unit) for d in denominators]
 
-    def year(a: int, k: int, d) -> CumulativeStats | ValueError:
-        total = float(d.total_income) * float(d.income_unit)
+    def error(a: int, k: int, total: float) -> ValueError | None:
         if not (k and count_above[a] > 0):
             return ValueError("top bracket is empty: conditional means above the "
                               "highest threshold are undefined")
         if not (math.isfinite(total) and math.isfinite(income_above[a + k - 1])):
             return ValueError(f"total income {total} and income above the lowest threshold "
                               f"{income_above[a + k - 1]} must be finite in threshold units")
-        return CumulativeStats(*(column[a:a + k] for column in columns), d.population, total)
-    return [year(a, k, d) for a, k, d in zip(starts.tolist(), sizes.tolist(), denominators)]
+        return None
+    return ((columns, starts, sizes), population, total,
+            list(map(error, starts.tolist(), sizes.tolist(), total)))
+
+
+def _batch(stats: Sequence[CumulativeStats]) -> tuple:
+    """Cumulated years laid out as ``_cumulate`` lays out a series."""
+    return (_stack([s._columns for s in stats]), [s.population for s in stats],
+            [s.total_income for s in stats], [None] * len(stats))
 
 
 def cumulate(tab: Tabulation) -> CumulativeStats:
@@ -299,10 +322,10 @@ def cumulate(tab: Tabulation) -> CumulativeStats:
     zero threshold get NaN Pareto fields; empty brackets get a NaN bracket
     mean. Recomputing from the same tabulation is bit-identical.
     """
-    [stats] = _cumulate(_series([tab]))
-    if isinstance(stats, ValueError):
-        raise stats
-    return stats
+    ((lower, _, *rest), _, _), [population], [total], [error] = _cumulate(_series([tab]))
+    if error is not None:
+        raise error
+    return CumulativeStats(lower, *rest, population, total)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +546,8 @@ def _read_series(raw, denominators: Mapping[int, Denominator]) -> tuple:
     order = order[np.repeat(2 * first + sizes - 1, sizes) - np.arange(len(year))]
     t, c, s = (grid[name][order] for name in ("lower_threshold", "returns", "income_sum"))
     years = year[first].tolist()
-    series = (sizes, t, c, s,
-              [denominators.get(y, Denominator(y, 1, 1.0)) for y in years])
+    series = _scaled(sizes, t, c, s, [denominators[y] if y in denominators
+                                      else Denominator(y, 1, 1.0) for y in years])
     for y, problems in zip(years, _violations(series)):
         if y not in denominators:
             raise ParseError(f"missing denominator metadata for year {y}")
@@ -542,7 +565,7 @@ def parse_tabulations(raw, denominators: Mapping[int, Denominator]) -> list[Tabu
     is sorted by year. Raises ParseError with a line number on bad rows and
     on validation failures.
     """
-    sizes, *arrays, years = _read_series(raw, denominators)
+    sizes, *arrays, years, _ = _read_series(raw, denominators)
     brackets = list(map(IncomeBracket, *(array.tolist() for array in arrays)))
     return [Tabulation(d.year, tuple(brackets[a:a + n]), d.population, d.total_income,
                        d.income_unit)

@@ -13,7 +13,7 @@ import pytest
 
 import topshares
 
-from conftest import fresh_python
+from conftest import fresh_python, tabulation_csv
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(topshares.__path__))
 
@@ -62,6 +62,38 @@ tracer.uninstall()
 print(wrapped, hasattr(cli.microbench.run_protocol, "__wrapped__"))
 """
     assert fresh_python(code).split() == ["[True,", "True]", "False"]
+
+
+def test_traced_estimate_reaches_every_expected_layer(tmp_path):
+    # bench/run.py reports a traced series_cli run as incorrect, even at exit
+    # status 0, when a layer of EXPECTED_LAYERS records no call: the estimate
+    # path must reach a public function of each layer through a binding
+    # bench/tracer.py wraps, as bench/child.py runs it
+    brackets = (topshares.IncomeBracket(100.0, 10, 1500.0),
+                topshares.IncomeBracket(50.0, 30, 2100.0))
+    tab, den = tmp_path / "tab.csv", tmp_path / "den.csv"
+    for path, text in zip((tab, den), tabulation_csv(
+            [topshares.Tabulation(year, brackets, 400, 20000.0) for year in (1950, 1951)])):
+        path.write_text(text)
+    bench = Path(__file__).parents[1] / "bench"
+    argv = ["estimate", "--input", str(tab), "--denominators", str(den),
+            "--out", str(tmp_path / "out.csv")]
+    code = f"""
+import sys
+sys.path.insert(0, {str(bench)!r})
+import topshares.cli as cli
+from tracer import Tracer
+from workloads import EXPECTED_LAYERS
+tracer = Tracer()
+tracer.install()
+first = tracer.begin_op()
+status = cli.main({argv!r})
+tracer.end_op(0, first)
+tracer.uninstall()
+seen = {{name.split(".")[0] for name in tracer.summaries()[0]["functions"]}}
+print(status, sorted(set(EXPECTED_LAYERS["series_cli"]) - seen))
+"""
+    assert fresh_python(code).split() == ["0", "[]"]
 
 
 def test_traced_functions_are_public():

@@ -1,15 +1,21 @@
 """Command line interface: artifacts, markers, layouts, determinism, exits."""
 
 import collections
+import contextlib
+import dataclasses
 import csv
 import hashlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import topshares as ts
 from topshares import cli, maxent, microbench, pareto, tabulation
 from topshares.cli import main
 from topshares.errors import ParseError
@@ -419,10 +425,80 @@ def test_series_bytes_pinned(tmp_path, command, layout, fmt, extrapolate):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@st.composite
+def series_years(draw):
+    """2-4 years that ``validate`` accepts, 2-8 brackets each, coverage 2% to
+    45% (the top half uncovered, the top decile at times) and means anywhere
+    in their brackets, lower edges included (ME then fails the year), plus a
+    year with an empty top bracket (cumulate rejects it) among them."""
+    tabs = []
+    for _ in range(draw(st.integers(2, 4))):
+        k = draw(st.integers(2, 8))
+        thresholds = sorted(draw(st.lists(st.floats(1.0, 1e9), min_size=k, max_size=k,
+                                          unique=True)), reverse=True)
+        unit = draw(st.sampled_from([1.0, 1000.0]))
+        brackets = []
+        for i, lower in enumerate(thresholds):
+            count = draw(st.integers(1 if i == 0 else 0, 10**5))
+            if i == 0:
+                mean = lower * draw(st.floats(1.0, 4.0, exclude_min=True))
+            else:
+                mean = lower + (thresholds[i - 1] - lower) * draw(
+                    st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+            brackets.append(ts.IncomeBracket(lower, count, count * mean / unit))
+        returns = sum(b.count for b in brackets)
+        income = sum(b.income_sum for b in brackets)
+        tabs.append(ts.Tabulation(0, tuple(brackets), max(returns, round(
+            returns / draw(st.floats(0.02, 0.45)))), income * draw(st.floats(1.0, 3.0)),
+            unit))
+    empty = tabs[0].brackets[1:]
+    tabs.insert(draw(st.integers(0, len(tabs))), ts.Tabulation(
+        0, (ts.IncomeBracket(2 * empty[0].lower_threshold, 0, 0.0), *empty),
+        tabs[0].population, tabs[0].total_income, tabs[0].income_unit))
+    tabs = [dataclasses.replace(tab, year=1950 + i) for i, tab in enumerate(tabs)]
+    assume(not any(map(ts.validate, tabs)))
+    return tabs
+
+
+def _json_rows(argv, tab_text, den_text) -> list[dict]:
+    """The JSON rows ``main`` prints for ``argv`` on the given input texts."""
+    with tempfile.TemporaryDirectory() as work:
+        tab, den = Path(work, "tab.csv"), Path(work, "den.csv")
+        tab.write_text(tab_text)
+        den.write_text(den_text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main([*argv, "--input", str(tab), "--denominators", str(den),
+                  "--format", "json"])
+    return json.loads(out.getvalue())["rows"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tabs=series_years())
+def test_each_year_of_a_series_is_its_own_run_alone(tabs):
+    # every cell of a year, from the one batch of the whole series, equals
+    # the cell of a run on that year alone, string for string: empty top
+    # brackets, failed densities, uncovered and extrapolated cells included
+    fractiles = ["--fractiles", "0.5,0.1,0.01,1e-05"]
+    runs = [["estimate", "--method", method, *fractiles, *extrapolate]
+            for method in ("pi", "me", "both")
+            for extrapolate in ([], ["--allow-extrapolation"])]
+    runs.append(["diagnostics", *fractiles])
+    statuses = set()
+    for argv in runs:
+        batch = _json_rows(argv, *tabulation_csv(tabs))
+        statuses.update(row["status"] for row in batch)
+        for tab in tabs:
+            assert [row for row in batch if row["year"] == tab.year] == \
+                _json_rows(argv, *tabulation_csv([tab]))
+    assert {"uncovered", "error:ValueError"} <= statuses
+
+
 def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
-    # one read, one rate solve, one column layout per method, no density
-    # object, and no per-year or per-cell calls into the scalar validate,
-    # cumulate and PI selection
+    # one read, one rate solve, the series laid out once (by _cumulate, not
+    # _stack), no density object, no per-year or per-cell object between the
+    # reader and the emitter, and no calls into the scalar validate, cumulate
+    # and PI selection
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -434,8 +510,11 @@ def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", counting("loadtxt", np.loadtxt))
     monkeypatch.setattr(maxent, "_solve_rates", counting("_solve_rates",
                                                          maxent._solve_rates))
-    monkeypatch.setattr(maxent.MaxEntDensity, "__post_init__", counting(
-        "MaxEntDensity", maxent.MaxEntDensity.__post_init__))
+    for cls, method in ((maxent.MaxEntDensity, "__post_init__"),
+                        (tabulation.CumulativeStats, "__post_init__"),
+                        (pareto.ParetoBracketFit, "__init__"),
+                        (pareto.ShareEstimate, "__init__")):
+        monkeypatch.setattr(cls, method, counting(cls.__name__, getattr(cls, method)))
     for module, name in ((tabulation, "validate"), (tabulation, "cumulate"),
                          (tabulation, "_rows"), (tabulation, "_stack"),
                          (pareto, "select_bracket"), (pareto, "pi_share_from_stats")):
@@ -449,7 +528,7 @@ def test_series_estimate_is_one_pass(tmp_path, monkeypatch):
     den.write_text(den_text)
     assert main(["estimate", "--input", str(tab), "--denominators", str(den),
                  "--out", str(tmp_path / "out.csv")]) == 2
-    assert calls == {"loadtxt": 2, "_solve_rates": 1, "_stack": 2}
+    assert calls == {"loadtxt": 2, "_solve_rates": 1}
 
 
 @pytest.mark.parametrize("rows,population,message", [
@@ -870,6 +949,21 @@ class TestSynthAndCompare:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_compare_checks_and_runs_one_ladder(self, tmp_path, monkeypatch):
+        # compare checks its ladders before it reads the input, and
+        # evaluate_sample checks and lays them; all must read one default
+        seen, check = [], microbench._check_ladder
+        monkeypatch.setattr(microbench, "_check_ladder", lambda k, top, scheme: (
+            seen.append((k, top, scheme)), check(k, top, scheme))[1])
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n" + "".join(f"{i},1\n" for i in range(1, 4001)))
+        assert main(["compare", "--micro", str(micro), "--classes", "6,9",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        ladder = (microbench.TOP_FRACTION, microbench.SCHEME)
+        assert seen == [(6, *ladder), (9, *ladder)] * 3
+        spec = microbench.BenchmarkSpec(dist=microbench.ParetoDist(2.0))
+        assert (spec.top_fraction, spec.scheme) == ladder
 
     @pytest.mark.parametrize("key,values,message", [
         ("classes", [8, 8], "classes must not repeat, got [8, 8]"),

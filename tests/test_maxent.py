@@ -998,6 +998,13 @@ def piece_bits(density) -> bytes:
                      density.mean]).tobytes()
 
 
+def densities(stats):
+    """``maxent._densities`` of tabulations at their own thresholds."""
+    return maxent._densities(ts.tabulation._stack(
+        [(s.thresholds, s.bracket_fraction, s.bracket_mean, s.top_fraction)
+         for s in stats]))
+
+
 def test_stacked_density_build_matches_each_year_alone(table_1920):
     # one rate solve over every year gives each year the density it gets
     # alone; a year with a mean on its bracket boundary fails by itself
@@ -1009,8 +1016,7 @@ def test_stacked_density_build_matches_each_year_alone(table_1920):
     # the year of a +inf top mean must not stop the batch
     stats.append(dataclasses.replace(stats[0], bracket_mean=np.array(
         [math.inf, -math.inf, *stats[0].bracket_mean[2:]])))
-    ((lower, _, mass, rate, mean, above), starts, sizes), errors = maxent._densities(
-        stats, [s.thresholds for s in stats])
+    ((lower, _, mass, rate, mean, above), starts, sizes), errors = densities(stats)
     for i, (one, a, n, error) in enumerate(zip(stats, starts, sizes, errors)):
         if i in (20, len(stats) - 1):
             assert isinstance(error, MeanOnBoundaryError)
@@ -1181,7 +1187,7 @@ def test_segmented_counts_match_per_year_searchsorted(table_1920):
     # every mass_above (repeated by an empty bracket), below the bottom, at
     # +-inf and at NaN
     stats = batch_of_years(table_1920)
-    stack, _ = maxent._densities(stats, [s.thresholds for s in stats])
+    stack, _ = densities(stats)
     (lower, *_, above), starts, sizes = stack
     assert above[starts[-1] + 1] == above[starts[-1]]  # the empty bracket
     edges = np.concatenate([lower, above, [0.0, -0.0, -1.0, math.inf, -math.inf,

@@ -304,13 +304,13 @@ class TestGenerate:
         sample = mb.generate(dist, 1_000_000, seed=42)
         share = mb.oracle_share(sample, 0.10)
         assert share == pytest.approx(0.10 ** 0.5, rel=0.02)
-        assert dist.top_share(0.10) == pytest.approx(math.sqrt(0.10))
 
     def test_lognormal_mean_within_three_standard_errors(self):
         dist = mb.LognormalDist(location=0.3, shape=0.8)
         n = 400_000
         sample = mb.generate(dist, n, seed=11)
-        se = math.sqrt(dist.variance / n)
+        variance = (math.exp(0.8 ** 2) - 1.0) * math.exp(2 * 0.3 + 0.8 ** 2)
+        se = math.sqrt(variance / n)
         assert abs(float(sample.incomes.mean()) - dist.mean) < 3 * se
 
     def test_mixture_draws_both_components(self):
@@ -415,6 +415,13 @@ def _tied_weighted(n):
                           np.arange(n) % 9 + 1)
 
 
+def summary(report, method, classes, fractile):
+    """The report's summary of one (method, K, fractile) group."""
+    [s] = [s for s in report.summaries
+           if (s.method, s.classes, s.fractile) == (method, classes, fractile)]
+    return s
+
+
 class TestProtocol:
     def test_estimators_exact_at_tabulated_fractions(self):
         sample = mb.generate(mb.ParetoDist(2.0), 100_000, seed=4)
@@ -444,6 +451,13 @@ class TestProtocol:
             one_unit = float(np.sort(sample.incomes)[-1]) / s_total
             assert abs(me - oracle) <= one_unit
 
+    def test_ladders_checked_before_any_oracle_share(self):
+        # once reported that the top fractile 0.1 covers fewer than one of
+        # the 3 units, computing the oracle before laying a ladder
+        sample = mb.MicroSample.from_incomes(np.array([1.0, 2.0, 5.0]))
+        with pytest.raises(ValueError, match="^need at least 2 classes$"):
+            mb.evaluate_sample(sample, [1], [0.1])
+
     def test_run_protocol_deterministic(self):
         spec = mb.BenchmarkSpec(dist=mb.ParetoDist(2.0), size=20_000,
                                 classes=(8, 14), fractiles=(0.10, 0.01),
@@ -457,8 +471,7 @@ class TestProtocol:
                                 classes=(8, 30), fractiles=(0.10,),
                                 trials=5, seed=9)
         report = mb.run_protocol(spec)
-        coarse = report.summary_for("ME", 8, 0.10)
-        fine = report.summary_for("ME", 30, 0.10)
+        coarse, fine = (summary(report, "ME", k, 0.10) for k in (8, 30))
         assert fine.mse_rel_error <= coarse.mse_rel_error
         assert coarse.trials_ok == 5
 
@@ -597,7 +610,7 @@ class TestProtocol:
         spec = mb.BenchmarkSpec(dist=mb.ParetoDist(2.0), size=20_000,
                                 classes=(8,), fractiles=(0.10,),
                                 trials=3, seed=5)
-        s = mb.run_protocol(spec).summary_for("ME", 8, 0.10)
+        s = summary(mb.run_protocol(spec), "ME", 8, 0.10)
         assert s.mse_share_pp == pytest.approx(1e4 * s.mse_share_level, rel=1e-12)
         assert s.mse_rel_error >= 0.0
 

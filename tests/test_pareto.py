@@ -320,15 +320,16 @@ def test_array_selection_matches_scalar_reference():
                  1.5, math.nan, *(s.covered_fraction for s in stats[:5]),
                  *(float(f) for f in stats[0].top_fraction)]
     fractiles += [math.nextafter(f, 1.0) for f in fractiles[:8]]
-    fits = pareto._fits(stats, fractiles)
     estimates = pareto.pi_shares(stats, fractiles)
-    for s, fit_row, estimate_row in zip(stats, fits, estimates):
-        for p, fit, estimate in zip(fractiles, fit_row, estimate_row):
+    fits = 0
+    for s, estimate_row in zip(stats, estimates):
+        for p, estimate in zip(fractiles, estimate_row):
             expected = _outcome(reference_select_bracket, s, p)
-            assert _described(fit) == _outcome(select_bracket, s, p) == expected
+            assert _outcome(select_bracket, s, p) == expected
+            fits += isinstance(expected, str)  # a fit, by its repr
             assert _described(estimate) == _outcome(pi_share_from_stats, s, p) \
                 == _outcome(reference_pi_share, s, p)
-    assert sum(isinstance(f, ParetoBracketFit) for row in fits for f in row) > 1000
+    assert fits > 1000
 
 
 def test_non_finite_pi_estimate_is_a_fit_error():

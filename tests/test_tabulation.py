@@ -228,8 +228,7 @@ class TestCumulate:
         with pytest.raises(ValueError) as err:
             ts.cumulate(tab)
         assert str(err.value) == message
-        first, failed, last = tabulation._cumulate(
-            tabulation._series([simple_tab(), tab, simple_tab(year=1951)]))
+        first, failed, last = cumulated([simple_tab(), tab, simple_tab(year=1951)])
         assert type(failed) is ValueError and str(failed) == message
         for stats, alone in ((first, simple_tab()), (last, simple_tab(year=1951))):
             assert [np.asarray(v).tobytes() for v in dataclasses.astuple(stats)] == \
@@ -483,6 +482,16 @@ def reference_parse_tabulations(text, denominators):
     return out
 
 
+def cumulated(tabs):
+    """Each tabulation's CumulativeStats, or the ValueError that fails it,
+    from one ``_cumulate`` batch of them all."""
+    ((lower, _, *rest), starts, sizes), population, total, errors = \
+        tabulation._cumulate(tabulation._series(tabs))
+    return [ts.CumulativeStats(*(c[a:a + k] for c in (lower, *rest)), n, s)
+            if e is None else e
+            for a, k, n, s, e in zip(starts, sizes, population, total, errors)]
+
+
 def reference_cumulate(tab):
     """The per-tabulation cumulate the columnar one replaced: its arrays in
     CumulativeStats field order, then population and total income."""
@@ -589,7 +598,7 @@ def test_cumulate_matches_scalar_reference_bit_for_bit():
             return ValueError, str(err)
         return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in columns]
 
-    batch = tabulation._cumulate(tabulation._series(tabs))
+    batch = cumulated(tabs)
     for tab, stats in zip(tabs, batch):
         if tab.brackets:
             assert outcome(stats) == reference(tab)
