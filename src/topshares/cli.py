@@ -244,7 +244,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    fractiles = _parse_fractiles(args.fractiles)
+    fractiles = _parse_fractiles(args.fractiles) if args.fractiles is not None \
+        else microbench.BenchmarkSpec.fractiles
     classes = tuple(_parse_list("--classes", args.classes, int)) if args.classes \
         else microbench.BenchmarkSpec.classes
     for k in classes:  # at the default ladder evaluate_sample lays them by
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--micro", required=True,
                       help="micro CSV (income,weight)")
     comp.add_argument("--classes", help="comma list of class counts")
-    comp.add_argument("--fractiles", default="0.10,0.05,0.01")
+    comp.add_argument("--fractiles")
     comp.set_defaults(func=cmd_compare)
     return parser
 

@@ -28,26 +28,25 @@ class FractileNotCoveredError(TopsharesError, ValueError):
         self.covered = covered
 
 
-class MeanOnBoundaryError(TopsharesError, ValueError):
+class _BracketError(TopsharesError, ValueError):
+    """An error at one bracket: its position, when known, is ``bracket`` and
+    prefixes the message."""
+
+    def __init__(self, message, bracket=None):
+        if bracket is not None:
+            message = f"bracket {bracket}: {message}"
+        super().__init__(message)
+        self.bracket = bracket
+
+
+class MeanOnBoundaryError(_BracketError):
     """A bracket mean sits on or outside its bracket, so no exponential
     tilt can match it. Signals corrupt bracket data."""
 
-    def __init__(self, message, bracket=None):
-        if bracket is not None:
-            message = f"bracket {bracket}: {message}"
-        super().__init__(message)
-        self.bracket = bracket
 
-
-class ParetoFitError(TopsharesError, ValueError):
+class ParetoFitError(_BracketError):
     """No valid local Pareto law at the selected bracket (coefficient <= 1
     or a zero threshold). Signals corrupt bracket data."""
-
-    def __init__(self, message, bracket=None):
-        if bracket is not None:
-            message = f"bracket {bracket}: {message}"
-        super().__init__(message)
-        self.bracket = bracket
 
 
 class InfeasibleOrderingError(TopsharesError, ValueError):

@@ -55,6 +55,7 @@ SERIES_SWITCH = 1e-6
 
 MEAN_RESIDUAL_TOL = 1e-12  # on the bracket mean, relative to bracket width
 GRAD_TOL = 1e-10  # recovery's stop on the gradient, relative to 1 + |objective|
+MAX_ITERATIONS = 500  # and its stop on the number of Newton steps
 
 
 # ---------------------------------------------------------------------------
@@ -493,25 +494,17 @@ def _densities(stack) -> tuple[tuple, list[MeanOnBoundaryError | None]]:
     return ((lower, upper, mass, rate, mean, above), starts, sizes), errors
 
 
-def build_density(stats: CumulativeStats,
-                  thresholds: np.ndarray | None = None) -> MaxEntDensity:
-    """Assemble the maximum-entropy density from bracket masses and means.
-
-    ``thresholds`` defaults to the tabulated ones; a caller may pass
-    candidate vectors instead (same length, strictly decreasing). Each
-    occupied bracket's mean must sit strictly inside its bracket. Empty
-    brackets become zero-mass pieces.
+def build_density(stats: CumulativeStats) -> MaxEntDensity:
+    """Assemble the maximum-entropy density from bracket masses and means at
+    the tabulated thresholds, which must strictly decrease. Each occupied
+    bracket's mean must sit strictly inside its bracket. Empty brackets
+    become zero-mass pieces.
     """
-    if thresholds is None:
-        thresholds = stats.thresholds
-    thresholds = np.asarray(thresholds, dtype=float)
-    if len(thresholds) != stats.num_brackets:
-        raise ValueError(f"expected {stats.num_brackets} thresholds, got "
-                         f"{len(thresholds)}")
-    if np.any(np.diff(thresholds) >= 0):
+    if np.any(np.diff(stats.thresholds) >= 0):
         raise ValueError("thresholds must be strictly decreasing")
     ((lower, _, mass, rate, mean, above), _, _), [error] = _densities(_stack(
-        [(thresholds, stats.bracket_fraction, stats.bracket_mean, stats.top_fraction)]))
+        [(stats.thresholds, stats.bracket_fraction, stats.bracket_mean,
+          stats.top_fraction)]))
     if error is not None:
         raise error
     return MaxEntDensity(lower, mass, rate, mean, above, stats.population,
@@ -646,8 +639,7 @@ def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
     return objective, f_lo[:-1] - f_hi, (diag, off)
 
 
-def recover_thresholds(stats: CumulativeStats, t_bottom: float,
-                       max_iterations: int = 500) -> ThresholdSolution:
+def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolution:
     """Recover interior thresholds from cumulative counts and incomes.
 
     Holds the bottom threshold fixed and minimizes the attained divergence
@@ -666,7 +658,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
     at float resolution is accepted when it lowers the gradient. The
     iteration stops when the gradient meets ``GRAD_TOL * (1 + |objective|)``,
     when no step lowers the objective or the gradient, or after
-    ``max_iterations`` Newton steps.
+    ``MAX_ITERATIONS`` Newton steps.
     """
     k_total = stats.num_brackets
     if k_total < 2:
@@ -715,7 +707,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float,
 
     iterations = 0
     flat = 4.0 * np.finfo(float).eps
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         grad_max = np.max(np.abs(grad))
         if grad_max <= GRAD_TOL * (1.0 + abs(value)):
             break

@@ -292,12 +292,6 @@ class ParetoDist:
         # survival inversion: u in [0,1) maps to (1-u)^(-1/a), finite for all u
         return self.scale * (1.0 - u) ** (-1.0 / self.exponent)
 
-    @property
-    def mean(self) -> float:
-        if self.exponent <= 1:
-            return math.inf
-        return self.scale * self.exponent / (self.exponent - 1.0)
-
     def to_dict(self) -> dict:
         return {"kind": "pareto", "exponent": self.exponent, "scale": self.scale}
 
@@ -388,10 +382,6 @@ class LognormalDist:
     def quantile(self, u: np.ndarray) -> np.ndarray:
         return np.exp(self.location + self.shape * _ndtri(u))
 
-    @property
-    def mean(self) -> float:
-        return math.exp(self.location + 0.5 * self.shape ** 2)
-
     def to_dict(self) -> dict:
         return {"kind": "lognormal", "location": self.location, "shape": self.shape}
 
@@ -426,10 +416,6 @@ class MixtureDist:
             if len(rows):
                 out[rows] = comp.quantile(u_value[rows])
         return out
-
-    @property
-    def mean(self) -> float:
-        return sum(w * c.mean for w, c in zip(self.weights, self.components))
 
     def to_dict(self) -> dict:
         return {"kind": "mixture",
@@ -516,6 +502,13 @@ def generate(dist, size: int, seed: int) -> MicroSample:
 # protocol
 # ---------------------------------------------------------------------------
 
+# each key of a spec's JSON form past "distribution", in ``to_dict``'s order,
+# with the cast ``from_json`` reads its value by
+_SPEC_KEYS = {"size": _count, "classes": lambda v: tuple(map(_count, v)),
+              "fractiles": lambda v: tuple(float(p) for p in v), "trials": _count,
+              "seed": _count, "top_fraction": float, "scheme": str, "methods": tuple}
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """What to run: distribution, sample size, class counts, fractiles,
@@ -554,26 +547,16 @@ class BenchmarkSpec:
     def from_json(cls, text: str) -> "BenchmarkSpec":
         """A spec from its JSON form (see ``_value``); absent keys take defaults."""
         raw = json.loads(text)
-        casts = {"size": _count, "classes": lambda v: tuple(map(_count, v)),
-                 "fractiles": lambda v: tuple(float(p) for p in v),
-                 "trials": _count, "seed": _count, "top_fraction": float,
-                 "scheme": str, "methods": tuple}
         dist = dist_from_dict(_value(raw, "distribution", lambda v: v, "spec"))
         return cls(dist=dist, **{key: _value(raw, key, cast, "spec")
-                                 for key, cast in casts.items() if key in raw})
+                                 for key, cast in _SPEC_KEYS.items() if key in raw})
 
     def to_dict(self) -> dict:
-        return {
-            "distribution": self.dist.to_dict(),
-            "size": self.size,
-            "classes": list(self.classes),
-            "fractiles": list(self.fractiles),
-            "trials": self.trials,
-            "seed": self.seed,
-            "top_fraction": self.top_fraction,
-            "scheme": self.scheme,
-            "methods": list(self.methods),
-        }
+        """The JSON form ``from_json`` reads, sequences as lists."""
+        fields = {key: getattr(self, key) for key in _SPEC_KEYS}
+        return {"distribution": self.dist.to_dict(), **{
+            key: list(value) if isinstance(value, Iterable) and not isinstance(value, str)
+            else value for key, value in fields.items()}}
 
 
 @dataclass(frozen=True)

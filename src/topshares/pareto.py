@@ -21,7 +21,6 @@ __all__ = [
     "ShareEstimate",
     "select_bracket",
     "pi_share_from_stats",
-    "pi_shares",
     "pi_table",
 ]
 
@@ -164,17 +163,9 @@ def select_bracket(stats: CumulativeStats, p: float) -> ParetoBracketFit:
         "bracket", "fit_threshold", "fit_fraction", "coefficient", "exponent")))
 
 
-def pi_shares(stats: Sequence[CumulativeStats], fractiles: Sequence[float],
-              ) -> list[list[ShareEstimate | ValueError]]:
-    """The Pareto-interpolated estimate of every fractile on each tabulation's
-    statistics, or the error that stops it: one list per tabulation, one
-    outcome per fractile, read off one ``pi_table`` of them all."""
-    return _outcomes(pi_table(_batch(stats), fractiles), fractiles, "PI") if stats else []
-
-
 def pi_share_from_stats(stats: CumulativeStats, p: float) -> ShareEstimate:
     """Pareto-interpolated share from precomputed cumulative statistics."""
-    [[estimate]] = pi_shares([stats], [p])
+    [[estimate]] = _outcomes(pi_table(_batch([stats]), [p]), [p], "PI")
     if isinstance(estimate, ValueError):
         raise estimate
     return estimate

@@ -64,20 +64,44 @@ print(wrapped, hasattr(cli.microbench.run_protocol, "__wrapped__"))
     assert fresh_python(code).split() == ["[True,", "True]", "False"]
 
 
-def test_traced_estimate_reaches_every_expected_layer(tmp_path):
-    # bench/run.py reports a traced series_cli run as incorrect, even at exit
-    # status 0, when a layer of EXPECTED_LAYERS records no call: the estimate
-    # path must reach a public function of each layer through a binding
-    # bench/tracer.py wraps, as bench/child.py runs it
+def _series_argv(tmp_path) -> list[str]:
     brackets = (topshares.IncomeBracket(100.0, 10, 1500.0),
                 topshares.IncomeBracket(50.0, 30, 2100.0))
     tab, den = tmp_path / "tab.csv", tmp_path / "den.csv"
     for path, text in zip((tab, den), tabulation_csv(
             [topshares.Tabulation(year, brackets, 400, 20000.0) for year in (1950, 1951)])):
         path.write_text(text)
+    return ["estimate", "--input", str(tab), "--denominators", str(den)]
+
+
+def _synth_argv(tmp_path) -> list[str]:
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"distribution": {"kind": "pareto", "exponent": 2.0},
+                                "size": 2000, "classes": [8], "trials": 1}))
+    return ["synth", "--spec", str(spec)]
+
+
+def _compare_argv(tmp_path) -> list[str]:
+    micro = tmp_path / "micro.csv"
+    micro.write_text("income,weight\n" + "".join(
+        f"{1000.0 * (2000 / (i + 1)) ** 0.5},{1 + i % 5}\n" for i in range(2000)))
+    return ["compare", "--micro", str(micro), "--classes", "8"]
+
+
+# the command of each bench/workloads.py workload that runs one, on small
+# inputs it writes to the directory it is given
+WORKLOAD_ARGV = {"series_cli": _series_argv, "synth_1e6": _synth_argv,
+                 "compare_weighted": _compare_argv}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_ARGV)
+def test_traced_run_reaches_every_expected_layer(tmp_path, workload):
+    # bench/run.py reports a traced run as incorrect, even at exit status 0,
+    # when a layer of its workload's EXPECTED_LAYERS records no call: each
+    # command must reach a public function of each layer through a binding
+    # bench/tracer.py wraps, as bench/child.py runs it
     bench = Path(__file__).parents[1] / "bench"
-    argv = ["estimate", "--input", str(tab), "--denominators", str(den),
-            "--out", str(tmp_path / "out.csv")]
+    argv = WORKLOAD_ARGV[workload](tmp_path) + ["--out", str(tmp_path / "out.csv")]
     code = f"""
 import sys
 sys.path.insert(0, {str(bench)!r})
@@ -91,7 +115,7 @@ status = cli.main({argv!r})
 tracer.end_op(0, first)
 tracer.uninstall()
 seen = {{name.split(".")[0] for name in tracer.summaries()[0]["functions"]}}
-print(status, sorted(set(EXPECTED_LAYERS["series_cli"]) - seen))
+print(status, sorted(set(EXPECTED_LAYERS[{workload!r}]) - seen))
 """
     assert fresh_python(code).split() == ["0", "[]"]
 

@@ -965,6 +965,19 @@ class TestSynthAndCompare:
         spec = microbench.BenchmarkSpec(dist=microbench.ParetoDist(2.0))
         assert (spec.top_fraction, spec.scheme) == ladder
 
+    def test_compare_fractiles_default_to_the_spec_default(self, tmp_path, capsys):
+        # one declaration, BenchmarkSpec's; an empty flag is still an error
+        micro = tmp_path / "micro.csv"
+        micro.write_text("income,weight\n" + "".join(f"{i},1\n" for i in range(1, 4001)))
+        out = tmp_path / "out.json"
+        assert main(["compare", "--micro", str(micro), "--classes", "8",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["fractiles"] == \
+            list(microbench.BenchmarkSpec.fractiles)
+        assert main(["compare", "--micro", str(micro), "--fractiles", "",
+                     "--out", str(tmp_path / "empty.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: --fractiles: ")
+
     @pytest.mark.parametrize("key,values,message", [
         ("classes", [8, 8], "classes must not repeat, got [8, 8]"),
         ("fractiles", [0.1, 0.1], "fractiles must not repeat, got [0.1, 0.1]"),

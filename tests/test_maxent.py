@@ -369,15 +369,15 @@ class TestBuildDensity:
         stats = stats_from_masses([0.2, 0.3], [5.0, 2.5],
                                   thresholds=[4.0, 2.0])
         with pytest.raises(MeanOnBoundaryError) as err:
-            build_density(stats, np.array([4.0, 2.6]))  # y_2 above new t_1? no: y_1=5>4 ok, y_2=2.5 < 2.6
+            # the bottom mean 2.5 sits below a bottom threshold of 2.6
+            build_density(dataclasses.replace(stats, thresholds=np.array([4.0, 2.6])))
         assert err.value.bracket == 1
 
-    def test_custom_thresholds_must_match_and_decrease(self):
+    def test_thresholds_must_decrease(self):
         stats = stats_from_masses([0.2, 0.3], [5.0, 2.5], thresholds=[4.0, 2.0])
-        with pytest.raises(ValueError):
-            build_density(stats, np.array([4.0]))
-        with pytest.raises(ValueError):
-            build_density(stats, np.array([2.0, 4.0]))
+        for thresholds in ([2.0, 4.0], [4.0, 4.0]):
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                build_density(dataclasses.replace(stats, thresholds=np.array(thresholds)))
 
     def test_empty_bracket_becomes_zero_mass_piece(self):
         tab = ts.Tabulation(
@@ -589,7 +589,7 @@ class TestRecoverThresholds:
         assert sol.converged
         np.testing.assert_allclose(sol.thresholds, t_true, rtol=1e-6)
         # at the optimum the density is continuous across boundaries
-        d = build_density(stats, sol.thresholds)
+        d = build_density(dataclasses.replace(stats, thresholds=sol.thresholds))
         for k in range(2):
             b = float(sol.thresholds[k])
             above = maxent._density_at(*piece_columns(d, k)[:4], b)
@@ -658,7 +658,7 @@ class TestRecoverThresholds:
         for k in range(len(thresholds) - 1):
             assert means[k + 1] < sol.thresholds[k] < means[k]
 
-    def test_iterations_count_newton_steps(self):
+    def test_iterations_count_newton_steps(self, monkeypatch):
         # the tabulation of test_flat_objective_at_float_floor_still_converges:
         # a cap of the reported count converges, one step fewer does not
         thresholds = [345179.3972763353, 280306.71860647737, 222953.3931892919,
@@ -675,12 +675,12 @@ class TestRecoverThresholds:
         stats = ts.cumulate(tab)
         sol = ts.recover_thresholds(stats, thresholds[-1])
         assert sol.converged and sol.iterations >= 1
-        capped = ts.recover_thresholds(stats, thresholds[-1],
-                                       max_iterations=sol.iterations)
+        monkeypatch.setattr(maxent, "MAX_ITERATIONS", sol.iterations)
+        capped = ts.recover_thresholds(stats, thresholds[-1])
         assert capped.converged and capped.iterations == sol.iterations
         np.testing.assert_array_equal(capped.thresholds, sol.thresholds)
-        short = ts.recover_thresholds(stats, thresholds[-1],
-                                      max_iterations=sol.iterations - 1)
+        monkeypatch.setattr(maxent, "MAX_ITERATIONS", sol.iterations - 1)
+        short = ts.recover_thresholds(stats, thresholds[-1])
         assert not short.converged and short.iterations == sol.iterations - 1
 
     def test_infeasible_inputs_rejected(self):
@@ -864,7 +864,9 @@ def test_exhausted_line_search_returns_the_last_accepted_iterate(monkeypatch):
     # run capped at two steps leaves it
     stats = lognormal_ladder_stats(8)
     t_bottom = float(stats.thresholds[-1])
-    capped = ts.recover_thresholds(stats, t_bottom, max_iterations=2)
+    with monkeypatch.context() as cap:  # undone before the line search runs
+        cap.setattr(maxent, "MAX_ITERATIONS", 2)
+        capped = ts.recover_thresholds(stats, t_bottom)
     assert capped.iterations == 2 and not capped.converged
     calls = [0]
     divergence = maxent._divergence

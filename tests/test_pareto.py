@@ -8,7 +8,6 @@ import pytest
 from scipy import integrate
 
 import topshares as ts
-from topshares import pareto
 from topshares.errors import FractileNotCoveredError, ParetoFitError
 from topshares.pareto import ParetoBracketFit, pi_share_from_stats, select_bracket
 
@@ -320,7 +319,8 @@ def test_array_selection_matches_scalar_reference():
                  1.5, math.nan, *(s.covered_fraction for s in stats[:5]),
                  *(float(f) for f in stats[0].top_fraction)]
     fractiles += [math.nextafter(f, 1.0) for f in fractiles[:8]]
-    estimates = pareto.pi_shares(stats, fractiles)
+    estimates = [[outcome for _, _, outcome in row]
+                 for row in ts.estimate_shares(stats, fractiles, ("PI",))]
     fits = 0
     for s, estimate_row in zip(stats, estimates):
         for p, estimate in zip(fractiles, estimate_row):
@@ -340,6 +340,6 @@ def test_non_finite_pi_estimate_is_a_fit_error():
                                       1000, 1e10))
     with pytest.raises(ParetoFitError, match="must be finite"):
         pi_share_from_stats(stats, 0.4)
-    [[low, high]] = pareto.pi_shares([stats], [0.4, 0.3])
+    [[(_, _, low), (_, _, high)]] = ts.estimate_shares([stats], [0.4, 0.3], ("PI",))
     assert isinstance(low, ParetoFitError) and isinstance(high, ParetoFitError)
     assert low.bracket == 1 and select_bracket(stats, 0.4).bracket == 1
