@@ -231,9 +231,9 @@ def cmd_synth(args) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.classes:
+    if args.classes is not None:
         overrides["classes"] = tuple(_parse_list("--classes", args.classes, int))
-    if args.fractiles:
+    if args.fractiles is not None:
         overrides["fractiles"] = tuple(_parse_fractiles(args.fractiles))
     if args.size is not None:
         overrides["size"] = args.size
@@ -246,8 +246,8 @@ def cmd_synth(args) -> int:
 def cmd_compare(args) -> int:
     fractiles = _parse_fractiles(args.fractiles) if args.fractiles is not None \
         else microbench.BenchmarkSpec.fractiles
-    classes = tuple(_parse_list("--classes", args.classes, int)) if args.classes \
-        else microbench.BenchmarkSpec.classes
+    classes = tuple(_parse_list("--classes", args.classes, int)) \
+        if args.classes is not None else microbench.BenchmarkSpec.classes
     for k in classes:  # at the default ladder evaluate_sample lays them by
         microbench._check_ladder(k, microbench.TOP_FRACTION, microbench.SCHEME)
     with open(args.micro, "r", encoding="utf-8") as fh:

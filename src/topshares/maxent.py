@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InfeasibleOrderingError, MeanOnBoundaryError
 from .pareto import (OUT_OF_RANGE, SERVED, UNCOVERED, ShareEstimate, _fractile_error,
                      _outcomes, _table, pi_table)
-from .tabulation import CumulativeStats, _batch, _stack
+from .tabulation import CumulativeStats, _batch, _running_sums, _stack
 
 __all__ = [
     "MaxEntDensity",
@@ -220,7 +220,7 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     The arguments broadcast together. An element fails, with rate NaN, when
     its mean does not sit strictly inside its bracket, or when its position
     r = (mean - lower)/width rounds to 0 or 1 or is so small that 1/r, the
-    initial guess, overflows; the other elements are solved as usual. An
+    tail bound below, overflows; the other elements are solved as usual. An
     unbounded bracket (upper = inf) has the closed form -1/(mean - lower).
 
     Each bounded element solves _mean_frac(u) = r for u = rate * width by
@@ -228,13 +228,17 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     1/2 + L(u/2)/2, and 1 - 1/u < _mean_frac(u) < 1/2 + u/12 for u > 0,
     mirrored for u < 0, so the root lies strictly between 12(r - 1/2) and
     1/(1 - r) when r > 1/2, and between -1/r and 12(r - 1/2) when r < 1/2.
-    Newton starts at the end that approximates the root better (the tail
-    asymptote outside [0.01, 0.99], the series inversion inside) and falls
-    back to bisection when a step leaves the interval that still brackets
-    the root. It stops at a mean residual below MEAN_RESIDUAL_TOL of the
-    width, when a step no longer moves the iterate, or after 200 steps.
-    Every element sees exactly the operations it would see alone, so
-    batching never changes a rate.
+    The root is u = 2 L^-1(y) with y = 2r - 1. Newton starts there with
+    Petrosyan's closed form L^-1(y) ~ 3y + (y^2/5) sin(7y/2) + y^3/(1 - |y|)
+    (Rheol. Acta 2017; relative error below 0.18%), 1 - |y| taken as
+    2 min(r, 1 - r), and the start clipped into that interval, since near
+    r = 0 or 1 it can land just past the tail bound. Newton falls back to bisection when a step does
+    not land strictly inside the interval that still brackets the root, whose
+    ends are evaluated iterates or the closed-form bounds; so a step onto an
+    evaluated end bisects. It stops at a mean residual below
+    MEAN_RESIDUAL_TOL of the width, when a step no longer moves the iterate,
+    or after 200 steps. Every element sees exactly the operations it would
+    see alone, so batching never changes a rate.
     """
     lower, upper, mean = np.broadcast_arrays(lower, upper, mean)
     shape = lower.shape
@@ -255,8 +259,11 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     r = r[todo]
     series, tail = 12.0 * (r - 0.5), np.where(r > 0.5, 1.0 / (1.0 - r), -1.0 / r)
     lo, hi = np.minimum(series, tail), np.maximum(series, tail)
-    u = np.where((r > 0.99) | (r < 0.01), tail, series)
+    y = 2.0 * r - 1.0  # Petrosyan's inverse Langevin, 1 - |y| taken exactly
+    u = np.clip(2.0 * (3.0 * y + 0.2 * y * y * np.sin(3.5 * y)
+                       + y * y * y / (2.0 * np.minimum(r, 1.0 - r))), lo, hi)
     h = _mean_frac(u) - r
+    u = u.copy()  # the loop writes iterates into u, not into the evaluated start
 
     # Newton on the unconverged elements, their state compacted to them
     live = np.flatnonzero(~(np.abs(h) <= MEAN_RESIDUAL_TOL))
@@ -446,15 +453,13 @@ def _quantiles(stack, p: np.ndarray):
 
 def _partial_expectations(stack, y: np.ndarray) -> np.ndarray:
     """``partial_expectation_above`` of each stacked density at its row of
-    an (n, m) array of income levels: the whole pieces above y, summed
-    exactly rounded, plus the part of the piece holding y."""
-    (lower, upper, mass, rate, mean, _), starts, _ = stack
+    an (n, m) array of income levels: the whole pieces above y, a running sum
+    from the top piece down, plus the part of the piece holding y."""
+    (lower, upper, mass, rate, mean, _), starts, sizes = stack
     i = _piece_index(stack, y)
-    terms = np.where(mass > 0.0, mass * mean, 0.0).tolist()
-    whole = [[math.fsum(terms[a:j]) for j in row]
-             for a, row in zip(starts.tolist(), i.tolist())]
-    return np.reshape(whole, i.shape) + _partial_expectation(
-        lower[i], upper[i], mass[i], rate[i], mean[i], y)
+    [running] = _running_sums(starts, sizes, np.where(mass > 0.0, mass * mean, 0.0))
+    whole = np.where(i > starts[:, None], running[i - 1], 0.0)
+    return whole + _partial_expectation(lower[i], upper[i], mass[i], rate[i], mean[i], y)
 
 
 @_quiet
@@ -639,6 +644,28 @@ def _divergence(stats: CumulativeStats, thresholds: np.ndarray,
     return objective, f_lo[:-1] - f_hi, (diag, off)
 
 
+def _newton_direction(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The Newton direction -H^-1 grad for the symmetric tridiagonal H with
+    diagonal ``diag`` (n,) and off-diagonal ``off`` (n-1,), from one Thomas
+    sweep over Python floats, O(n); or -grad where a pivot is zero or the
+    Newton direction is not a finite descent direction."""
+    d, e, x = diag.tolist(), off.tolist(), (-grad).tolist()
+    ratio = [0.0] * len(e)  # the sweep's e[i]/pivot[i]
+    try:
+        pivot = d[0]
+        x[0] /= pivot
+        for i in range(len(e)):
+            ratio[i] = e[i] / pivot
+            pivot = d[i + 1] - e[i] * ratio[i]
+            x[i + 1] = (x[i + 1] - e[i] * x[i]) / pivot
+    except ZeroDivisionError:
+        return -grad
+    for i in range(len(e) - 1, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    direction = np.array(x)
+    return direction if -math.inf < np.dot(direction, grad) < 0.0 else -grad
+
+
 def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolution:
     """Recover interior thresholds from cumulative counts and incomes.
 
@@ -648,8 +675,9 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
     the search runs in logistic coordinates inside those boxes, which keeps
     the ordering feasible by construction. Newton steps use the closed-form
     gradient (density jumps) and tridiagonal Hessian of ``_divergence``,
-    carried to logistic coordinates by the chain rule, with a backtracking
-    line search; the objective blows up at the box edges, so iterates stay
+    carried to logistic coordinates by the chain rule as a band (diagonal,
+    off-diagonal) and solved by one O(K) sweep (``_newton_direction``, which
+    falls back to steepest descent), with a backtracking line search; the objective blows up at the box edges, so iterates stay
     interior. Each line-search trial is one ``_divergence`` call, one rate
     solve, and the accepted trial's Hessian serves the next step, so a
     recovery makes 1 + (line-search trials) calls. Near the optimum a Newton
@@ -694,13 +722,8 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
         t, sig = thresholds_of(z)
         value, grad_t, (diag_t, off_t) = _divergence(stats, t)
         s = span * sig * (1.0 - sig)
-        off = off_t * s[:-1] * s[1:]
-        n = len(s)
-        hess = np.zeros((n, n))
-        band = hess.reshape(-1)  # a view: diagonal, super- and subdiagonal
-        band[::n + 1] = diag_t * s * s + grad_t * s * (1.0 - 2.0 * sig)
-        band[1::n + 1], band[n::n + 1] = off, off
-        return value, grad_t * s, hess
+        return value, grad_t * s, (diag_t * s * s + grad_t * s * (1.0 - 2.0 * sig),
+                                   off_t * s[:-1] * s[1:])
 
     z = np.zeros(k_total - 1)  # box midpoints
     value, grad, hess = eval_at(z)
@@ -712,12 +735,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
         if grad_max <= GRAD_TOL * (1.0 + abs(value)):
             break
 
-        try:
-            direction = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            direction = grad
-        if not np.dot(direction, grad) < 0:  # descent check
-            direction = -grad
+        direction = _newton_direction(*hess, grad)
 
         # backtracking line search: Armijo decrease, or a lower gradient
         # where the objective is flat at float resolution

@@ -76,8 +76,10 @@ def pi_table(batch: tuple, fractiles: Sequence[float]) -> dict:
     arrays "code", "threshold", "top_income", "share", "extrapolated" (served
     past the top bracket) and the law at the nearest bracket, "bracket",
     "fit_threshold", "fit_fraction", "coefficient" and "exponent"; per year,
-    "covered" and "errors". The closed forms run where the checks pass, their
-    power on Python floats: numpy's can differ in the last bit."""
+    "covered" and "errors". The closed forms run where the checks pass. The
+    top income, count times threshold times coefficient, takes the
+    coefficient (> 1) last, so it overflows only where the product does:
+    a huge coefficient at a tiny threshold gives a finite share."""
     ((lower, _, _, _, _, fraction, _, coef, expo, _, _), starts, sizes), \
         population, total, errors = batch
     p = np.array(fractiles, dtype=float)
@@ -91,10 +93,9 @@ def pi_table(batch: tuple, fractiles: Sequence[float]) -> dict:
                      [OUT_OF_RANGE, UNCOVERED, ZERO_THRESHOLD, FLAT_LAW], SERVED)
     y, j = fit = np.nonzero(code == SERVED)
     estimate = np.full((3, *code.shape), np.nan)  # threshold, top income, share
-    with np.errstate(all="ignore"):  # as quiet as Python floats
-        base, power = (f[fit] / p[j]).tolist(), (1.0 / e[fit]).tolist()
-        t_p = t[fit] * np.array([b ** x for b, x in zip(base, power)], dtype=float)
-        s_p = np.array(population, dtype=float)[y] * p[j] * c[fit] * t_p
+    with np.errstate(all="ignore"):
+        t_p = t[fit] * np.power(f[fit] / p[j], 1.0 / e[fit])
+        s_p = t_p * (p[j] * np.array(population, dtype=float)[y]) * c[fit]
         estimate[:, y, j] = t_p, s_p, s_p / np.array(total, dtype=float)[y]
     code[fit] = np.where(np.isfinite(estimate[2][fit]), SERVED, NOT_FINITE)
     return _table((fraction, starts, sizes), p, errors, code, *estimate,

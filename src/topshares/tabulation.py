@@ -270,6 +270,21 @@ def validate(tab: Tabulation) -> list[Violation]:
     return _violations(_series([tab]))[0]
 
 
+def _running_sums(starts: np.ndarray, sizes: np.ndarray, *columns: np.ndarray,
+                  ) -> list[np.ndarray]:
+    """Each year's running sums of each stacked column, from its top row,
+    bit for bit np.cumsum's on each year alone: one 2-D cumsum per run of
+    positions the same years reach, from the sum before the run (padding
+    every year to the longest inflates memory)."""
+    out, done = [column.copy() for column in columns], 0
+    for depth in sorted(set(sizes.tolist()) - {0}):
+        at = starts[sizes >= depth, None] + np.arange(max(done - 1, 0), depth)
+        for column in out:
+            column[at] = np.cumsum(column[at], axis=1)
+        done = depth
+    return out
+
+
 def _cumulate(series: tuple) -> tuple:
     """``cumulate`` of every year of a series in one array pass, as a batch:
     CumulativeStats's columns in the ``_stack`` layout, ((lower, upper,
@@ -281,14 +296,7 @@ def _cumulate(series: tuple) -> tuple:
     population = [d.population for d in denominators]
     n = np.repeat(np.array(population, dtype=float), sizes)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # running sums bit for bit np.cumsum's on each year alone: one 2-D
-        # cumsum per run of positions the same years reach, from the sum
-        # before the run (padding every year to the longest inflates memory)
-        count_above, income_above, done = counts.copy(), sums.copy(), 0
-        for depth in sorted(set(sizes.tolist()) - {0}):
-            at = starts[sizes >= depth, None] + np.arange(max(done - 1, 0), depth)
-            count_above[at], income_above[at], done = (np.cumsum(
-                count_above[at], axis=1), np.cumsum(income_above[at], axis=1), depth)
+        count_above, income_above = _running_sums(starts, sizes, counts, sums)
         mean_above = income_above / count_above
         coef = np.where(t > 0, mean_above / t, np.nan)
         expo = np.where(coef > 1, coef / (coef - 1), np.nan)

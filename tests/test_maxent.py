@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import sys
 import tracemalloc
 from statistics import NormalDist
 
@@ -276,6 +277,26 @@ class TestSolveRate:
         u = solve_rate(0.0, 1.0, r)
         assert lo <= u <= hi
         assert abs(maxent._mean_frac(u) - r) <= maxent.MEAN_RESIDUAL_TOL
+
+    def test_newton_start_lies_in_the_closed_form_bracket(self, monkeypatch):
+        # the inverse-Langevin start, clipped, is the first point the solve
+        # evaluates: finite and inside the bracket, also where 1 - |2r - 1|
+        # is tiny or r sits at 1/2 to within an ulp
+        near = np.geomspace(1e-300, 1e-15, 301)
+        r = np.concatenate((np.linspace(0.0, 1.0, 100_001)[1:-1], near, 1.0 - near,
+                            0.5 - near, 0.5 + near, [2.0 ** -1022, 1.0 - 2.0 ** -53,
+                                                     math.nextafter(0.5, 0.0),
+                                                     math.nextafter(0.5, 1.0)]))
+        r = r[(r > 0.0) & (r < 1.0) & (r != 0.5)]
+        starts, real = [], maxent._mean_frac
+        monkeypatch.setattr(maxent, "_mean_frac",
+                            lambda u: (starts.append(u.copy()), real(u))[1])
+        maxent._solve_rates(0.0, 1.0, r)
+        series = 12.0 * (r - 0.5)
+        tail = np.where(r > 0.5, 1.0 / (1.0 - r), -1.0 / r)
+        assert len(starts[0]) == len(r)
+        assert np.all((np.minimum(series, tail) <= starts[0])
+                      & (starts[0] <= np.maximum(series, tail)))
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(t_lo=st.floats(-1e12, 1e12), width=st.floats(1e-9, 1e12),
@@ -768,14 +789,14 @@ def solution_digest(sol) -> str:
     return h.hexdigest()
 
 
-# These digests depend on the bits of numpy's exp, expm1, log and log1p,
+# These digests depend on the bits of numpy's exp, expm1, log, log1p and sin,
 # which follow the SIMD code path numpy dispatches to on the host CPU.
 RECOVERY_DIGESTS = {
-    "ladder-8": "e19797d0ba870a3fc65116186dd06a925ac518a972116f2c96b7819b03eee942",
-    "ladder-20": "c6cad9302f600e2438b726369b6ec76e24a25ba1a4651d1e4268faebb45247eb",
-    "ladder-40": "bde3c70b68c34a8a9a3b08a32fe23ed0fed5811e14dbb7f39de78820e437a898",
-    "ladder-60": "c0cc00e4886b7be4a056bebe86414944c6d74cff409cc2b3d13f42c075020ab1",
-    "flat-8": "eadb291e82537548bbe5ab568d8fa97048a257a29c4b573892309bdb7c91c7cd",
+    "ladder-8": "de9ad7ab81a219371b810ecafb443395f9b98ae3ce1ab68ac08baa516577da8d",
+    "ladder-20": "a4e6194bd1ad2660bd416201a4179064504c01691cf6fc5dd756e2305f389186",
+    "ladder-40": "2cf486c8f82e83a5cbce13bf9d31c080b8cef3d62c1106284c7026d1f6aa2eba",
+    "ladder-60": "af40a97d652ed807289a06fe39f3997498fa970dedb4c514fd47e3a1989c0df3",
+    "flat-8": "b080f4c68708ebeff48ec73c9dfee156316b0d3029f4709a52ae45fa96450584",
 }
 
 
@@ -910,6 +931,31 @@ def test_ladder_rate_solves_take_at_most_four_mean_evaluations(monkeypatch, k):
     assert per_solve and sum(per_solve) <= 4 * len(per_solve), per_solve
 
 
+@pytest.mark.parametrize("k", [8, 20, 40, 60])
+def test_ladder_rate_solves_take_at_most_two_newton_rounds(monkeypatch, k):
+    # from the inverse-Langevin start every bounded element of every rate
+    # solve of a ladder recovery converges in at most two Newton rounds: a
+    # solve evaluates the mean at its start and once per round
+    evaluations, per_solve = [0], []
+    mean_frac, solve_rates = maxent._mean_frac, maxent._solve_rates
+
+    def counting_mean_frac(u):
+        evaluations[0] += 1
+        return mean_frac(u)
+
+    def counting_solve_rates(*args):
+        before = evaluations[0]
+        out = solve_rates(*args)
+        per_solve.append(evaluations[0] - before)
+        return out
+
+    monkeypatch.setattr(maxent, "_mean_frac", counting_mean_frac)
+    monkeypatch.setattr(maxent, "_solve_rates", counting_solve_rates)
+    stats = lognormal_ladder_stats(k)
+    assert ts.recover_thresholds(stats, float(stats.thresholds[-1])).converged
+    assert per_solve and max(per_solve) <= 1 + 2, per_solve
+
+
 def steep_stats():
     """K = 4 brackets on [10, inf), [6, 10), [3, 6), [1, 3) whose middle
     pieces are steep at their given thresholds: u = rate * width is about
@@ -953,6 +999,39 @@ def test_hessian_matches_central_differences_of_the_gradient(case):
                     - maxent._divergence(stats, minus)[1]) / (2.0 * h)
     # the whole matrix: the band, and zeros off it
     assert np.max(np.abs(hess - fd)) <= 1e-7 * np.max(np.abs(hess))
+
+
+def test_newton_direction_matches_a_dense_solve():
+    # the Thomas sweep against LAPACK on random well-conditioned positive
+    # definite bands, diagonally dominant or not, of every size a recovery
+    # meets
+    rng = np.random.default_rng(31)
+    for n in [1, 2, 3, *rng.integers(4, 80, 40).tolist()]:
+        for dominant in (True, False):
+            off = rng.normal(size=n - 1)
+            if dominant:
+                diag = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)) \
+                    + rng.uniform(0.1, 2.0, n)
+            else:  # L L^T of a random bidiagonal L, |subdiagonal| < diagonal
+                a, b = rng.uniform(1.0, 2.0, n), rng.uniform(-0.9, 0.9, n - 1)
+                diag, off = a * a + np.append(0.0, b * b), a[:-1] * b
+            grad = rng.normal(size=n)
+            expected = np.linalg.solve(dense(diag, off), -grad)
+            direction = maxent._newton_direction(diag, off, grad)
+            assert np.max(np.abs(direction - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("diag,off", [
+    ([0.0, 1.0], [1.0]),  # zero first pivot
+    ([1.0, 1.0], [1.0]),  # zero second pivot
+    ([1.0, 2.0, 1.0], [1.0, 1.0]),  # zero last pivot
+    ([1e-300, 1.0], [1e10]),  # the pivot after it overflows
+    ([-1.0, -2.0], [0.5]),  # definite, but an ascent direction
+], ids=["first", "second", "last", "overflow", "ascent"])
+def test_newton_direction_falls_back_to_steepest_descent(diag, off):
+    grad = np.array([0.5, -2.0, 1.0][:len(diag)])
+    direction = maxent._newton_direction(np.array(diag), np.array(off), grad)
+    np.testing.assert_array_equal(direction, -grad)
 
 
 def mp_gradient(stats, t):
@@ -1244,10 +1323,11 @@ def test_one_density_queries_hold_memory_linear_in_points():
 @st.composite
 def accepted_tabulations(draw):
     """Tabulations that ``validate`` accepts: 2-12 brackets, thresholds 0
-    or in [1e-6, 1e12], means anywhere in their brackets (on the lower edge
-    included), empty brackets below the top, incomes in units of 1 or 1000."""
+    or in [smallest positive normal, 1e12], means anywhere in their brackets
+    (on the lower edge included), empty brackets below the top, incomes in
+    units of 1 or 1000."""
     k = draw(st.integers(2, 12))
-    thresholds = sorted(draw(st.lists(st.floats(1e-6, 1e12), min_size=k,
+    thresholds = sorted(draw(st.lists(st.floats(sys.float_info.min, 1e12), min_size=k,
                                       max_size=k, unique=True)), reverse=True)
     if draw(st.booleans()):
         thresholds[-1] = 0.0

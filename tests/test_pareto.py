@@ -283,8 +283,11 @@ def reference_select_bracket(stats, p):
 def reference_pi_share(stats, p):
     """The per-cell pi_share_from_stats the array path replaced."""
     fit = reference_select_bracket(stats, p)
-    t_p = fit.threshold * (fit.top_fraction / p) ** (1.0 / fit.exponent)
-    s_p = stats.population * p * fit.coefficient * t_p
+    # numpy's array power, as pi_table takes it: its scalar power and
+    # math's can differ in the last bit
+    [power] = np.power([fit.top_fraction / p], [1.0 / fit.exponent]).tolist()
+    t_p = fit.threshold * power
+    s_p = t_p * (p * stats.population) * fit.coefficient
     return ts.ShareEstimate(p, t_p, s_p, s_p / stats.total_income, "PI", fit.bracket,
                             p < float(stats.top_fraction[0]))
 
@@ -333,13 +336,25 @@ def test_array_selection_matches_scalar_reference():
 
 
 def test_non_finite_pi_estimate_is_a_fit_error():
-    # the local coefficient at a 2e-300 threshold is about 5e306: the top
-    # income overflows to inf, once reported as a share
+    # a local exponent of 1.01 at a 1e300 threshold: the fitted threshold
+    # 1e-12 deep in the tail overflows to inf, once reported as a share
+    stats = ts.cumulate(ts.Tabulation(1950, (ts.IncomeBracket(1e300, 3, 3.03e302),
+                                             ts.IncomeBracket(5e299, 2, 1.4e300)),
+                                      1000, 1e305))
+    with pytest.raises(ParetoFitError, match="must be finite"):
+        pi_share_from_stats(stats, 1e-12)
+    [[(_, _, deep), (_, _, top)]] = ts.estimate_shares([stats], [1e-12, 0.003], ("PI",))
+    assert isinstance(deep, ParetoFitError) and math.isfinite(top.share)
+    assert deep.bracket == 0 and select_bracket(stats, 1e-12).bracket == 0
+
+
+def test_tiny_threshold_pi_share_is_finite():
+    # the local coefficient at a 2e-300 threshold is about 5e306, yet the
+    # top income, coefficient last, is finite: it once overflowed to inf
     stats = ts.cumulate(ts.Tabulation(1950, (ts.IncomeBracket(2e-300, 300, 3e9),
                                              ts.IncomeBracket(1e-300, 200, 3e-298)),
                                       1000, 1e10))
-    with pytest.raises(ParetoFitError, match="must be finite"):
-        pi_share_from_stats(stats, 0.4)
-    [[(_, _, low), (_, _, high)]] = ts.estimate_shares([stats], [0.4, 0.3], ("PI",))
-    assert isinstance(low, ParetoFitError) and isinstance(high, ParetoFitError)
-    assert low.bracket == 1 and select_bracket(stats, 0.4).bracket == 1
+    assert stats.pareto_coefficient[0] > 1e306
+    low, high = (pi_share_from_stats(stats, p) for p in (0.4, 0.3))
+    assert low.bracket == 1 and high.bracket == 0
+    assert high.share == 0.3 and low.share == pytest.approx(0.3, rel=1e-15)
