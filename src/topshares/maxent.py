@@ -666,6 +666,22 @@ def _newton_direction(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np
     return direction if -math.inf < np.dot(direction, grad) < 0.0 else -grad
 
 
+@_quiet
+def _pareto_start(stats: CumulativeStats, box_lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Where recovery starts each interior threshold, as its fraction of the
+    box (box_lo, box_lo + span), from the counts N and means M above each
+    threshold, which need no thresholds. Gap j's local Pareto exponent is
+    the slope -dlog N / dlog M between its cumulative points; threshold k
+    takes the top gap's for k = 0 and the mean of its two gaps' otherwise,
+    and the local Pareto law puts it at M (a - 1) / a, which is exact on a
+    Pareto tail. The fraction is clipped to [0.05, 0.95], and is the
+    midpoint 0.5 where it is not finite."""
+    g = -np.diff(np.log(stats.count_above)) / np.diff(np.log(stats.mean_above))
+    a = np.concatenate((g[:1], 0.5 * (g[:-1] + g[1:])))
+    sig = (stats.mean_above[:-1] * (a - 1.0) / a - box_lo) / span
+    return np.clip(np.where(np.isfinite(sig), sig, 0.5), 0.05, 0.95)
+
+
 def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolution:
     """Recover interior thresholds from cumulative counts and incomes.
 
@@ -673,20 +689,24 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
     over the interior ones. Each interior threshold must separate the means
     of the brackets it divides, so the feasible set is a box per threshold;
     the search runs in logistic coordinates inside those boxes, which keeps
-    the ordering feasible by construction. Newton steps use the closed-form
-    gradient (density jumps) and tridiagonal Hessian of ``_divergence``,
-    carried to logistic coordinates by the chain rule as a band (diagonal,
-    off-diagonal) and solved by one O(K) sweep (``_newton_direction``, which
-    falls back to steepest descent), with a backtracking line search; the objective blows up at the box edges, so iterates stay
-    interior. Each line-search trial is one ``_divergence`` call, one rate
-    solve, and the accepted trial's Hessian serves the next step, so a
-    recovery makes 1 + (line-search trials) calls. Near the optimum a Newton
-    step can cut the gradient by orders of magnitude while moving the
-    objective by an ulp either way, so a step that leaves the objective flat
-    at float resolution is accepted when it lowers the gradient. The
-    iteration stops when the gradient meets ``GRAD_TOL * (1 + |objective|)``,
-    when no step lowers the objective or the gradient, or after
-    ``MAX_ITERATIONS`` Newton steps.
+    the ordering feasible by construction. It starts where a local Pareto
+    law through the neighbouring cumulative counts and means puts each
+    threshold (``_pareto_start``), inside the middle 90% of its box; on
+    income-like tabulations that is most of the way to the optimum. Newton
+    steps use the closed-form gradient (density jumps) and tridiagonal
+    Hessian of ``_divergence``, carried to logistic coordinates by the chain
+    rule as a band (diagonal, off-diagonal) and solved by one O(K) sweep
+    (``_newton_direction``, which falls back to steepest descent), with a
+    backtracking line search; the objective blows up at the box edges, so
+    iterates stay interior. Each line-search trial is one ``_divergence``
+    call, one rate solve, and the accepted trial's Hessian serves the next
+    step, so a recovery makes 1 + (line-search trials) calls. Near the
+    optimum a Newton step can cut the gradient by orders of magnitude while
+    moving the objective by an ulp either way, so a step that leaves the
+    objective flat at float resolution is accepted when it lowers the
+    gradient. The iteration stops when the gradient meets
+    ``GRAD_TOL * (1 + |objective|)``, when no step lowers the objective or
+    the gradient, or after ``MAX_ITERATIONS`` Newton steps.
     """
     k_total = stats.num_brackets
     if k_total < 2:
@@ -725,7 +745,8 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
         return value, grad_t * s, (diag_t * s * s + grad_t * s * (1.0 - 2.0 * sig),
                                    off_t * s[:-1] * s[1:])
 
-    z = np.zeros(k_total - 1)  # box midpoints
+    sig = _pareto_start(stats, box_lo, span)
+    z = np.log(sig / (1.0 - sig))
     value, grad, hess = eval_at(z)
 
     iterations = 0

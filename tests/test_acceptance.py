@@ -291,6 +291,26 @@ def test_criterion_threshold_recovery():
           f"{t.elapsed:.1f}s)")
 
 
+def test_criterion_recovery_steps_reported():
+    """Newton steps per recovery from the local Pareto start, on the
+    lognormal ladders and on random tabulations, whose bracket means follow
+    no income law. Reported, not asserted."""
+    from test_maxent import lognormal_ladder_stats
+
+    def recover(stats):
+        return ts.recover_thresholds(stats, float(stats.thresholds[-1]))
+
+    with timed(60.0) as t:
+        ladders = [recover(lognormal_ladder_stats(k)) for k in (8, 20, 40, 60)]
+        rng = np.random.default_rng(0)
+        randoms = [recover(ts.cumulate(random_tabulation(rng))) for _ in range(600)]
+    print(f"INFO: recovery steps (ladders K=8/20/40/60: "
+          f"{'/'.join(str(s.iterations) for s in ladders)}, mean "
+          f"{np.mean([s.iterations for s in ladders]):.2f}; 600 random "
+          f"tabulations: mean {np.mean([s.iterations for s in randoms]):.2f}, "
+          f"{sum(s.converged for s in randoms)} converged; {t.elapsed:.1f}s)")
+
+
 def _log_share_curvature(mixture, t):
     """f''(log p) at p = survival(t), where f(x) = log S(e^x) and S(p) is the
     mixture's top-p share. Since dS/dp is proportional to t(p) and

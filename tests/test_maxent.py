@@ -792,11 +792,11 @@ def solution_digest(sol) -> str:
 # These digests depend on the bits of numpy's exp, expm1, log, log1p and sin,
 # which follow the SIMD code path numpy dispatches to on the host CPU.
 RECOVERY_DIGESTS = {
-    "ladder-8": "de9ad7ab81a219371b810ecafb443395f9b98ae3ce1ab68ac08baa516577da8d",
-    "ladder-20": "a4e6194bd1ad2660bd416201a4179064504c01691cf6fc5dd756e2305f389186",
-    "ladder-40": "2cf486c8f82e83a5cbce13bf9d31c080b8cef3d62c1106284c7026d1f6aa2eba",
-    "ladder-60": "af40a97d652ed807289a06fe39f3997498fa970dedb4c514fd47e3a1989c0df3",
-    "flat-8": "b080f4c68708ebeff48ec73c9dfee156316b0d3029f4709a52ae45fa96450584",
+    "ladder-8": "5af2385564666237d178a4d040a0d9a2407483fb589bee0daf2c729af02effd3",
+    "ladder-20": "7717977cdd6349efb4e4b02326cc07d90894b57fb19625adc375699c4bee01d6",
+    "ladder-40": "c1877770745d5ba656bf47cc214866814a735d2661cadb5629fc285d2a7c0b68",
+    "ladder-60": "aaa8f26ef1a8270fb3a50d3a31e8043ec3627fe7eaa3a08b035040d7f8bc5139",
+    "flat-8": "c5463ce3ae183399ef5f2d2dfdffd47d940783fc855a601e8f17bfd6e2dfc8e1",
 }
 
 
@@ -809,6 +809,88 @@ def test_recovery_bits_pinned(case):
     sol = ts.recover_thresholds(stats, float(stats.thresholds[-1]))
     assert sol.converged
     assert solution_digest(sol) == RECOVERY_DIGESTS[case]
+
+
+def start_thresholds(stats):
+    """Where recovery starts: the thresholds (K,), the bottom one fixed, and
+    each interior one's fraction of its box (K-1,)."""
+    y = stats.bracket_mean
+    box_lo, span = y[1:], y[:-1] - y[1:]
+    sig = maxent._pareto_start(stats, box_lo, span)
+    return np.append(box_lo + span * sig, stats.thresholds[-1]), sig
+
+
+def exact_pareto_stats(exponent: float, k: int):
+    """Tabulation of a Pareto tail at K thresholds where the count above
+    doubles from one threshold to the next, so that every count is exact:
+    income above t is count * t * a / (a - 1)."""
+    count_above = 1000 * 2 ** np.arange(k)
+    thresholds = 1e6 * 2.0 ** (-np.arange(k) / exponent)
+    income_above = count_above * thresholds * exponent / (exponent - 1.0)
+    tab = ts.Tabulation(
+        year=0, brackets=tuple(ts.IncomeBracket(float(t), int(n), float(s)) for t, n, s in
+                               zip(thresholds, np.diff(count_above, prepend=0),
+                                   np.diff(income_above, prepend=0.0))),
+        population=int(2 * count_above[-1]), total_income=float(2 * income_above[-1]))
+    return ts.cumulate(tab)
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [3, 8, 30])
+def test_start_is_exact_on_a_pareto_tail(exponent, k):
+    # every local slope is the exponent, so the start is the generating
+    # thresholds wherever the clip leaves it alone
+    stats = exact_pareto_stats(exponent, k)
+    start, sig = start_thresholds(stats)
+    inside = (0.05 < sig) & (sig < 0.95)
+    assert inside.sum() == k - 1
+    np.testing.assert_allclose(start[:-1][inside], stats.thresholds[:-1][inside],
+                               rtol=1e-12)
+
+
+def assert_start_inside_boxes(stats):
+    start, sig = start_thresholds(stats)
+    y = stats.bracket_mean
+    assert np.all((0.05 <= sig) & (sig <= 0.95)), sig
+    assert np.all((y[1:] < start[:-1]) & (start[:-1] < y[:-1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(2, 40), data=st.data())
+def test_start_lies_inside_every_box(k, data):
+    # masses down to 1e-12 of a 1e9 population round some counts to 0, so
+    # some slopes are not finite
+    masses = data.draw(st.lists(st.floats(1e-12, 1.0), min_size=k, max_size=k))
+    gaps = data.draw(st.lists(st.floats(1e-6, 1e6), min_size=k, max_size=k))
+    means = 1.0 + np.cumsum(gaps[::-1])[::-1]
+    stats = stats_from_masses(np.array(masses) / sum(masses), means,
+                              thresholds=np.append(means[1:], 1.0))
+    assert_start_inside_boxes(stats)
+
+
+def test_start_lies_inside_every_box_of_random_tabulations():
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        assert_start_inside_boxes(ts.cumulate(random_tabulation(rng)))
+
+
+def test_non_finite_slope_starts_at_the_midpoint():
+    # equal means above thresholds 0 and 1 give gap 0 an infinite slope,
+    # which thresholds 0 and 1 read; threshold 2 reads gaps 1 and 2 only
+    stats = exact_pareto_stats(2.0, 4)
+    mean_above = stats.mean_above.copy()
+    mean_above[1] = mean_above[0]
+    _, sig = start_thresholds(dataclasses.replace(stats, mean_above=mean_above))
+    assert sig[0] == sig[1] == 0.5
+    assert np.isfinite(sig[2]) and sig[2] != 0.5
+
+
+@pytest.mark.parametrize("k", [8, 20, 40, 60])
+def test_ladder_recovery_takes_at_most_three_newton_steps(k):
+    # from the local Pareto start; from the box midpoints it took 4 or 5
+    stats = lognormal_ladder_stats(k)
+    sol = ts.recover_thresholds(stats, float(stats.thresholds[-1]))
+    assert sol.converged and sol.iterations <= 3
 
 
 @pytest.mark.parametrize("k", [8, 60])
@@ -966,8 +1048,8 @@ def steep_stats():
 
 
 def hessian_cases():
-    """(name, stats, thresholds): ladders at their tabulated thresholds and
-    at the box midpoints where recovery starts, and the steep pieces."""
+    """(name, stats, thresholds): ladders at their tabulated thresholds, at
+    the box midpoints and where recovery starts, and the steep pieces."""
     cases = []
     for k in (8, 20):
         stats = lognormal_ladder_stats(k)
@@ -975,6 +1057,7 @@ def hessian_cases():
         cases.append((f"ladder-{k}", stats, stats.thresholds.astype(float)))
         cases.append((f"midpoints-{k}", stats,
                       np.append(0.5 * (y[1:] + y[:-1]), stats.thresholds[-1])))
+        cases.append((f"start-{k}", stats, start_thresholds(stats)[0]))
     stats = steep_stats()
     cases.append(("steep", stats, stats.thresholds.astype(float)))
     return cases

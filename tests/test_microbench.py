@@ -547,17 +547,17 @@ class TestProtocol:
     def test_totals_computed_once_per_sample(self, monkeypatch):
         # the filer count and the income total are cached on the sample:
         # one weight sum and one sample-length reduction of the incomes, a
-        # sum for unit weights and a dot product for weighted ones, however
-        # many K and fractiles read them
+        # sum for unit weights and an einsum with the weights for weighted
+        # ones, however many K and fractiles read them
         n = 5000
         calls = []
-        dot = np.dot
+        einsum = np.einsum
 
-        def counted_dot(a, b, *args, **kwargs):
-            if np.size(a) == n:
-                calls.append("dot")
-            return dot(a, b, *args, **kwargs)
-        monkeypatch.setattr(np, "dot", counted_dot)
+        def counted_einsum(subscripts, *operands, **kwargs):
+            if np.size(operands[0]) == n:
+                calls.append("einsum")
+            return einsum(subscripts, *operands, **kwargs)
+        monkeypatch.setattr(np, "einsum", counted_einsum)
 
         def counting(name):
             class CountedSums(np.ndarray):
@@ -568,7 +568,7 @@ class TestProtocol:
             return CountedSums
         for sample, want in (
                 (mb.generate(mb.ParetoDist(2.0), n, seed=4), ["incomes sum"]),
-                (_tied_weighted(n), ["dot"])):
+                (_tied_weighted(n), ["einsum"])):
             # the sample is frozen; swap in arrays that count their sums
             for name in ("incomes", "weights"):
                 array = getattr(sample, name).view(counting(f"{name} sum"))
