@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, ValueError) as err:
+    except (OSError, MemoryError, ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,9 @@ pieces meet continuously, which is exactly the first-order condition.
 Numerical policy: each closed form has one implementation, a numpy kernel
 over floats or arrays of piece columns that evaluates its common branch on
 every element and a rarer branch on every element only when some element
-takes it, with floating-point warnings suppressed, since an element's branch
-not taken may overflow or divide by zero. Where a direct form loses digits
+takes it. A branch not taken may overflow or divide by zero, so each entry
+point holds one scope with floating-point warnings off, and the kernels
+assume a quiet caller. Where a direct form loses digits
 to cancellation as u = rate*width nears 0, its kernel switches to a truncated
 series: (e^u - 1)/u below |u| = 1e-6, the conditional mean position and its
 derivative below |u| = 1e-2, where the cancellation would exceed the rate
@@ -66,7 +67,8 @@ MAX_ITERATIONS = 500  # and its stop on the number of Newton steps
 # proportional to exp(rate * y), unbounded when upper = inf; a y they take
 # lies inside the piece unless said otherwise. A kernel computes its common
 # branch on every element and splices each rarer one in with _splice, from
-# the lowest precedence to the highest. A mask needs .any() for Python-float
+# the lowest precedence to the highest, under the one _quiet scope of the
+# entry point that calls it. A mask needs .any() for Python-float
 # arguments too, so it comes from np.greater, not >, where u may be a float;
 # and a width comes from np.subtract, so that a zero width divides quietly.
 _quiet = np.errstate(all="ignore")
@@ -87,13 +89,11 @@ def _iexp_series(u):
     return 1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0))
 
 
-@_quiet
 def _iexp(u):
     """(e^u - 1)/u, the mass integral of a unit tilt; 1 at u = 0."""
     return _splice(_iexp_direct(u), np.abs(u) < SERIES_SWITCH, _iexp_series, u)
 
 
-@_quiet
 def _log_iexp(u):
     """log((e^u - 1)/u), overflow-safe for large |u|."""
     out = _splice(np.log(_iexp(u)), np.less(u, -35.0),
@@ -113,7 +113,6 @@ def _mean_frac_series(u):
     return 0.5 + u / 12.0 - u3 / 720.0 + u3 * u * u / 30240.0
 
 
-@_quiet
 def _mean_frac(u):
     """Conditional mean position of the tilt e^(u*x) on x in [0, 1].
 
@@ -127,7 +126,6 @@ def _mean_frac(u):
                    _mean_frac_series, u)
 
 
-@_quiet
 def _mean_frac_deriv(u):
     """Derivative of _mean_frac; even in u, equals 1/12 at 0."""
     w = np.abs(u)
@@ -137,7 +135,6 @@ def _mean_frac_deriv(u):
                    lambda: 1.0 / 12.0 - u2 / 240.0 + u2 * u2 / 6048.0)
 
 
-@_quiet
 def _density_at(lower, upper, mass, rate, y):
     """Density at y of the piece carrying ``mass``."""
     z, width = y - lower, np.subtract(upper, lower)
@@ -148,7 +145,6 @@ def _density_at(lower, upper, mass, rate, y):
     return _splice(steep, np.isinf(upper), lambda: mass * (-rate) * tilt)
 
 
-@_quiet
 def _cdf_frac(lower, upper, rate, y):
     """Fraction of the piece's mass at or below y."""
     z, width = y - lower, np.subtract(upper, lower)
@@ -159,7 +155,6 @@ def _cdf_frac(lower, upper, rate, y):
     return _splice(steep, np.isinf(upper), lambda: -np.expm1(rate * z))
 
 
-@_quiet
 def _tail_frac(lower, upper, rate, y):
     """Fraction of the piece's mass at or above y, in a product form that
     keeps full relative precision even for tiny tails."""
@@ -172,7 +167,6 @@ def _tail_frac(lower, upper, rate, y):
     return _splice(steep, np.isinf(upper), lambda: tilt)
 
 
-@_quiet
 def _quantile_upper(lower, upper, rate, frac):
     """Income level with ``frac`` of the piece's mass above it."""
     rate = np.asarray(rate, dtype=float)  # so that u = 0 divides quietly
@@ -186,7 +180,6 @@ def _quantile_upper(lower, upper, rate, frac):
     return _splice(upper - below, np.isinf(upper), lambda: lower + np.log(frac) / rate)
 
 
-@_quiet
 def _partial_expectation(lower, upper, mass, rate, mean, y):
     """Integral of x times the density of the piece carrying ``mass`` with
     conditional mean ``mean`` over [max(y, lower), upper); any y."""
@@ -200,7 +193,6 @@ def _partial_expectation(lower, upper, mass, rate, mean, y):
                    lambda: np.where(mass > 0.0, mass * mean, 0.0))
 
 
-@_quiet
 def _attained_objective(lower, upper, rate, mean):
     """Maximum of each bracket's auxiliary objective, attained at ``rate``."""
     width = upper - lower
@@ -236,9 +228,9 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
     not land strictly inside the interval that still brackets the root, whose
     ends are evaluated iterates or the closed-form bounds; so a step onto an
     evaluated end bisects. It stops at a mean residual below
-    MEAN_RESIDUAL_TOL of the width, when a step no longer moves the iterate,
-    or after 200 steps. Every element sees exactly the operations it would
-    see alone, so batching never changes a rate.
+    MEAN_RESIDUAL_TOL of the width or after 200 steps. Every element sees
+    exactly the operations it would see alone, so batching never changes a
+    rate.
     """
     lower, upper, mean = np.broadcast_arrays(lower, upper, mean)
     shape = lower.shape
@@ -275,16 +267,9 @@ def _solve_rates(lower, upper, mean) -> tuple[np.ndarray, np.ndarray]:
         hi_l = np.where(above, u_l, hi_l)
         lo_l = np.where(above, lo_l, u_l)
         d = _mean_frac_deriv(u_l)
-        u_next = np.where(d > 0.0, u_l - h_l / d, np.nan)
-        u_next = np.where((lo_l < u_next) & (u_next < hi_l), u_next,
-                          0.5 * (lo_l + hi_l))  # bisection safeguard
-        moved = u_next != u_l  # else the interval is exhausted
-        if not moved.all():
-            live, u_next, lo_l, hi_l, r_l = (
-                a[moved] for a in (live, u_next, lo_l, hi_l, r_l))
-            if not live.size:
-                break
-        u_l = u_next
+        newton = np.where(d > 0.0, u_l - h_l / d, np.nan)
+        u_l = np.where((lo_l < newton) & (newton < hi_l), newton,
+                       0.5 * (lo_l + hi_l))  # bisection safeguard
         h_l = _mean_frac(u_l) - r_l
         u[live] = u_l
         unconverged = ~(np.abs(h_l) <= MEAN_RESIDUAL_TOL)
@@ -366,6 +351,7 @@ class MaxEntDensity:
     def support_bottom(self) -> float:
         return float(self.thresholds[-1])
 
+    @_quiet
     def pdf(self, y):
         """Density at y; 0 below the support."""
         y = np.asarray(y, dtype=float)
@@ -375,6 +361,7 @@ class MaxEntDensity:
         value = _density_at(lower[k], upper[k], mass[k], rate[k], row)
         return _like(y, np.where(row < self.support_bottom, 0.0, value))
 
+    @_quiet
     def cdf(self, y):
         """Probability mass between the bottom threshold and y."""
         y = np.asarray(y, dtype=float)
@@ -388,6 +375,7 @@ class MaxEntDensity:
         inside = mass[k] * _cdf_frac(lower[k], upper[k], rate[k], row)
         return _like(y, self.covered_fraction - above[k] + inside)
 
+    @_quiet
     def quantile_top(self, p):
         """Income level with upper-tail mass exactly p above it.
 
@@ -402,6 +390,7 @@ class MaxEntDensity:
             raise _fractile_error(p.flat[served.argmin()].item(), self.covered_fraction)
         return _like(p, t)
 
+    @_quiet
     def partial_expectation_above(self, y):
         """Integral of x times the density over [y, inf)."""
         y = np.asarray(y, dtype=float)
@@ -437,7 +426,6 @@ def _piece_index(stack, y: np.ndarray) -> np.ndarray:
     return starts[:, None] + np.minimum(k, sizes[:, None] - 1)
 
 
-@_quiet
 def _quantiles(stack, p: np.ndarray):
     """``quantile_top`` of each stacked density at its row of an (n, m)
     fractile array, and the mask of the fractiles it serves: in (0, 1] and
@@ -698,7 +686,9 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
     rule as a band (diagonal, off-diagonal) and solved by one O(K) sweep
     (``_newton_direction``, which falls back to steepest descent), with a
     backtracking line search; the objective blows up at the box edges, so
-    iterates stay interior. Each line-search trial is one ``_divergence``
+    iterates stay interior; a trial that rounds a threshold onto a mean (of
+    nearly coinciding means) is rejected, and only a start that does so
+    raises MeanOnBoundaryError. Each line-search trial is one ``_divergence``
     call, one rate solve, and the accepted trial's Hessian serves the next
     step, so a recovery makes 1 + (line-search trials) calls. Near the
     optimum a Newton step can cut the gradient by orders of magnitude while
@@ -708,8 +698,7 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
     ``GRAD_TOL * (1 + |objective|)``, when no step lowers the objective or
     the gradient, or after ``MAX_ITERATIONS`` Newton steps.
     """
-    k_total = stats.num_brackets
-    if k_total < 2:
+    if stats.num_brackets < 2:
         raise InfeasibleOrderingError("need at least 2 brackets")
     y = stats.bracket_mean
     q = stats.bracket_fraction
@@ -764,7 +753,10 @@ def recover_thresholds(stats: CumulativeStats, t_bottom: float) -> ThresholdSolu
         step = 1.0
         for _ in range(60):
             z_new = z + step * direction
-            v_new, g_new, h_new = eval_at(z_new)
+            try:
+                v_new, g_new, h_new = eval_at(z_new)
+            except MeanOnBoundaryError:  # a threshold rounded onto a mean
+                v_new = math.nan  # fails both tests below: the trial is rejected
             if (v_new <= value + 1e-4 * step * slope
                     or (abs(v_new - value) <= flat * (1.0 + abs(value))
                         and np.max(np.abs(g_new)) < grad_max)):

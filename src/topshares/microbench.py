@@ -527,6 +527,8 @@ class BenchmarkSpec:
     methods: tuple[str, ...] = ("PI", "ME")
 
     def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"size must be at least 1, got {self.size}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:
@@ -543,6 +545,8 @@ class BenchmarkSpec:
         maxent._check_methods(self.methods)
         for classes in self.classes:
             _check_ladder(classes, self.top_fraction, self.scheme)
+            if classes > self.size:  # each sample has size rows
+                raise ValueError(f"{classes} classes exceed the {self.size} rows of a sample")
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
@@ -621,11 +625,14 @@ def evaluate_sample(sample: MicroSample, classes: Iterable[int],
 
     The ME rates of every class count come from one rate solve. Estimator
     failures are recorded per cell and never abort the run; a method other
-    than PI or ME raises ValueError.
+    than PI or ME, or more classes than the sample has rows, raises
+    ValueError.
     """
     cells, classes = [], list(classes)
     for k in classes:  # every ladder before any oracle share
         _check_ladder(k, top_fraction, scheme)
+        if k > len(sample.incomes):
+            raise ValueError(f"{k} classes exceed the {len(sample.incomes)} rows of a sample")
     oracles = {p: oracle_share(sample, p) for p in fractiles}
     tables = [tabulate(sample, quantile_thresholds(sample, k, top_fraction, scheme))
               for k in classes]

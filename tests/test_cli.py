@@ -1030,6 +1030,47 @@ class TestSynthAndCompare:
         assert err == "error: a mixture component must not be a mixture\n"
         assert not out.exists()
 
+    def test_synth_unknown_distribution_kind_exits_one(self, tmp_path, capsys):
+        spec = {"distribution": {"kind": "weibull", "shape": 2.0},
+                "size": 4000, "classes": [8], "fractiles": [0.1], "trials": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown distribution kind 'weibull'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size,classes,message", [
+        ("0", "8", "size must be at least 1, got 0"),
+        ("1000", "1000000000000", "1000000000000 classes exceed the 1000 rows of a sample"),
+        ("1000", "8,1001", "1001 classes exceed the 1000 rows of a sample"),
+    ], ids=["empty_sample", "huge_count", "count_above_size"])
+    def test_synth_classes_beyond_the_sample_exit_one_before_sampling(
+            self, tmp_path, capsys, monkeypatch, size, classes, message):
+        # a huge count once ended in numpy's MemoryError traceback from the
+        # ladder's np.arange(classes)
+        def generate(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+        monkeypatch.setattr(microbench, "generate", generate)
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--size", size, "--trials", "1", "--classes", classes,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_synth_refused_allocation_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a sample the host cannot hold once ended in a MemoryError
+        # traceback; raised here, as a real allocation of that size may
+        # succeed on an overcommitting host and fail only when written
+        def generate(dist, size, seed):
+            raise MemoryError(f"Unable to allocate {8 * size} bytes")
+        monkeypatch.setattr(microbench, "generate", generate)
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--size", "1000000000000", "--trials", "1",
+                     "--classes", "8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 8000000000000 bytes\n"
+        assert not out.exists()
+
     def test_compare_huge_weight_exits_one(self, tmp_path, capsys):
         micro = tmp_path / "micro.csv"
         micro.write_text("income,weight\n1,1e30\n2,1\n")

@@ -60,6 +60,20 @@ class TestOracleShare:
             mb.MicroSample([1.0, 2.0], [1e30, 1.0])  # integral, but wraps in int64
         assert mb.MicroSample([1.0], [float(2**53)]).filer_count == 2**53
 
+    @pytest.mark.parametrize("incomes,weights,message", [
+        ([1.0, 2.0], [1], "incomes and weights must have equal length"),
+        ([1.0, math.nan], [1, 1], "incomes must be finite and nonnegative"),
+        ([1.0, math.inf], [1, 1], "incomes must be finite and nonnegative"),
+        ([1.0, -2.0], [1, 1], "incomes must be finite and nonnegative"),
+        ([1.0, 2.0], [1, 0], "weights must be positive integers"),
+        ([1.0, 2.0], [1, -3], "weights must be positive integers"),
+    ], ids=["lengths", "nan", "inf", "negative", "zero_weight", "negative_weight"])
+    def test_malformed_rows_rejected(self, incomes, weights, message):
+        # integer weights skip the float checks, so only the last one sees 0
+        with pytest.raises(ValueError) as err:
+            mb.MicroSample(np.array(incomes), np.array(weights, dtype=np.int64))
+        assert str(err.value) == message
+
     def test_weight_total_must_fit_int64(self):
         # 1,100 weights of 2**53 used to wrap filer_count negative
         with pytest.raises(ValueError, match="weights sum to 9907919180215091200"):
@@ -363,6 +377,29 @@ class TestGenerate:
         with pytest.raises(ValueError, match="must not be a mixture"):
             mb.MixtureDist(weights=(0.5, 0.5), components=(mb.ParetoDist(3.0), inner))
 
+    @pytest.mark.parametrize("weights,components,message", [
+        ((0.5, 0.5), (mb.ParetoDist(2.0),),
+         "weights and components must match and be nonempty"),
+        ((), (), "weights and components must match and be nonempty"),
+        ((1.5, -0.5), (mb.ParetoDist(2.0), mb.ParetoDist(3.0)),
+         "mixture weights must be positive"),
+        ((1.0, 0.0), (mb.ParetoDist(2.0), mb.ParetoDist(3.0)),
+         "mixture weights must be positive"),
+    ], ids=["mismatched", "empty", "negative_weight", "zero_weight"])
+    def test_malformed_mixture_rejected(self, weights, components, message):
+        with pytest.raises(ValueError) as err:
+            mb.MixtureDist(weights=weights, components=components)
+        assert str(err.value) == message
+
+    def test_unknown_kind_and_empty_size_rejected(self):
+        with pytest.raises(ValueError) as err:
+            mb.dist_from_dict({"kind": "weibull", "shape": 2.0})
+        assert str(err.value) == "unknown distribution kind 'weibull'"
+        for size in (0, -5):
+            with pytest.raises(ValueError) as err:
+                mb.generate(mb.ParetoDist(2.0), size, 1)
+            assert str(err.value) == "size must be at least 1"
+
     def test_dist_json_round_trip(self):
         dist = mb.MixtureDist(weights=(0.9, 0.1),
                               components=(mb.ParetoDist(2.5, 2.0),
@@ -458,6 +495,19 @@ class TestProtocol:
         sample = mb.MicroSample.from_incomes(np.array([1.0, 2.0, 5.0]))
         with pytest.raises(ValueError, match="^need at least 2 classes$"):
             mb.evaluate_sample(sample, [1], [0.1])
+
+    def test_more_classes_than_rows_rejected(self):
+        # once laid by quantile_thresholds, whose np.arange(classes) grew
+        # with the count: a list of 10**8 entries, or a MemoryError
+        sample = mb.MicroSample(np.array([1.0, 2.0, 5.0]), np.array([4, 1, 9]))
+        with pytest.raises(ValueError) as err:
+            mb.evaluate_sample(sample, [2, 3, 4], [0.5])
+        assert str(err.value) == "4 classes exceed the 3 rows of a sample"
+        assert len(mb.evaluate_sample(sample, [2, 3], [0.5])) == 4
+        with pytest.raises(ValueError) as err:
+            mb.BenchmarkSpec(dist=mb.ParetoDist(2.0), size=10, classes=(8, 10**12))
+        assert str(err.value) == "1000000000000 classes exceed the 10 rows of a sample"
+        mb.BenchmarkSpec(dist=mb.ParetoDist(2.0), size=8, classes=(8,))
 
     def test_run_protocol_deterministic(self):
         spec = mb.BenchmarkSpec(dist=mb.ParetoDist(2.0), size=20_000,
